@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
-use usta_thermal::{DeviceThermalModel, HeatLoad, ThermalBatch};
+use usta_thermal::{DeviceThermalModel, HeatLoad};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("thermal_step");
@@ -29,43 +29,6 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // The fleet runner's batched path: LANES same-device models advance
-    // together through one structure-of-arrays Euler pass. Reported
-    // per batch step, so dividing by LANES gives the per-lane cost to
-    // compare against the scalar rows above.
-    const LANES: usize = 8;
-    for id in usta_device::NAMES {
-        let spec = usta_device::by_id(id).expect("catalog id");
-        let mut models: Vec<DeviceThermalModel> = (0..LANES)
-            .map(|lane| {
-                let mut model = DeviceThermalModel::new(spec.thermal.topology())
-                    .expect("catalog topology builds");
-                let dies = model.topology().dies();
-                model.set_heat(HeatLoad {
-                    die_w: (0..dies).map(|d| 1.5 / (d + lane + 1) as f64).collect(),
-                    gpu_w: 1.0,
-                    display_w: 0.8,
-                    battery_w: 0.2,
-                    board_w: 0.3,
-                });
-                model
-            })
-            .collect();
-        let mut batch = {
-            let refs: Vec<&DeviceThermalModel> = models.iter().collect();
-            ThermalBatch::try_new(&refs).expect("same-structure lanes batch")
-        };
-        let dts = [0.1; LANES];
-        group.bench_function(format!("batch_step_100ms/{id}x{LANES}"), |b| {
-            b.iter(|| {
-                let mut refs: Vec<&mut DeviceThermalModel> = models.iter_mut().collect();
-                for model in refs.iter_mut() {
-                    model.prepare_step();
-                }
-                batch.step(black_box(&mut refs), &dts);
-            })
-        });
-    }
     group.finish();
 }
 

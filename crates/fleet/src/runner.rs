@@ -1,4 +1,4 @@
-//! The parallel batched sweep runner.
+//! The parallel sweep runner.
 //!
 //! A sweep crosses a sampled user population with a scenario catalog
 //! (which carries the device axis) into `users × scenarios`
@@ -38,10 +38,7 @@ use usta_core::{TemperaturePredictor, UserPopulation, UstaGovernor, UstaPolicy};
 use usta_governors::by_name;
 use usta_ml::reptree::RepTreeParams;
 use usta_ml::Learner;
-use usta_sim::{
-    run_workload, run_workload_recorded, run_workloads_batched, BatchLane, Device, Governor,
-    RunConfig, RunResult,
-};
+use usta_sim::{run_workload, run_workload_recorded, Device, Governor, RunConfig};
 use usta_telemetry::FlightRecorder;
 use usta_thermal::Celsius;
 use usta_workloads::{Benchmark, Workload};
@@ -519,29 +516,26 @@ pub(crate) fn policy_limit(
     }
 }
 
-/// One triple's fully constructed inputs, ready to run: the device,
-/// its workload, and the governor stack, with every per-triple RNG
-/// draw already made in the seed stream's canonical order
-/// (sensor seed, jitter seed, predictor pick).
-pub(crate) struct PreparedTriple {
-    device: Device,
-    workload: crate::scenario::ScenarioWorkload,
-    governor: Governor,
-    /// The workload's (cap-truncated) duration.
-    sim_seconds: f64,
-}
-
-/// Builds triple `index`'s device/workload/governor from its sweep
-/// coordinates. Bit-for-bit the construction [`run_triple`] has always
-/// done — the batched chunk path calls it separately so same-device
-/// triples can integrate together.
-pub(crate) fn prepare_triple(
+/// Runs one (user, device, scenario) triple to completion. `pools`
+/// holds one trained predictor pool per swept device (empty for
+/// baseline-only sweeps). When `capture_steps` is set the full
+/// per-step trace CSV rides along for the `--trace-steps` sink; a
+/// `recorder` captures per-window decision provenance for the triage
+/// sink and the `explain` CLI.
+///
+/// Every per-triple RNG draw is made in the seed stream's canonical
+/// order (sensor seed, jitter seed, predictor pick). Comfort is always
+/// judged against the triple's own user's limit (the percentile knob
+/// moves only the *policy*, never the judge).
+pub(crate) fn run_triple(
     config: &SweepConfig,
     population: &UserPopulation,
     catalog: &ScenarioCatalog,
     pools: &[(&'static str, Vec<TemperaturePredictor>)],
     index: usize,
-) -> PreparedTriple {
+    capture_steps: bool,
+    recorder: Option<&mut FlightRecorder>,
+) -> (TripleOutcome, Option<Result<String, String>>) {
     let user = &population.users()[index / catalog.len()];
     let scenario = &catalog.scenarios()[index % catalog.len()];
     let mut rng = triple_stream(config.seed, index as u64);
@@ -562,11 +556,12 @@ pub(crate) fn prepare_triple(
         0
     };
 
-    let device = Device::new(scenario.device_config(sensor_seed)).expect("scenario devices build");
-    let workload = scenario.workload(jitter_seed, config.max_sim_seconds);
+    let mut device =
+        Device::new(scenario.device_config(sensor_seed)).expect("scenario devices build");
+    let mut workload = scenario.workload(jitter_seed, config.max_sim_seconds);
     let sim_seconds = workload.duration();
     let baseline = by_name(&config.governor).expect("governor validated up front");
-    let governor = if config.usta {
+    let mut governor = if config.usta {
         Governor::Usta(Box::new(UstaGovernor::new(
             baseline,
             predictors[predictor_pick].clone(),
@@ -575,31 +570,18 @@ pub(crate) fn prepare_triple(
     } else {
         Governor::Baseline(baseline)
     };
-    PreparedTriple {
-        device,
-        workload,
-        governor,
-        sim_seconds,
-    }
-}
+    let result = run_workload_recorded(
+        &mut device,
+        &mut workload,
+        &mut governor,
+        &RunConfig::default(),
+        recorder,
+    );
 
-/// Folds a finished run back into the sweep's per-triple outcome.
-/// Comfort is always judged against the triple's own user's limit
-/// (the percentile knob moves only the *policy*, never the judge).
-pub(crate) fn finish_triple(
-    population: &UserPopulation,
-    catalog: &ScenarioCatalog,
-    index: usize,
-    sim_seconds: f64,
-    capture_steps: bool,
-    result: &RunResult,
-) -> (TripleOutcome, Option<Result<String, String>>) {
-    let user = &population.users()[index / catalog.len()];
-    let scenario = &catalog.scenarios()[index % catalog.len()];
     let comfort =
         ComfortStats::from_trace(&result.skin_trace, result.log_period_s, user.skin_limit);
     let steps_csv =
-        capture_steps.then(|| usta_sim::to_csv_string(result).map_err(|e| e.to_string()));
+        capture_steps.then(|| usta_sim::to_csv_string(&result).map_err(|e| e.to_string()));
     let outcome = TripleOutcome {
         sim_seconds,
         peak_skin_c: result.max_skin.value(),
@@ -622,39 +604,6 @@ pub(crate) fn finish_triple(
         work: result.work,
     };
     (outcome, steps_csv)
-}
-
-/// Runs one (user, device, scenario) triple to completion. `pools`
-/// holds one trained predictor pool per swept device (empty for
-/// baseline-only sweeps). When `capture_steps` is set the full
-/// per-step trace CSV rides along for the `--trace-steps` sink; a
-/// `recorder` captures per-window decision provenance for the triage
-/// sink and the `explain` CLI.
-pub(crate) fn run_triple(
-    config: &SweepConfig,
-    population: &UserPopulation,
-    catalog: &ScenarioCatalog,
-    pools: &[(&'static str, Vec<TemperaturePredictor>)],
-    index: usize,
-    capture_steps: bool,
-    recorder: Option<&mut FlightRecorder>,
-) -> (TripleOutcome, Option<Result<String, String>>) {
-    let mut prepared = prepare_triple(config, population, catalog, pools, index);
-    let result = run_workload_recorded(
-        &mut prepared.device,
-        &mut prepared.workload,
-        &mut prepared.governor,
-        &RunConfig::default(),
-        recorder,
-    );
-    finish_triple(
-        population,
-        catalog,
-        index,
-        prepared.sim_seconds,
-        capture_steps,
-        &result,
-    )
 }
 
 /// A work-stealing chunk scheduler over `0..n_chunks`.
@@ -1128,14 +1077,6 @@ pub fn run_sweep(config: &SweepConfig) -> Result<FleetReport, FleetError> {
     // pre-flight-recorder format.
     let flight_windows = if tracing { config.flight_windows } else { 0 };
 
-    /// One finished triple, parked until the in-order bookkeeping pass.
-    struct TripleDone {
-        outcome: TripleOutcome,
-        steps_csv: Option<Result<String, String>>,
-        /// The triaged flight dump, when the thresholds tripped.
-        flight: Option<String>,
-    }
-
     let (aggregate, worst) = std::thread::scope(|scope| {
         for worker_id in 0..workers {
             let tx = tx.clone();
@@ -1146,10 +1087,9 @@ pub fn run_sweep(config: &SweepConfig) -> Result<FleetReport, FleetError> {
             let pools = &pools[..];
             let telemetry = telemetry.as_ref();
             scope.spawn(move || {
-                // A preallocated ring pool per worker, grown to the
-                // largest same-device group and cleared between triples
-                // — recording never allocates on the hot path.
-                let mut rings: Vec<FlightRecorder> = Vec::new();
+                // One preallocated ring per worker, cleared between
+                // triples — recording never allocates on the hot path.
+                let mut ring = (flight_windows > 0).then(|| FlightRecorder::new(flight_windows));
                 let started = std::time::Instant::now();
                 let mut busy = std::time::Duration::ZERO;
                 let busy_gauge = telemetry.map(|t| t.worker_busy(worker_id));
@@ -1176,149 +1116,46 @@ pub fn run_sweep(config: &SweepConfig) -> Result<FleetReport, FleetError> {
                     let mut flights: Vec<(usize, String)> = Vec::new();
                     let mut worst: Vec<WorstTriple> = Vec::new();
 
-                    // Group the chunk's triples by device (order
-                    // preserved): same-device groups integrate their
-                    // thermal networks together through one SoA batch,
-                    // singletons take the scalar path. Grouping is a
-                    // pure function of the chunk, so it cannot disturb
-                    // the determinism contract — and every outcome is
-                    // bit-identical either way.
-                    let mut groups: Vec<(&'static str, Vec<usize>)> = Vec::new();
+                    // Triples run and fold strictly in index order —
+                    // the canonical association the determinism
+                    // contract promises.
                     for index in lo..hi {
-                        let device = catalog.scenarios()[index % catalog.len()].device;
-                        match groups.iter_mut().find(|(d, _)| *d == device) {
-                            Some((_, members)) => members.push(index),
-                            None => groups.push((device, vec![index])),
+                        if let Some(ring) = ring.as_mut() {
+                            ring.clear();
                         }
-                    }
-                    let mut done: Vec<Option<TripleDone>> = (lo..hi).map(|_| None).collect();
+                        let triple_span = telemetry.map(|t| t.triple_span());
+                        if let Some(telemetry) = telemetry {
+                            telemetry.triple_started();
+                        }
+                        let (outcome, steps_csv) = run_triple(
+                            config,
+                            population,
+                            catalog,
+                            pools,
+                            index,
+                            index < trace_steps,
+                            ring.as_mut(),
+                        );
+                        if let Some(telemetry) = telemetry {
+                            telemetry.triple_finished();
+                        }
+                        drop(triple_span);
 
-                    for (_, members) in &groups {
-                        if flight_windows > 0 {
-                            while rings.len() < members.len() {
-                                rings.push(FlightRecorder::new(flight_windows));
-                            }
-                        }
-                        let triage = |index: usize,
-                                      outcome: &TripleOutcome,
-                                      ring: &FlightRecorder|
-                         -> Option<String> {
-                            let limit_c =
-                                population.users()[index / catalog.len()].skin_limit.value();
-                            triage_hit(config, limit_c, outcome).then(|| {
-                                flight_json(config, population, catalog, index, outcome, ring)
-                            })
-                        };
-                        if members.len() == 1 {
-                            let index = members[0];
-                            let capture_steps = index < trace_steps;
-                            if let Some(ring) = rings.first_mut() {
-                                ring.clear();
-                            }
-                            let triple_span = telemetry.map(|t| t.triple_span());
-                            if let Some(telemetry) = telemetry {
-                                telemetry.triple_started();
-                            }
-                            let (outcome, steps_csv) = run_triple(
-                                config,
-                                population,
-                                catalog,
-                                pools,
-                                index,
-                                capture_steps,
-                                rings.first_mut(),
-                            );
-                            if let Some(telemetry) = telemetry {
-                                telemetry.triple_finished();
-                            }
-                            drop(triple_span);
-                            let flight =
-                                rings.first().and_then(|ring| triage(index, &outcome, ring));
-                            done[index - lo] = Some(TripleDone {
-                                outcome,
-                                steps_csv,
-                                flight,
-                            });
-                        } else {
-                            let mut prepared: Vec<PreparedTriple> = members
-                                .iter()
-                                .map(|&index| {
-                                    prepare_triple(config, population, catalog, pools, index)
-                                })
-                                .collect();
-                            let spans: Vec<_> = members
-                                .iter()
-                                .map(|_| telemetry.map(|t| t.triple_span()))
-                                .collect();
-                            if let Some(telemetry) = telemetry {
-                                for _ in members {
-                                    telemetry.triple_started();
-                                }
-                            }
-                            let results = {
-                                for ring in rings.iter_mut() {
-                                    ring.clear();
-                                }
-                                let mut ring_iter = rings.iter_mut();
-                                let mut lanes: Vec<BatchLane<'_>> = prepared
-                                    .iter_mut()
-                                    .map(|p| BatchLane {
-                                        device: &mut p.device,
-                                        workload: &mut p.workload,
-                                        governor: &mut p.governor,
-                                        recorder: ring_iter.next(),
-                                    })
-                                    .collect();
-                                run_workloads_batched(&mut lanes, &RunConfig::default())
-                            };
-                            if let Some(telemetry) = telemetry {
-                                for _ in members {
-                                    telemetry.triple_finished();
-                                }
-                            }
-                            drop(spans);
-                            for (k, (&index, result)) in members.iter().zip(&results).enumerate() {
-                                let capture_steps = index < trace_steps;
-                                let (outcome, steps_csv) = finish_triple(
-                                    population,
-                                    catalog,
-                                    index,
-                                    prepared[k].sim_seconds,
-                                    capture_steps,
-                                    result,
-                                );
-                                let flight =
-                                    rings.get(k).and_then(|ring| triage(index, &outcome, ring));
-                                done[index - lo] = Some(TripleDone {
-                                    outcome,
-                                    steps_csv,
-                                    flight,
-                                });
-                            }
-                        }
-                    }
-
-                    // Bookkeeping folds strictly in triple-index order
-                    // — the canonical association the determinism
-                    // contract promises, whatever order the groups ran.
-                    for index in lo..hi {
-                        let TripleDone {
-                            outcome,
-                            steps_csv,
-                            flight,
-                        } = done[index - lo].take().expect("every triple ran");
                         if tracing {
                             rows.push(trace_row(index, catalog, &outcome));
                         }
                         if let Some(csv) = steps_csv {
                             step_csvs.push((index, csv));
                         }
-                        if flight_windows > 0 {
+                        if let Some(ring) = ring.as_ref() {
                             let user_index = index / catalog.len();
                             let limit_c = population.users()[user_index].skin_limit.value();
-                            let dumped = flight.is_some();
-                            if let Some(json) = flight {
-                                flights.push((index, json));
+                            let dumped = triage_hit(config, limit_c, &outcome);
+                            if dumped {
+                                flights.push((
+                                    index,
+                                    flight_json(config, population, catalog, index, &outcome, ring),
+                                ));
                             }
                             if config.worst_k > 0 {
                                 let scenario = &catalog.scenarios()[index % catalog.len()];

@@ -307,31 +307,6 @@ impl Device {
     ///
     /// Panics if `levels.len()` differs from [`Device::domains`].
     pub fn apply(&mut self, demand: &DeviceDemand, levels: &[usize], dt: f64) {
-        self.apply_pre_thermal(demand, levels, dt);
-        let thermal_start = self
-            .thermal_timings
-            .as_ref()
-            .map(|_| std::time::Instant::now());
-        self.thermal.integrate(dt);
-        if let (Some(timings), Some(start)) = (self.thermal_timings.as_mut(), thermal_start) {
-            timings.record(start.elapsed());
-        }
-    }
-
-    /// Everything [`Device::apply`] does *except* the thermal time
-    /// integration: level changes, scheduling, power computation, heat
-    /// routing (including the hand term, staged via
-    /// [`DeviceThermalModel::prepare_step`]), and QoS/clock accounting.
-    ///
-    /// Callers must follow up by integrating the thermal model by the
-    /// same `dt` — either scalar ([`DeviceThermalModel::integrate`])
-    /// or batched across devices ([`usta_thermal::ThermalBatch`]);
-    /// `apply` is exactly this plus a scalar integrate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `levels.len()` differs from [`Device::domains`].
-    pub fn apply_pre_thermal(&mut self, demand: &DeviceDemand, levels: &[usize], dt: f64) {
         assert_eq!(
             levels.len(),
             self.clusters.len()
@@ -441,7 +416,14 @@ impl Device {
         heat.display_w = display_w;
         heat.battery_w = battery_w;
         heat.board_w = board_w;
-        self.thermal.prepare_step();
+        let thermal_start = self
+            .thermal_timings
+            .as_ref()
+            .map(|_| std::time::Instant::now());
+        self.thermal.step(dt);
+        if let (Some(timings), Some(start)) = (self.thermal_timings.as_mut(), thermal_start) {
+            timings.record(start.elapsed());
+        }
 
         self.total_demand_khz_s += demand.total_cpu_khz() * dt;
         let mut unserved = 0.0;
@@ -567,22 +549,6 @@ impl Device {
     /// The thermal model (read access for experiments).
     pub fn thermal_model(&self) -> &DeviceThermalModel {
         &self.thermal
-    }
-
-    /// Mutable thermal-model access for the batched runner (which
-    /// integrates several devices' networks through one
-    /// [`usta_thermal::ThermalBatch`]).
-    pub(crate) fn thermal_model_mut(&mut self) -> &mut DeviceThermalModel {
-        &mut self.thermal
-    }
-
-    /// Credits externally-measured thermal integration time (the
-    /// batched path's per-lane share) to this device's
-    /// `sim.thermal_step` accumulator.
-    pub(crate) fn record_thermal_time(&mut self, elapsed: std::time::Duration) {
-        if let Some(timings) = self.thermal_timings.as_mut() {
-            timings.record(elapsed);
-        }
     }
 
     /// The device spec this instance was built from.

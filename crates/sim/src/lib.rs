@@ -47,8 +47,5 @@ pub mod runner;
 pub mod trace;
 
 pub use device::{Device, DeviceConfig, Observation};
-pub use runner::{
-    run_workload, run_workload_recorded, run_workloads_batched, BatchLane, Governor, RunConfig,
-    RunResult, RunWork,
-};
+pub use runner::{run_workload, run_workload_recorded, Governor, RunConfig, RunResult, RunWork};
 pub use trace::{to_csv_string, write_csv};

@@ -269,277 +269,64 @@ pub fn run_workload_recorded(
     config: &RunConfig,
     mut recorder: Option<&mut FlightRecorder>,
 ) -> RunResult {
-    let mut state = StepState::new(device, workload, governor, config);
-    while !state.done() {
-        let demand = state.begin_step(workload);
-        state.apply_scalar(device, &demand);
-        state.post_step(device, governor, recorder.as_deref_mut());
-    }
-    state.finish(device, governor)
-}
+    let dt = config.governor_period_s;
+    let duration = workload.duration();
+    let domains = device.freq_domains();
+    let n_domains = domains.len();
+    let die_node_names = device.die_node_names();
+    // Die traces follow the CPU-cluster die nodes; the GPU and display
+    // domains carry their own temperatures inside `obs.domains` but
+    // have no cluster die node of their own.
+    let n_dies = die_node_names.len();
+    let caps: PerDomain<usize> = PerDomain::from_fn(n_domains, |d| domains[d].max_index());
 
-/// One lane of a batched run: a full device/workload/governor triple
-/// plus its optional flight recorder. Borrowed, so callers keep
-/// ownership of every component across the run (the fleet worker keeps
-/// reusing its recorder pool, for example).
-#[derive(Debug)]
-pub struct BatchLane<'a> {
-    /// The simulated device.
-    pub device: &'a mut Device,
-    /// The workload driving it.
-    pub workload: &'a mut dyn Workload,
-    /// The governor stack making DVFS decisions.
-    pub governor: &'a mut Governor,
-    /// Optional per-lane flight recorder.
-    pub recorder: Option<&'a mut FlightRecorder>,
-}
+    device.reset_qos_accounting();
 
-/// Runs several independent lanes in lockstep, integrating their
-/// thermal networks together through one [`usta_thermal::ThermalBatch`]
-/// pass per governor period.
-///
-/// Each lane's result is **bit-identical** to running that lane alone
-/// through [`run_workload_recorded`]: lanes share no state, the batch
-/// integrator replicates the scalar kernel per lane, and lanes whose
-/// workload ends early idle with `dt = 0` while the rest finish. When
-/// the lanes' thermal structures don't batch (mixed topologies, RK4),
-/// the lanes simply run sequentially through the scalar path.
-pub fn run_workloads_batched(lanes: &mut [BatchLane<'_>], config: &RunConfig) -> Vec<RunResult> {
-    let mut states: Vec<StepState> = lanes
-        .iter_mut()
-        .map(|lane| StepState::new(lane.device, lane.workload, lane.governor, config))
-        .collect();
-
-    let batch = {
-        let models: Vec<&usta_thermal::DeviceThermalModel> = lanes
-            .iter()
-            .map(|lane| lane.device.thermal_model())
-            .collect();
-        usta_thermal::ThermalBatch::try_new(&models)
+    // Deterministic work counting is unconditional (plain integer
+    // adds); wall-clock timing exists only while telemetry is enabled
+    // — the sink resolves once per run, and the disabled path carries
+    // no `Instant::now` calls and no atomics.
+    let usta_before = match governor {
+        Governor::Usta(g) => (
+            g.predictions_made(),
+            g.capped_decisions(),
+            g.arbiter_invocations(),
+        ),
+        Governor::Baseline(_) => (0, 0, 0),
     };
-    let Some(mut batch) = batch else {
-        // Structures don't batch: scalar fallback, lane by lane.
-        return lanes
-            .iter_mut()
-            .zip(states)
-            .map(|(lane, mut state)| {
-                while !state.done() {
-                    let demand = state.begin_step(lane.workload);
-                    state.apply_scalar(lane.device, &demand);
-                    state.post_step(lane.device, lane.governor, lane.recorder.as_deref_mut());
-                }
-                state.finish(lane.device, lane.governor)
-            })
-            .collect();
-    };
+    let sink = usta_telemetry::Sink::active();
+    let mut decide_timings = sink.map(|_| usta_telemetry::LocalTimings::new(0.0, 1e-4, 1000));
+    let mut step_timings = sink.map(|_| usta_telemetry::LocalTimings::new(0.0, 1e-3, 1000));
+    let mut work = RunWork::default();
 
-    let timing = usta_telemetry::enabled();
-    let mut dts = vec![0.0f64; lanes.len()];
-    while states.iter().any(|s| !s.done()) {
-        // Phase 1: demand, scheduling, power, heat staging — per lane.
-        for ((lane, state), dt) in lanes.iter_mut().zip(&mut states).zip(&mut dts) {
-            if state.done() {
-                *dt = 0.0;
-                continue;
-            }
-            *dt = state.dt;
-            let demand = state.begin_step(lane.workload);
-            state.apply_pre_thermal(lane.device, &demand);
-        }
+    // Integer step counts avoid f64 accumulation drift at both the log
+    // cadence and the run boundary.
+    let steps_per_log = (config.log_period_s / dt).round().max(1.0) as u64;
+    let total_steps = (duration / dt).round() as u64;
+    let mut t = 0.0;
+    let mut levels: PerDomain<usize> = PerDomain::splat(n_domains, 0);
+    let mut skin_trace = Vec::new();
+    let mut screen_trace = Vec::new();
+    let mut freq_trace = Vec::new();
+    let mut domain_freq_traces = vec![Vec::new(); n_domains];
+    let mut brightness_trace = Vec::new();
+    let mut die_temp_traces = vec![Vec::new(); n_dies];
+    let mut predictions = Vec::new();
+    let mut training_log = TrainingLog::new();
+    let mut freq_time_khz = 0.0;
+    let mut domain_freq_time_khz = vec![0.0f64; n_domains];
+    let mut max_skin = Celsius(f64::NEG_INFINITY);
+    let mut max_screen = Celsius(f64::NEG_INFINITY);
+    let mut max_die = vec![Celsius(f64::NEG_INFINITY); n_dies];
 
-        // Phase 2: one SoA Euler pass over every active lane.
-        let start = timing.then(std::time::Instant::now);
-        {
-            let mut models: Vec<&mut usta_thermal::DeviceThermalModel> = lanes
-                .iter_mut()
-                .map(|lane| lane.device.thermal_model_mut())
-                .collect();
-            batch.step(&mut models, &dts);
-        }
-        if let Some(start) = start {
-            let active = dts.iter().filter(|&&dt| dt > 0.0).count().max(1) as u32;
-            let share = start.elapsed() / active;
-            for (lane, &dt) in lanes.iter_mut().zip(&dts) {
-                if dt > 0.0 {
-                    lane.device.record_thermal_time(share);
-                }
-            }
-        }
-
-        // Phase 3: observe, predict, decide, record, trace — per lane.
-        for ((lane, state), &dt) in lanes.iter_mut().zip(&mut states).zip(&dts) {
-            if dt > 0.0 {
-                state.post_step(lane.device, lane.governor, lane.recorder.as_deref_mut());
-            }
-        }
-    }
-
-    lanes
-        .iter_mut()
-        .zip(states)
-        .map(|(lane, state)| state.finish(lane.device, lane.governor))
-        .collect()
-}
-
-/// The per-run state of the step loop, factored out so the scalar path
-/// ([`run_workload_recorded`]) and the batched path
-/// ([`run_workloads_batched`]) execute the *same* code per step — the
-/// only difference is who integrates the thermal network.
-#[derive(Debug)]
-struct StepState {
-    dt: f64,
-    duration: f64,
-    workload_name: String,
-    governor_name: String,
-    domains: Vec<FreqDomain>,
-    n_domains: usize,
-    die_node_names: Vec<String>,
-    n_dies: usize,
-    caps: PerDomain<usize>,
-    steps_per_log: u64,
-    total_steps: u64,
-    log_period_s: f64,
-    step_no: u64,
-    t: f64,
-    levels: PerDomain<usize>,
-    work: RunWork,
-    usta_before: (u64, u64, u64),
-    sink: Option<&'static usta_telemetry::Registry>,
-    decide_timings: Option<usta_telemetry::LocalTimings>,
-    step_timings: Option<usta_telemetry::LocalTimings>,
-    skin_trace: Vec<(f64, Celsius)>,
-    screen_trace: Vec<(f64, Celsius)>,
-    freq_trace: Vec<(f64, f64)>,
-    domain_freq_traces: Vec<Vec<(f64, f64)>>,
-    brightness_trace: Vec<(f64, f64)>,
-    die_temp_traces: Vec<Vec<(f64, Celsius)>>,
-    predictions: Vec<(f64, Celsius)>,
-    training_log: TrainingLog,
-    freq_time_khz: f64,
-    domain_freq_time_khz: Vec<f64>,
-    max_skin: Celsius,
-    max_screen: Celsius,
-    max_die: Vec<Celsius>,
-}
-
-impl StepState {
-    fn new(
-        device: &mut Device,
-        workload: &dyn Workload,
-        governor: &Governor,
-        config: &RunConfig,
-    ) -> StepState {
-        let dt = config.governor_period_s;
-        let duration = workload.duration();
-        let domains = device.freq_domains();
-        let n_domains = domains.len();
-        let die_node_names = device.die_node_names();
-        // Die traces follow the CPU-cluster die nodes; the GPU and
-        // display domains carry their own temperatures inside
-        // `obs.domains` but have no cluster die node of their own.
-        let n_dies = die_node_names.len();
-        let caps: PerDomain<usize> = PerDomain::from_fn(n_domains, |d| domains[d].max_index());
-
-        device.reset_qos_accounting();
-
-        // Deterministic work counting is unconditional (plain integer
-        // adds); wall-clock timing exists only while telemetry is
-        // enabled — the sink resolves once per run, and the disabled
-        // path carries no `Instant::now` calls and no atomics.
-        let usta_before = match governor {
-            Governor::Usta(g) => (
-                g.predictions_made(),
-                g.capped_decisions(),
-                g.arbiter_invocations(),
-            ),
-            Governor::Baseline(_) => (0, 0, 0),
-        };
-        let sink = usta_telemetry::Sink::active();
-
-        StepState {
-            dt,
-            duration,
-            workload_name: workload.name().to_owned(),
-            governor_name: governor.name(),
-            n_domains,
-            n_dies,
-            caps,
-            // Integer step counts avoid f64 accumulation drift at both
-            // the log cadence and the run boundary.
-            steps_per_log: (config.log_period_s / dt).round().max(1.0) as u64,
-            total_steps: (duration / dt).round() as u64,
-            log_period_s: config.log_period_s,
-            step_no: 0,
-            t: 0.0,
-            levels: PerDomain::splat(n_domains, 0),
-            work: RunWork::default(),
-            usta_before,
-            sink,
-            decide_timings: sink.map(|_| usta_telemetry::LocalTimings::new(0.0, 1e-4, 1000)),
-            step_timings: sink.map(|_| usta_telemetry::LocalTimings::new(0.0, 1e-3, 1000)),
-            skin_trace: Vec::new(),
-            screen_trace: Vec::new(),
-            freq_trace: Vec::new(),
-            domain_freq_traces: vec![Vec::new(); n_domains],
-            brightness_trace: Vec::new(),
-            die_temp_traces: vec![Vec::new(); n_dies],
-            predictions: Vec::new(),
-            training_log: TrainingLog::new(),
-            freq_time_khz: 0.0,
-            domain_freq_time_khz: vec![0.0f64; n_domains],
-            max_skin: Celsius(f64::NEG_INFINITY),
-            max_screen: Celsius(f64::NEG_INFINITY),
-            max_die: vec![Celsius(f64::NEG_INFINITY); n_dies],
-            domains,
-            die_node_names,
-        }
-    }
-
-    fn done(&self) -> bool {
-        self.step_no >= self.total_steps
-    }
-
-    /// Opens a step: counts it and samples the workload's demand.
-    fn begin_step(&mut self, workload: &mut dyn Workload) -> usta_workloads::DeviceDemand {
-        self.work.steps += 1;
-        workload.demand_at(self.t, self.dt)
-    }
-
-    /// The scalar middle: one full (timed) device step, thermal
-    /// integration included.
-    fn apply_scalar(&mut self, device: &mut Device, demand: &usta_workloads::DeviceDemand) {
-        let apply_start = self
-            .step_timings
-            .as_ref()
-            .map(|_| std::time::Instant::now());
-        device.apply(demand, self.levels.as_slice(), self.dt);
-        if let (Some(timings), Some(start)) = (self.step_timings.as_mut(), apply_start) {
+    for step_no in 0..total_steps {
+        work.steps += 1;
+        let demand = workload.demand_at(t, dt);
+        let apply_start = step_timings.as_ref().map(|_| std::time::Instant::now());
+        device.apply(&demand, levels.as_slice(), dt);
+        if let (Some(timings), Some(start)) = (step_timings.as_mut(), apply_start) {
             timings.record(start.elapsed());
         }
-    }
-
-    /// The batched middle: everything but the thermal integration; the
-    /// caller integrates through a [`usta_thermal::ThermalBatch`] and
-    /// credits the lane's share of that time to the device.
-    fn apply_pre_thermal(&mut self, device: &mut Device, demand: &usta_workloads::DeviceDemand) {
-        let apply_start = self
-            .step_timings
-            .as_ref()
-            .map(|_| std::time::Instant::now());
-        device.apply_pre_thermal(demand, self.levels.as_slice(), self.dt);
-        if let (Some(timings), Some(start)) = (self.step_timings.as_mut(), apply_start) {
-            timings.record(start.elapsed());
-        }
-    }
-
-    /// Closes a step: observation, USTA prediction, governor decision,
-    /// flight recording, trace accumulation, and the clock advance.
-    fn post_step(
-        &mut self,
-        device: &mut Device,
-        governor: &mut Governor,
-        mut recorder: Option<&mut FlightRecorder>,
-    ) {
         let obs = device.observe();
 
         // USTA's 3-second prediction loop rides on the sensor stream;
@@ -551,12 +338,12 @@ impl StepState {
             // skin temperature it was predicting — the residual stream
             // the flight recorder and `DecisionRecord` surface.
             let previous = usta.last_prediction();
-            if usta.tick(&obs.features(), self.dt).is_some() {
+            if usta.tick(&obs.features(), dt).is_some() {
                 if let Some(previous) = previous {
                     usta.score_prediction(previous, obs.skin_true);
                 }
                 if let Some(p) = usta.last_prediction() {
-                    self.predictions.push((obs.t, p));
+                    predictions.push((obs.t, p));
                 }
             }
         }
@@ -564,46 +351,42 @@ impl StepState {
         // Governor reacts to the per-domain utilization it just
         // observed; its output is clamped to the thermal caps here, at
         // the call site.
-        let samples: PerDomain<DomainSample> =
-            PerDomain::from_fn(self.n_domains, |d| DomainSample {
-                avg_utilization: obs.domains[d].avg_utilization,
-                max_utilization: obs.domains[d].max_utilization,
-                current_level: self.levels[d],
-            });
+        let samples: PerDomain<DomainSample> = PerDomain::from_fn(n_domains, |d| DomainSample {
+            avg_utilization: obs.domains[d].avg_utilization,
+            max_utilization: obs.domains[d].max_utilization,
+            current_level: levels[d],
+        });
         let input = GovernorInput {
-            domains: &self.domains,
+            domains: &domains,
             samples: samples.as_slice(),
-            max_allowed_levels: self.caps.as_slice(),
+            max_allowed_levels: caps.as_slice(),
             die_temp_c: Some(obs.hottest_die().value()),
         };
-        self.work.governor_decisions += 1;
-        let decide_start = self
-            .decide_timings
-            .as_ref()
-            .map(|_| std::time::Instant::now());
+        work.governor_decisions += 1;
+        let decide_start = decide_timings.as_ref().map(|_| std::time::Instant::now());
         let decision = match governor {
             Governor::Baseline(g) => g.decide(&input),
             Governor::Usta(g) => g.decide(&input),
         };
-        if let (Some(timings), Some(start)) = (self.decide_timings.as_mut(), decide_start) {
+        if let (Some(timings), Some(start)) = (decide_timings.as_mut(), decide_start) {
             timings.record(start.elapsed());
         }
-        let decision = enforce_caps(decision, self.caps.as_slice());
-        self.levels = PerDomain::from_slice(decision.levels());
+        let decision = enforce_caps(decision, caps.as_slice());
+        levels = PerDomain::from_slice(decision.levels());
 
         if let Some(ring) = recorder.as_mut() {
-            let mut event = DecisionEvent::new(self.step_no, self.t, self.n_domains);
+            let mut event = DecisionEvent::new(step_no, t, n_domains);
             event.skin_c = obs.skin_true.value();
-            event.dies = self.n_dies as u8;
-            for d in 0..self.n_domains {
+            event.dies = n_dies as u8;
+            for d in 0..n_domains {
                 event.util[d] = obs.domains[d].avg_utilization;
                 event.freq_khz[d] = obs.domains[d].freq_khz;
-                event.level[d] = self.levels[d] as u16;
-                event.max_level[d] = self.caps[d] as u16;
+                event.level[d] = levels[d] as u16;
+                event.max_level[d] = caps[d] as u16;
                 // Baseline runs cap nothing: effective cap = external.
-                event.cap[d] = self.caps[d] as u16;
+                event.cap[d] = caps[d] as u16;
             }
-            for d in 0..self.n_dies {
+            for d in 0..n_dies {
                 event.die_c[d] = obs.domains[d].die_temp.value();
             }
             if let Governor::Usta(g) = governor {
@@ -619,115 +402,104 @@ impl StepState {
                         event.budget_w = share.budget_w;
                         event.allocated_w = share.allocated_w;
                     }
-                    for d in 0..self.n_domains {
-                        event.cap[d] = record.usta_caps[d].min(self.caps[d]) as u16;
+                    for d in 0..n_domains {
+                        event.cap[d] = record.usta_caps[d].min(caps[d]) as u16;
                     }
                 }
             }
             ring.record(event);
         }
 
-        self.freq_time_khz += obs.freq_khz * self.dt;
-        for (acc, state) in self.domain_freq_time_khz.iter_mut().zip(obs.domains.iter()) {
-            *acc += state.freq_khz * self.dt;
+        freq_time_khz += obs.freq_khz * dt;
+        for (acc, state) in domain_freq_time_khz.iter_mut().zip(obs.domains.iter()) {
+            *acc += state.freq_khz * dt;
         }
-        self.max_skin = self.max_skin.max(obs.skin_true);
-        self.max_screen = self.max_screen.max(obs.screen_true);
-        for (peak, state) in self
-            .max_die
-            .iter_mut()
-            .zip(obs.domains.iter().take(self.n_dies))
-        {
+        max_skin = max_skin.max(obs.skin_true);
+        max_screen = max_screen.max(obs.screen_true);
+        for (peak, state) in max_die.iter_mut().zip(obs.domains.iter().take(n_dies)) {
             *peak = peak.max(state.die_temp);
         }
 
-        if self.step_no.is_multiple_of(self.steps_per_log) {
-            self.work.log_windows += 1;
-            self.skin_trace.push((self.t, obs.skin_true));
-            self.screen_trace.push((self.t, obs.screen_true));
-            self.freq_trace.push((self.t, obs.freq_khz));
-            for (trace, state) in self.domain_freq_traces.iter_mut().zip(obs.domains.iter()) {
-                trace.push((self.t, state.freq_khz));
+        if step_no.is_multiple_of(steps_per_log) {
+            work.log_windows += 1;
+            skin_trace.push((t, obs.skin_true));
+            screen_trace.push((t, obs.screen_true));
+            freq_trace.push((t, obs.freq_khz));
+            for (trace, state) in domain_freq_traces.iter_mut().zip(obs.domains.iter()) {
+                trace.push((t, state.freq_khz));
             }
             if let Some(panel) = obs
                 .domains
                 .iter()
                 .find(|s| s.kind == usta_soc::DomainKind::Display)
             {
-                self.brightness_trace
-                    .push((self.t, panel.freq_khz / 1000.0));
+                brightness_trace.push((t, panel.freq_khz / 1000.0));
             }
-            for (trace, state) in self
-                .die_temp_traces
+            for (trace, state) in die_temp_traces
                 .iter_mut()
-                .zip(obs.domains.iter().take(self.n_dies))
+                .zip(obs.domains.iter().take(n_dies))
             {
-                trace.push((self.t, state.die_temp));
+                trace.push((t, state.die_temp));
             }
-            self.training_log.push(LoggedSample {
-                t: self.t,
+            training_log.push(LoggedSample {
+                t,
                 features: obs.features(),
                 skin: obs.skin_thermistor,
                 screen: obs.screen_thermistor,
             });
         }
-        self.t += self.dt;
-        self.step_no += 1;
+        t += dt;
     }
 
-    /// Seals the run: USTA counter deltas, telemetry flush, result.
-    fn finish(mut self, device: &mut Device, governor: &mut Governor) -> RunResult {
-        // USTA's own counters are cumulative across runs (governors can
-        // be reused); the per-run delta is what belongs to this result.
+    // USTA's own counters are cumulative across runs (governors can be
+    // reused); the per-run delta is what belongs to this result.
+    if let Governor::Usta(g) = governor {
+        work.predictions = g.predictions_made() - usta_before.0;
+        work.capped_decisions = g.capped_decisions() - usta_before.1;
+        work.arbiter_invocations = g.arbiter_invocations() - usta_before.2;
+    }
+    if let Some(registry) = sink {
+        work.flush_to(registry);
+        if let Some(timings) = &decide_timings {
+            registry.merge_timings("sim.governor_decide", timings);
+        }
+        if let Some(timings) = &step_timings {
+            registry.merge_timings("sim.device_step", timings);
+        }
+        if let Some(timings) = device.take_thermal_timings() {
+            registry.merge_timings("sim.thermal_step", &timings);
+        }
         if let Governor::Usta(g) = governor {
-            self.work.predictions = g.predictions_made() - self.usta_before.0;
-            self.work.capped_decisions = g.capped_decisions() - self.usta_before.1;
-            self.work.arbiter_invocations = g.arbiter_invocations() - self.usta_before.2;
-        }
-        if let Some(registry) = self.sink {
-            self.work.flush_to(registry);
-            if let Some(timings) = &self.decide_timings {
-                registry.merge_timings("sim.governor_decide", timings);
-            }
-            if let Some(timings) = &self.step_timings {
-                registry.merge_timings("sim.device_step", timings);
-            }
-            if let Some(timings) = device.take_thermal_timings() {
-                registry.merge_timings("sim.thermal_step", &timings);
-            }
-            if let Governor::Usta(g) = governor {
-                if let Some(timings) = g.take_arbiter_timings() {
-                    registry.merge_timings("usta.arbiter", &timings);
-                }
+            if let Some(timings) = g.take_arbiter_timings() {
+                registry.merge_timings("usta.arbiter", &timings);
             }
         }
+    }
 
-        RunResult {
-            workload: self.workload_name,
-            governor: self.governor_name,
-            domain_names: self.domains.iter().map(|d| d.name).collect(),
-            skin_trace: self.skin_trace,
-            screen_trace: self.screen_trace,
-            freq_trace: self.freq_trace,
-            domain_freq_traces: self.domain_freq_traces,
-            brightness_trace: self.brightness_trace,
-            die_node_names: self.die_node_names,
-            die_temp_traces: self.die_temp_traces,
-            max_die: self.max_die,
-            predictions: self.predictions,
-            log_period_s: self.log_period_s,
-            avg_freq_ghz: self.freq_time_khz / self.duration / 1e6,
-            avg_domain_freq_ghz: self
-                .domain_freq_time_khz
-                .iter()
-                .map(|khz_s| khz_s / self.duration / 1e6)
-                .collect(),
-            max_skin: self.max_skin,
-            max_screen: self.max_screen,
-            unserved_fraction: device.unserved_fraction(),
-            training_log: self.training_log,
-            work: self.work,
-        }
+    RunResult {
+        workload: workload.name().to_owned(),
+        governor: governor.name(),
+        domain_names: domains.iter().map(|d| d.name).collect(),
+        skin_trace,
+        screen_trace,
+        freq_trace,
+        domain_freq_traces,
+        brightness_trace,
+        die_node_names,
+        die_temp_traces,
+        max_die,
+        predictions,
+        log_period_s: config.log_period_s,
+        avg_freq_ghz: freq_time_khz / duration / 1e6,
+        avg_domain_freq_ghz: domain_freq_time_khz
+            .iter()
+            .map(|khz_s| khz_s / duration / 1e6)
+            .collect(),
+        max_skin,
+        max_screen,
+        unserved_fraction: device.unserved_fraction(),
+        training_log,
+        work,
     }
 }
 
@@ -784,57 +556,6 @@ mod tests {
         let cool = run_workload(&mut d2, &mut w2, &mut save, &RunConfig::default());
         assert!(hot.max_skin > cool.max_skin);
         assert!(cool.unserved_fraction > hot.unserved_fraction);
-    }
-
-    #[test]
-    fn batched_lanes_match_scalar_runs_bit_for_bit() {
-        let cfg = RunConfig::default();
-        let triples = [
-            ("heavy", 30.0, 1_200_000.0, 4),
-            ("light", 45.0, 300_000.0, 2),
-            ("short", 12.0, 700_000.0, 1),
-        ];
-        // Scalar reference: each triple run alone.
-        let mut expected = Vec::new();
-        for &(name, dur, khz, threads) in &triples {
-            let mut d = device();
-            let mut w = ConstantLoad::new(name, dur, khz, threads);
-            let mut g = Governor::Baseline(Box::new(OnDemand::default()));
-            expected.push(run_workload(&mut d, &mut w, &mut g, &cfg));
-        }
-        // Batched: the same triples stepping through one ThermalBatch,
-        // with uneven durations exercising the idle-lane masking.
-        let mut d0 = device();
-        let mut d1 = device();
-        let mut d2 = device();
-        let mut w0 = ConstantLoad::new("heavy", 30.0, 1_200_000.0, 4);
-        let mut w1 = ConstantLoad::new("light", 45.0, 300_000.0, 2);
-        let mut w2 = ConstantLoad::new("short", 12.0, 700_000.0, 1);
-        let mut g0 = Governor::Baseline(Box::new(OnDemand::default()));
-        let mut g1 = Governor::Baseline(Box::new(OnDemand::default()));
-        let mut g2 = Governor::Baseline(Box::new(OnDemand::default()));
-        let mut lanes = vec![
-            BatchLane {
-                device: &mut d0,
-                workload: &mut w0,
-                governor: &mut g0,
-                recorder: None,
-            },
-            BatchLane {
-                device: &mut d1,
-                workload: &mut w1,
-                governor: &mut g1,
-                recorder: None,
-            },
-            BatchLane {
-                device: &mut d2,
-                workload: &mut w2,
-                governor: &mut g2,
-                recorder: None,
-            },
-        ];
-        let got = run_workloads_batched(&mut lanes, &cfg);
-        assert_eq!(got, expected);
     }
 
     #[test]

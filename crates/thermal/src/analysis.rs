@@ -18,27 +18,27 @@ use crate::units::Celsius;
 /// state would be unbounded for non-zero power).
 pub fn steady_state(net: &ThermalNetwork) -> Result<Vec<Celsius>, ThermalError> {
     let n = net.node_count();
-    let amb = net.ambient().value();
+    let p = net.params();
 
     // Build A·T = b over all nodes; boundary rows are identity.
     let mut a = vec![0.0; n * n];
     let mut b = vec![0.0; n];
     for i in 0..n {
-        if net.is_boundary(i) {
+        if p.boundary[i] {
             a[i * n + i] = 1.0;
-            b[i] = net.temps_slice()[i];
+            b[i] = net.temperature(NodeId(i)).value();
         } else {
-            let g_amb = net.ambient_conductances()[i];
+            let g_amb = p.ambient_conductance[i];
             a[i * n + i] += g_amb;
-            b[i] = g_amb * amb + net.powers()[i];
+            b[i] = g_amb * p.ambient + p.power[i];
         }
     }
-    for &(x, y, g) in net.couplings() {
-        if !net.is_boundary(x) {
+    for &(x, y, g) in p.couplings {
+        if !p.boundary[x] {
             a[x * n + x] += g;
             a[x * n + y] -= g;
         }
-        if !net.is_boundary(y) {
+        if !p.boundary[y] {
             a[y * n + y] += g;
             a[y * n + x] -= g;
         }
@@ -85,9 +85,8 @@ pub fn dominant_time_constant(net: &ThermalNetwork) -> Result<f64, ThermalError>
     // Seed perturbation.
     let amb = probe.ambient();
     for i in 0..probe.node_count() {
-        if !probe.is_boundary(i) {
-            let id = crate::network::NodeId(i);
-            probe.set_temperature(id, amb + 10.0)?;
+        if !probe.params().boundary[i] {
+            probe.set_temperature(NodeId(i), amb + 10.0)?;
         }
     }
     // March until the total excess decays below 1/e of its start; clamp
@@ -189,7 +188,7 @@ mod tests {
         let predicted = steady_state(&net).unwrap();
         net.run(3600.0);
         for (i, p) in predicted.iter().enumerate() {
-            let simulated = net.temps_slice()[i];
+            let simulated = net.temperature(NodeId(i)).value();
             assert!(
                 (simulated - p.value()).abs() < 1e-3,
                 "node {i}: simulated {simulated} vs predicted {p}"

@@ -1,25 +1,11 @@
 //! Time integration for the thermal ODE system.
 //!
-//! Two explicit schemes are provided. Forward Euler with automatic
-//! sub-stepping is the default: the network precomputes half its explicit
-//! stability bound `min_i C_i / ΣG_i` and the integrator never exceeds it,
-//! which makes the scheme both stable and monotonic. RK4 gives 4th-order
-//! accuracy for validation runs; it uses the same sub-step for safety.
+//! Forward Euler with automatic sub-stepping: the network precomputes
+//! one tenth of its explicit stability bound `min_i C_i / ΣG_i` and the
+//! integrator never exceeds it, which makes the scheme both stable and
+//! monotonic.
 
 use crate::network::{derivatives_into, ThermalNetwork};
-
-/// Selects how [`ThermalNetwork::step`] advances the system.
-///
-/// [`ThermalNetwork::step`]: crate::ThermalNetwork::step
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum IntegrationMethod {
-    /// Sub-stepped forward Euler (default). Fast, stable, monotonic.
-    #[default]
-    Euler,
-    /// Classic 4th-order Runge–Kutta. More accurate per step; ~4× the
-    /// derivative evaluations.
-    Rk4,
-}
 
 /// Advances `net` by `dt` seconds using sub-stepped forward Euler.
 ///
@@ -28,51 +14,14 @@ pub enum IntegrationMethod {
 /// back each call, so the sub-step loop touches no `Vec` headers at
 /// all.
 pub(crate) fn euler_step(net: &mut ThermalNetwork, dt: f64) {
-    let (temps, scratch, params, max_step) = net.integration_state();
-    let n = temps.len();
-    let (deriv, _) = scratch.split_at_mut(n);
+    let (temps, deriv, params, max_step) = net.integration_state();
 
     let mut remaining = dt;
     while remaining > 0.0 {
         let h = remaining.min(max_step);
         derivatives_into(&params, temps, deriv);
-        for i in 0..n {
-            temps[i] += h * deriv[i];
-        }
-        remaining -= h;
-    }
-}
-
-/// Advances `net` by `dt` seconds using classic RK4 with the same
-/// sub-stepping bound as Euler.
-pub(crate) fn rk4_step(net: &mut ThermalNetwork, dt: f64) {
-    let (temps, scratch, params, max_step) = net.integration_state();
-    let n = temps.len();
-    let (k1, rest) = scratch.split_at_mut(n);
-    let (k2, rest) = rest.split_at_mut(n);
-    let (k3, rest) = rest.split_at_mut(n);
-    let (k4, rest) = rest.split_at_mut(n);
-    let (tmp, _) = rest.split_at_mut(n);
-
-    let mut remaining = dt;
-    while remaining > 0.0 {
-        let h = remaining.min(max_step);
-
-        derivatives_into(&params, temps, k1);
-        for i in 0..n {
-            tmp[i] = temps[i] + 0.5 * h * k1[i];
-        }
-        derivatives_into(&params, tmp, k2);
-        for i in 0..n {
-            tmp[i] = temps[i] + 0.5 * h * k2[i];
-        }
-        derivatives_into(&params, tmp, k3);
-        for i in 0..n {
-            tmp[i] = temps[i] + h * k3[i];
-        }
-        derivatives_into(&params, tmp, k4);
-        for i in 0..n {
-            temps[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+        for (t, d) in temps.iter_mut().zip(deriv.iter()) {
+            *t += h * d;
         }
         remaining -= h;
     }
@@ -80,7 +29,6 @@ pub(crate) fn rk4_step(net: &mut ThermalNetwork, dt: f64) {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::network::ThermalNetworkBuilder;
     use crate::units::Celsius;
 
@@ -91,9 +39,8 @@ mod tests {
         t_ss + (t0 - t_ss) * (-g * t / c).exp()
     }
 
-    fn single_node(method: IntegrationMethod) -> crate::ThermalNetwork {
+    fn single_node() -> crate::ThermalNetwork {
         let mut b = ThermalNetworkBuilder::new(Celsius(20.0));
-        b.integration_method(method);
         let n = b.add_node("n", 10.0, Celsius(50.0)).unwrap();
         b.link_ambient(n, 0.5).unwrap();
         let mut net = b.build().unwrap();
@@ -103,14 +50,14 @@ mod tests {
 
     #[test]
     fn euler_matches_analytic_solution() {
-        let mut net = single_node(IntegrationMethod::Euler);
+        let mut net = single_node();
         let node = net.node_by_name("n").unwrap();
         net.run(30.0);
         let expected = analytic(30.0, 50.0, 20.0, 1.0, 0.5, 10.0);
-        // Euler at half the stability bound trades accuracy for
-        // monotonicity; a ~1 K deviation over 1.5 time constants with
-        // only 3 sub-steps is its expected envelope. (Real device runs
-        // step at 100 ms ≪ the bound and are far more accurate.)
+        // Euler at one tenth of the stability bound takes 15 sub-steps
+        // over these 1.5 time constants and stays well inside 1 K of
+        // the analytic curve. (Real device runs step at 100 ms ≪ the
+        // bound and are far more accurate.)
         assert!(
             (net.temperature(node).value() - expected).abs() < 1.0,
             "euler {} vs analytic {}",
@@ -120,35 +67,10 @@ mod tests {
     }
 
     #[test]
-    fn rk4_matches_analytic_solution_tightly() {
-        let mut net = single_node(IntegrationMethod::Rk4);
-        let node = net.node_by_name("n").unwrap();
-        net.run(30.0);
-        let expected = analytic(30.0, 50.0, 20.0, 1.0, 0.5, 10.0);
-        // RK4 at the same step size: local error ~(λh)⁵/5! per step.
-        assert!(
-            (net.temperature(node).value() - expected).abs() < 0.05,
-            "rk4 {} vs analytic {}",
-            net.temperature(node),
-            expected
-        );
-    }
-
-    #[test]
-    fn rk4_and_euler_agree_on_long_runs() {
-        let mut e = single_node(IntegrationMethod::Euler);
-        let mut r = single_node(IntegrationMethod::Rk4);
-        let node = e.node_by_name("n").unwrap();
-        e.run(600.0);
-        r.run(600.0);
-        assert!((e.temperature(node) - r.temperature(node)).abs() < 0.01);
-    }
-
-    #[test]
     fn euler_is_monotonic_toward_equilibrium() {
         // Starting above the steady state with no power, temperature must
         // decrease monotonically — no oscillation from too-large steps.
-        let mut net = single_node(IntegrationMethod::Euler);
+        let mut net = single_node();
         let node = net.node_by_name("n").unwrap();
         net.set_power(node, 0.0);
         let mut prev = net.temperature(node).value();
@@ -159,10 +81,5 @@ mod tests {
             assert!(cur >= 20.0 - 1e-9, "undershoot below ambient: {cur}");
             prev = cur;
         }
-    }
-
-    #[test]
-    fn default_method_is_euler() {
-        assert_eq!(IntegrationMethod::default(), IntegrationMethod::Euler);
     }
 }

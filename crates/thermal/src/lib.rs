@@ -14,8 +14,8 @@
 //! C_i · dT_i/dt = Σ_j G_ij (T_j − T_i) + G_amb,i (T_amb − T_i) + P_i
 //! ```
 //!
-//! with either sub-stepped forward Euler (default, kept inside the
-//! stability limit automatically) or classic RK4.
+//! with sub-stepped forward Euler, kept inside the stability limit
+//! automatically.
 //!
 //! ## Quick start
 //!
@@ -38,28 +38,26 @@
 //! # }
 //! ```
 //!
-//! The [`phone`] module provides a calibrated smartphone network
-//! ([`PhoneThermalModel`]) whose back-cover ("skin") and screen nodes play
-//! the role of the paper's external thermistors.
+//! The [`topology`] module steps a whole device ([`DeviceThermalModel`]);
+//! the [`phone`] module provides the calibrated smartphone parameters
+//! ([`PhoneThermalParams`]) whose back-cover ("skin") and screen nodes
+//! play the role of the paper's external thermistors.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod analysis;
-pub mod batch;
 pub mod error;
-pub mod integrator;
+mod integrator;
 pub mod materials;
 pub mod network;
 pub mod phone;
 pub mod topology;
 pub mod units;
 
-pub use batch::ThermalBatch;
 pub use error::ThermalError;
-pub use integrator::IntegrationMethod;
 pub use network::{NodeId, ThermalNetwork, ThermalNetworkBuilder};
-pub use phone::{HandContact, HeatInput, PhoneNode, PhoneThermalModel, PhoneThermalParams};
+pub use phone::{HandContact, PhoneNode, PhoneThermalParams};
 pub use topology::{DeviceThermalModel, HeatLoad, NodeRoles, ThermalNode, ThermalTopology};
 pub use units::Celsius;

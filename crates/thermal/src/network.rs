@@ -9,7 +9,7 @@
 //! near 33 °C).
 
 use crate::error::ThermalError;
-use crate::integrator::{self, IntegrationMethod};
+use crate::integrator;
 use crate::units::Celsius;
 
 /// Opaque handle to a node of a [`ThermalNetwork`].
@@ -65,7 +65,6 @@ pub struct ThermalNetworkBuilder {
     couplings: Vec<(usize, usize, f64)>,
     ambient_links: Vec<(usize, f64)>,
     ambient: Celsius,
-    method: IntegrationMethod,
 }
 
 impl ThermalNetworkBuilder {
@@ -76,14 +75,7 @@ impl ThermalNetworkBuilder {
             couplings: Vec::new(),
             ambient_links: Vec::new(),
             ambient,
-            method: IntegrationMethod::Euler,
         }
-    }
-
-    /// Selects the integration method (forward Euler by default).
-    pub fn integration_method(&mut self, method: IntegrationMethod) -> &mut Self {
-        self.method = method;
-        self
     }
 
     /// Adds a dynamic node with heat capacity `capacitance` (J/K) starting
@@ -273,13 +265,12 @@ impl ThermalNetworkBuilder {
             ambient: self.ambient,
             temps: self.nodes.iter().map(|s| s.initial.value()).collect(),
             power: vec![0.0; n],
-            method: self.method,
             // One tenth of the explicit-Euler stability bound keeps the
             // scheme stable, monotonic, and accurate to well under a
             // kelvin even for the fastest node of the network.
             max_step: 0.1 * stable_dt,
             elapsed: 0.0,
-            scratch: vec![0.0; 5 * n],
+            scratch: vec![0.0; n],
         })
     }
 }
@@ -295,7 +286,6 @@ pub struct ThermalNetwork {
     ambient: Celsius,
     temps: Vec<f64>,
     power: Vec<f64>,
-    method: IntegrationMethod,
     max_step: f64,
     elapsed: f64,
     scratch: Vec<f64>,
@@ -414,7 +404,8 @@ impl ThermalNetwork {
         self.elapsed
     }
 
-    /// Largest internally-used Euler sub-step (half the stability limit).
+    /// Largest internally-used Euler sub-step (one tenth of the
+    /// stability limit).
     pub fn max_stable_step(&self) -> f64 {
         self.max_step
     }
@@ -452,16 +443,13 @@ impl ThermalNetwork {
         out
     }
 
-    /// Advances the network by `dt` seconds with the configured method,
+    /// Advances the network by `dt` seconds with forward Euler,
     /// sub-stepping as needed for stability. `dt <= 0` is a no-op.
     pub fn step(&mut self, dt: f64) {
         if dt.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) || !dt.is_finite() {
             return;
         }
-        match self.method {
-            IntegrationMethod::Euler => integrator::euler_step(self, dt),
-            IntegrationMethod::Rk4 => integrator::rk4_step(self, dt),
-        }
+        integrator::euler_step(self, dt);
         self.elapsed += dt;
     }
 
@@ -471,47 +459,16 @@ impl ThermalNetwork {
         self.step(duration);
     }
 
-    pub(crate) fn temps_mut(&mut self) -> &mut Vec<f64> {
-        &mut self.temps
-    }
-
-    pub(crate) fn temps_slice(&self) -> &[f64] {
-        &self.temps
-    }
-
-    pub(crate) fn max_step(&self) -> f64 {
-        self.max_step
-    }
-
-    pub(crate) fn is_boundary(&self, i: usize) -> bool {
-        self.boundary[i]
-    }
-
-    pub(crate) fn couplings(&self) -> &[(usize, usize, f64)] {
-        &self.couplings
-    }
-
-    pub(crate) fn ambient_conductances(&self) -> &[f64] {
-        &self.ambient_conductance
-    }
-
-    pub(crate) fn powers(&self) -> &[f64] {
-        &self.power
-    }
-
-    pub(crate) fn capacitances(&self) -> &[f64] {
-        &self.capacitance
-    }
-
-    pub(crate) fn method(&self) -> IntegrationMethod {
-        self.method
-    }
-
-    /// Credits simulated time that was integrated externally (by the
-    /// batched stepper), keeping [`elapsed`](Self::elapsed) consistent
-    /// with the scalar path.
-    pub(crate) fn advance_elapsed(&mut self, dt: f64) {
-        self.elapsed += dt;
+    /// The derivative parameters, for the static analyses.
+    pub(crate) fn params(&self) -> NetParams<'_> {
+        NetParams {
+            boundary: &self.boundary,
+            capacitance: &self.capacitance,
+            couplings: &self.couplings,
+            ambient_conductance: &self.ambient_conductance,
+            ambient: self.ambient.value(),
+            power: &self.power,
+        }
     }
 
     /// Splits the network into the pieces an integrator needs to hold
@@ -561,10 +518,7 @@ pub(crate) struct NetParams<'a> {
     pub(crate) power: &'a [f64],
 }
 
-/// Writes dT/dt for `temps` into `out`. This is the scalar reference
-/// kernel: the batched integrator in [`crate::batch`] replicates this
-/// arithmetic — same pass order, same accumulation order, division (not
-/// reciprocal multiplication) by the heat capacity — lane by lane.
+/// Writes dT/dt for `temps` into `out`.
 pub(crate) fn derivatives_into(p: &NetParams<'_>, temps: &[f64], out: &mut [f64]) {
     let amb = p.ambient;
     for (i, o) in out.iter_mut().enumerate() {

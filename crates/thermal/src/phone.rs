@@ -1,6 +1,6 @@
-//! Calibrated smartphone thermal model.
+//! Calibrated smartphone thermal parameters.
 //!
-//! [`PhoneThermalModel`] instantiates a seven-node RC network shaped like
+//! [`PhoneThermalParams`] describes a seven-node RC network shaped like
 //! the paper's Nexus 4: CPU die, SoC package, main board, battery, back
 //! cover (mid and upper sections — the two thermistor positions of the
 //! paper), and screen. The **back-cover mid** node is the paper's "skin
@@ -13,14 +13,15 @@
 //! temperatures from ~29 °C (light workloads) to ~43 °C (AnTuTu Tester /
 //! Skype video call), multi-minute rise time constants, and screen
 //! temperatures a few kelvin below the skin except for display-heavy
-//! workloads.
+//! workloads. [`PhoneThermalParams::topology`] turns the parameters
+//! into the [`ThermalTopology`] that [`DeviceThermalModel`] steps.
+//!
+//! [`DeviceThermalModel`]: crate::DeviceThermalModel
 
-use crate::error::ThermalError;
-use crate::network::ThermalNetwork;
-use crate::topology::{DeviceThermalModel, HeatLoad, NodeRoles, ThermalNode, ThermalTopology};
+use crate::topology::{NodeRoles, ThermalNode, ThermalTopology};
 use crate::units::Celsius;
 
-/// The physical locations modelled by [`PhoneThermalModel`].
+/// The physical locations modelled by [`PhoneThermalParams`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PhoneNode {
     /// CPU die (the on-device "CPU temperature" sensor location).
@@ -93,33 +94,6 @@ const _: () = {
         i += 1;
     }
 };
-
-/// Heat injected into the phone for the current step, in watts.
-///
-/// Produced by the SoC power model (`usta-soc`) each simulation step and
-/// routed to the appropriate thermal nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct HeatInput {
-    /// CPU cores (dynamic + leakage) → die node.
-    pub cpu_w: f64,
-    /// GPU → package node.
-    pub gpu_w: f64,
-    /// Display panel and backlight → screen node.
-    pub display_w: f64,
-    /// Battery internal losses (discharge I²R or charging inefficiency)
-    /// → battery node.
-    pub battery_w: f64,
-    /// Everything else on the main board: radios, camera ISP, memory,
-    /// PMIC → board node.
-    pub board_w: f64,
-}
-
-impl HeatInput {
-    /// Total heat entering the device, in watts.
-    pub fn total(&self) -> f64 {
-        self.cpu_w + self.gpu_w + self.display_w + self.battery_w + self.board_w
-    }
-}
 
 /// How a hand holds the phone.
 ///
@@ -218,8 +192,20 @@ impl PhoneThermalParams {
     /// These parameters as a data-driven [`ThermalTopology`]: the seven
     /// [`PhoneNode`]s in `ALL` order with the single `cpu` die node,
     /// `back_mid` as the skin, and the two back-cover nodes as the
-    /// exterior. [`DeviceThermalModel`] built from this topology is
-    /// bit-identical to [`PhoneThermalModel`] built from the params.
+    /// exterior.
+    ///
+    /// ```
+    /// use usta_thermal::{DeviceThermalModel, HeatLoad, PhoneNode, PhoneThermalParams};
+    ///
+    /// # fn main() -> Result<(), usta_thermal::ThermalError> {
+    /// let mut phone = DeviceThermalModel::new(PhoneThermalParams::default().topology())?;
+    /// phone.set_heat(HeatLoad::single(3.0, 1.0, 1.0, 0.0, 0.0));
+    /// phone.step(300.0); // five hot minutes
+    /// assert!(phone.skin_temperature() > phone.ambient());
+    /// assert!(phone.node_temperature(PhoneNode::Cpu.index()) > phone.skin_temperature());
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn topology(&self) -> ThermalTopology {
         use PhoneNode::*;
         ThermalTopology {
@@ -257,161 +243,21 @@ impl PhoneThermalParams {
     }
 }
 
-/// A smartphone as a thermal object.
-///
-/// ```
-/// use usta_thermal::{HeatInput, PhoneThermalModel, PhoneThermalParams};
-///
-/// # fn main() -> Result<(), usta_thermal::ThermalError> {
-/// let mut phone = PhoneThermalModel::new(PhoneThermalParams::default())?;
-/// phone.set_heat(HeatInput { cpu_w: 3.0, gpu_w: 1.0, display_w: 1.0, ..Default::default() });
-/// phone.step(300.0); // five hot minutes
-/// assert!(phone.skin_temperature() > phone.ambient());
-/// assert!(phone.cpu_temperature() > phone.skin_temperature());
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct PhoneThermalModel {
-    inner: DeviceThermalModel,
-    params: PhoneThermalParams,
-    heat: HeatInput,
-}
-
-impl PhoneThermalModel {
-    /// Builds the network from `params` — the strict single-CPU special
-    /// case of [`DeviceThermalModel`], via
-    /// [`PhoneThermalParams::topology`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ThermalError`] from network construction (invalid
-    /// capacitances, conductances, or temperatures).
-    pub fn new(params: PhoneThermalParams) -> Result<PhoneThermalModel, ThermalError> {
-        Ok(PhoneThermalModel {
-            inner: DeviceThermalModel::new(params.topology())?,
-            params,
-            heat: HeatInput::default(),
-        })
-    }
-
-    /// Sets the heat entering the phone; stays in effect until changed.
-    pub fn set_heat(&mut self, heat: HeatInput) {
-        self.heat = heat;
-        self.inner.set_heat(HeatLoad::single(
-            heat.cpu_w,
-            heat.gpu_w,
-            heat.display_w,
-            heat.battery_w,
-            heat.board_w,
-        ));
-    }
-
-    /// Heat input currently applied.
-    pub fn heat(&self) -> HeatInput {
-        self.heat
-    }
-
-    /// Enables or disables palm contact on the back cover.
-    pub fn set_hand_contact(&mut self, held: bool) {
-        self.inner.set_hand_contact(held);
-    }
-
-    /// Whether a hand currently holds the phone.
-    pub fn hand_contact(&self) -> bool {
-        self.inner.hand_contact()
-    }
-
-    /// Advances the thermal state by `dt` seconds.
-    ///
-    /// The hand, when present, is applied as an equivalent power term on
-    /// the back-mid node, recomputed from the current temperatures: it
-    /// conducts toward palm temperature and blocks part of the node's
-    /// convective path. For the sub-second steps used by the device
-    /// simulator this explicit coupling is indistinguishable from a true
-    /// network edge.
-    pub fn step(&mut self, dt: f64) {
-        self.inner.step(dt);
-    }
-
-    /// Temperature at any modelled location.
-    pub fn temperature(&self, node: PhoneNode) -> Celsius {
-        self.inner.node_temperature(node.index())
-    }
-
-    /// The paper's **skin temperature**: middle of the back cover.
-    pub fn skin_temperature(&self) -> Celsius {
-        self.inner.skin_temperature()
-    }
-
-    /// The paper's **screen temperature**: middle of the screen.
-    pub fn screen_temperature(&self) -> Celsius {
-        self.inner.screen_temperature()
-    }
-
-    /// CPU die temperature (what the on-device CPU sensor reports).
-    pub fn cpu_temperature(&self) -> Celsius {
-        self.inner.die_temperature(0)
-    }
-
-    /// Battery temperature (what the on-device battery sensor reports).
-    pub fn battery_temperature(&self) -> Celsius {
-        self.inner.battery_temperature()
-    }
-
-    /// Ambient (room) temperature.
-    pub fn ambient(&self) -> Celsius {
-        self.inner.ambient()
-    }
-
-    /// Simulated seconds elapsed.
-    pub fn elapsed(&self) -> f64 {
-        self.inner.elapsed()
-    }
-
-    /// Resets every node to `t` and restarts the clock (fresh experiment).
-    pub fn reset_to(&mut self, t: Celsius) {
-        self.inner.reset_to(t);
-    }
-
-    /// Steady-state temperatures for the current heat input (ignores the
-    /// hand). Indexed like [`PhoneNode::ALL`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ThermalError::SingularSystem`] (cannot happen with
-    /// the default parameters, which link every region to ambient).
-    pub fn steady_state(&self) -> Result<Vec<Celsius>, ThermalError> {
-        self.inner.steady_state()
-    }
-
-    /// Parameters this model was built with.
-    pub fn params(&self) -> &PhoneThermalParams {
-        &self.params
-    }
-
-    /// Access to the underlying network (read-only diagnostics).
-    pub fn network(&self) -> &ThermalNetwork {
-        self.inner.network()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::{DeviceThermalModel, HeatLoad};
 
-    fn phone() -> PhoneThermalModel {
-        PhoneThermalModel::new(PhoneThermalParams::default()).unwrap()
+    fn phone() -> DeviceThermalModel {
+        DeviceThermalModel::new(PhoneThermalParams::default().topology()).unwrap()
     }
 
-    fn heavy() -> HeatInput {
-        HeatInput {
-            cpu_w: 3.4,
-            gpu_w: 1.3,
-            display_w: 1.0,
-            battery_w: 0.35,
-            board_w: 0.25,
-        }
+    fn heavy() -> HeatLoad {
+        HeatLoad::single(3.4, 1.3, 1.0, 0.35, 0.25)
+    }
+
+    fn temperature(p: &DeviceThermalModel, node: PhoneNode) -> Celsius {
+        p.node_temperature(node.index())
     }
 
     #[test]
@@ -449,8 +295,8 @@ mod tests {
         let mut p = phone();
         p.set_heat(heavy());
         p.step(900.0);
-        let die = p.cpu_temperature();
-        let pkg = p.temperature(PhoneNode::Package);
+        let die = p.die_temperature(0);
+        let pkg = temperature(&p, PhoneNode::Package);
         let skin = p.skin_temperature();
         assert!(die > pkg, "die {die} should exceed package {pkg}");
         assert!(pkg > skin, "package {pkg} should exceed skin {skin}");
@@ -460,7 +306,7 @@ mod tests {
     #[test]
     fn idle_phone_cools_toward_ambient() {
         let mut p = phone();
-        p.set_heat(HeatInput::default());
+        p.set_heat(HeatLoad::single(0.0, 0.0, 0.0, 0.0, 0.0));
         p.step(3600.0 * 4.0);
         assert!((p.skin_temperature() - p.ambient()).abs() < 0.05);
     }
@@ -472,7 +318,7 @@ mod tests {
         let ss = p.steady_state().unwrap();
         p.step(3600.0 * 6.0);
         for (node, expected) in PhoneNode::ALL.iter().zip(&ss) {
-            let got = p.temperature(*node);
+            let got = temperature(&p, *node);
             assert!(
                 (got - *expected).abs() < 0.05,
                 "{}: long-run {got} vs steady-state {expected}",
@@ -537,10 +383,7 @@ mod tests {
     #[test]
     fn display_power_heats_screen_more_than_skin() {
         let mut p = phone();
-        p.set_heat(HeatInput {
-            display_w: 1.2,
-            ..Default::default()
-        });
+        p.set_heat(HeatLoad::single(0.0, 0.0, 1.2, 0.0, 0.0));
         p.step(1200.0);
         assert!(p.screen_temperature() > p.skin_temperature());
     }
@@ -548,10 +391,7 @@ mod tests {
     #[test]
     fn battery_charging_heats_the_back() {
         let mut p = phone();
-        p.set_heat(HeatInput {
-            battery_w: 1.0,
-            ..Default::default()
-        });
+        p.set_heat(HeatLoad::single(0.0, 0.0, 0.0, 1.0, 0.0));
         p.step(1800.0);
         assert!(p.skin_temperature() > p.screen_temperature());
     }

@@ -1,8 +1,6 @@
 //! Data-driven device thermal topology.
 //!
-//! [`PhoneThermalModel`](crate::PhoneThermalModel) hardwires the seven
-//! nodes of the paper's Nexus 4; this module promotes that wiring to
-//! data. A [`ThermalTopology`] declares the nodes (named capacitances),
+//! A [`ThermalTopology`] declares the nodes (named capacitances),
 //! the conductance edges between them and to ambient, and — crucially —
 //! the **roles** the device simulator needs to route heat and read
 //! sensors: one die node *per CPU cluster* (so a big.LITTLE part's big
@@ -13,10 +11,10 @@
 //!
 //! [`DeviceThermalModel`] is the runtime: it builds a
 //! [`ThermalNetwork`] from the topology and steps it under a
-//! [`HeatLoad`] whose CPU term is a per-die vector. A single-die
-//! topology driven through the [`crate::PhoneThermalModel`]-shaped API
-//! is bit-identical to the historical model — the golden-bit tests in
-//! `usta-sim` pin that contract.
+//! [`HeatLoad`] whose CPU term is a per-die vector. The paper's
+//! seven-node Nexus 4 is the single-die special case
+//! ([`PhoneThermalParams::topology`](crate::PhoneThermalParams::topology));
+//! the golden-bit tests in `usta-sim` pin its trajectories.
 
 use crate::error::ThermalError;
 use crate::network::{NodeId, ThermalNetwork, ThermalNetworkBuilder};
@@ -190,8 +188,7 @@ pub struct HeatLoad {
 }
 
 impl HeatLoad {
-    /// A single-die load (the historical [`HeatInput`](crate::HeatInput)
-    /// shape).
+    /// A single-die load: CPU, GPU, display, battery and board watts.
     pub fn single(
         cpu_w: f64,
         gpu_w: f64,
@@ -296,8 +293,7 @@ impl DeviceThermalModel {
     /// Mutable access to the heat load, for in-place updates on the
     /// hot path (reusing the `die_w` allocation instead of rebuilding
     /// a [`HeatLoad`] every step). Callers must keep `die_w` at one
-    /// entry per die node; [`prepare_step`](Self::prepare_step)
-    /// debug-asserts it.
+    /// entry per die node; [`step`](Self::step) debug-asserts it.
     pub fn heat_mut(&mut self) -> &mut HeatLoad {
         &mut self.heat
     }
@@ -330,44 +326,27 @@ impl DeviceThermalModel {
     /// The hand, when present, is applied as an equivalent power term on
     /// the skin node, recomputed from the current temperatures: it
     /// conducts toward palm temperature and blocks part of the node's
-    /// convective path (see [`HandContact`]).
-    ///
-    /// Equivalent to [`prepare_step`](Self::prepare_step) followed by
-    /// [`integrate`](Self::integrate); batched drivers call the two
-    /// halves separately so several prepared models can integrate
-    /// together through [`ThermalBatch`](crate::ThermalBatch).
+    /// convective path (see [`HandContact`]). For the sub-second steps
+    /// of the device simulator this explicit coupling is
+    /// indistinguishable from a true network edge.
     pub fn step(&mut self, dt: f64) {
-        self.prepare_step();
-        self.integrate(dt);
-    }
-
-    /// Stages a step without advancing time: routes the heat load to
-    /// its role nodes and adds the hand's equivalent power term on the
-    /// skin node, computed from the *current* temperatures.
-    pub fn prepare_step(&mut self) {
         debug_assert_eq!(
             self.heat.die_w.len(),
             self.topology.roles.dies.len(),
             "one CPU power entry per die node"
         );
         Self::apply_powers(&mut self.net, &self.ids, &self.topology.roles, &self.heat);
-        let skin = self.ids[self.topology.roles.skin];
-        let mut skin_power = 0.0;
         if self.hand_on {
             let hand = self.topology.hand;
+            let skin = self.ids[self.topology.roles.skin];
             let t_skin = self.net.temperature(skin);
             // Conduction toward the palm…
-            skin_power += hand.contact_conductance * (hand.palm_temperature - t_skin);
+            let mut skin_power = hand.contact_conductance * (hand.palm_temperature - t_skin);
             // …while the palm blocks part of the convective surface.
             let g_amb_skin = self.topology.skin_ambient_conductance();
             skin_power += hand.blocked_fraction * g_amb_skin * (t_skin - self.net.ambient());
+            self.net.add_power(skin, skin_power);
         }
-        self.net.add_power(skin, skin_power);
-    }
-
-    /// Advances a [`prepare_step`](Self::prepare_step)-staged model by
-    /// `dt` seconds.
-    pub fn integrate(&mut self, dt: f64) {
         self.net.step(dt);
     }
 
@@ -464,16 +443,12 @@ impl DeviceThermalModel {
     pub fn network(&self) -> &ThermalNetwork {
         &self.net
     }
-
-    pub(crate) fn network_mut(&mut self) -> &mut ThermalNetwork {
-        &mut self.net
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phone::{HeatInput, PhoneNode, PhoneThermalModel, PhoneThermalParams};
+    use crate::phone::{PhoneNode, PhoneThermalParams};
 
     fn two_die_topology() -> ThermalTopology {
         // A minimal big.LITTLE slab: two dies on one package, one
@@ -545,36 +520,6 @@ mod tests {
             params.total_ambient_conductance()
         );
         assert_eq!(t.die_node_names(), vec!["cpu"]);
-    }
-
-    #[test]
-    fn single_die_model_is_bit_identical_to_the_phone_model() {
-        let params = PhoneThermalParams::default();
-        let mut legacy = PhoneThermalModel::new(params.clone()).unwrap();
-        let mut general = DeviceThermalModel::new(params.topology()).unwrap();
-        let heat = HeatInput {
-            cpu_w: 3.1,
-            gpu_w: 1.2,
-            display_w: 0.9,
-            battery_w: 0.3,
-            board_w: 0.2,
-        };
-        legacy.set_heat(heat);
-        general.set_heat(HeatLoad::single(3.1, 1.2, 0.9, 0.3, 0.2));
-        legacy.set_hand_contact(true);
-        general.set_hand_contact(true);
-        for _ in 0..600 {
-            legacy.step(1.0);
-            general.step(1.0);
-        }
-        for node in PhoneNode::ALL {
-            assert_eq!(
-                legacy.temperature(node).value().to_bits(),
-                general.node_temperature(node.index()).value().to_bits(),
-                "{}",
-                node.name()
-            );
-        }
     }
 
     #[test]

@@ -4,14 +4,14 @@
 //! hard-wired to the Nexus 4.
 //!
 //! ```sh
-//! cargo run --release -p usta-bench --example custom_phone
+//! cargo run --release -p usta-sim --example custom_phone
 //! ```
 
-use usta_thermal::{HeatInput, PhoneNode, PhoneThermalModel, PhoneThermalParams};
+use usta_thermal::{DeviceThermalModel, HeatLoad, PhoneNode, PhoneThermalParams};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The calibrated phone.
-    let mut phone = PhoneThermalModel::new(PhoneThermalParams::default())?;
+    let mut phone = DeviceThermalModel::new(PhoneThermalParams::default().topology())?;
 
     // A tablet: ~3x the thermal mass, ~2.2x the radiating surface.
     let mut tablet_params = PhoneThermalParams::default();
@@ -21,17 +21,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (_, g) in tablet_params.ambient_links.iter_mut() {
         *g *= 2.2;
     }
-    let mut tablet = PhoneThermalModel::new(tablet_params)?;
+    let mut tablet = DeviceThermalModel::new(tablet_params.topology())?;
 
     // Same sustained gaming load on both.
-    let load = HeatInput {
-        cpu_w: 2.5,
-        gpu_w: 1.4,
-        display_w: 1.0,
-        battery_w: 0.3,
-        board_w: 0.4,
-    };
-    phone.set_heat(load);
+    let load = HeatLoad::single(2.5, 1.4, 1.0, 0.3, 0.4);
+    phone.set_heat(load.clone());
     tablet.set_heat(load);
 
     println!("minutes | phone skin °C | tablet skin °C");
@@ -49,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let phone_ss = phone.steady_state()?[PhoneNode::BackMid as usize];
+    let phone_ss = phone.steady_state()?[PhoneNode::BackMid.index()];
     println!(
         "\nphone steady-state skin would be {:.1}; the tablet's extra mass and \
          surface keep it {:.1} K cooler after half an hour.",

@@ -115,11 +115,12 @@ proptest! {
     /// monotonicity through the full phone model).
     #[test]
     fn phone_steady_state_monotone_in_cpu_power(base in 0.0f64..3.0, extra in 0.01f64..2.0) {
-        use usta_thermal::{HeatInput, PhoneThermalModel, PhoneThermalParams};
-        let mut cool = PhoneThermalModel::new(PhoneThermalParams::default()).expect("builds");
-        let mut hot = PhoneThermalModel::new(PhoneThermalParams::default()).expect("builds");
-        cool.set_heat(HeatInput { cpu_w: base, ..Default::default() });
-        hot.set_heat(HeatInput { cpu_w: base + extra, ..Default::default() });
+        use usta_thermal::{DeviceThermalModel, HeatLoad, PhoneThermalParams};
+        let topology = PhoneThermalParams::default().topology();
+        let mut cool = DeviceThermalModel::new(topology.clone()).expect("builds");
+        let mut hot = DeviceThermalModel::new(topology).expect("builds");
+        cool.set_heat(HeatLoad::single(base, 0.0, 0.0, 0.0, 0.0));
+        hot.set_heat(HeatLoad::single(base + extra, 0.0, 0.0, 0.0, 0.0));
         let cool_ss = cool.steady_state().expect("solvable");
         let hot_ss = hot.steady_state().expect("solvable");
         for (c, h) in cool_ss.iter().zip(&hot_ss) {
