@@ -16,12 +16,14 @@
 //!   ambient bands × phone cases (via [`usta_thermal::materials`]) ×
 //!   charging × grip. The device axis defaults to the paper's Nexus 4
 //!   alone, which reproduces the pre-axis grid byte for byte.
-//! * **Sweep** ([`runner`]) — a chunked work queue over
-//!   `users × scenarios` triples on `std::thread` scoped workers, with
-//!   per-triple ChaCha8 seed derivation and chunk-ordered merging of
-//!   streaming aggregates ([`aggregate`]), so a sweep's report is
-//!   **bit-identical at any thread count** and memory stays O(bins),
-//!   not O(users).
+//! * **Sweep** ([`runner`]) — `std::thread` scoped workers claim
+//!   fixed-size chunks of `users × scenarios` triples in index order
+//!   from one shared counter, with per-triple ChaCha8 seed derivation
+//!   and chunk-ordered merging of streaming aggregates
+//!   ([`aggregate`]), so a sweep's report is **bit-identical at any
+//!   thread count**. The aggregate is O(bins), not O(users), and the
+//!   merge buffer holds only chunks finished ahead of the oldest one
+//!   still running.
 //!
 //! The `fleet_sweep` binary fronts it all:
 //!

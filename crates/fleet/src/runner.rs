@@ -13,9 +13,9 @@
 //! 1. every triple derives its own ChaCha8 stream from
 //!    `(run seed, triple index)` — never from thread identity or
 //!    shared-generator draw order;
-//! 2. the work queue hands out fixed-size *chunks* of consecutive
-//!    triple indices, and each chunk folds sequentially into its own
-//!    partial aggregate;
+//! 2. workers claim fixed-size *chunks* of consecutive triple indices,
+//!    in index order from one shared counter, and each chunk folds
+//!    sequentially into its own partial aggregate;
 //! 3. partials are merged on the coordinating thread in chunk-index
 //!    order, so floating-point sums see one canonical association.
 //!
@@ -23,7 +23,6 @@
 //! summary rows are written in chunk-index order, so the CSV is
 //! byte-identical at every thread count.
 
-use std::collections::VecDeque;
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -403,44 +402,6 @@ pub(crate) fn train_predictor_pool(
     if config.predictor_pool == 0 || config.training_benchmarks.is_empty() {
         return Err(FleetError::NoTrainingData);
     }
-    // Training is a pure function of (seed, device, benchmarks, caps,
-    // pool size), and percentile-targeting bisection re-runs the same
-    // sweep config many times in one process — memoize the pools so
-    // only the first run pays the campaign. The cache key spells out
-    // every input the campaign reads.
-    let key = format!(
-        "{}|{}|{}|{:?}|{}",
-        config.seed,
-        device,
-        config.predictor_pool,
-        config.training_benchmarks,
-        config.training_cap_seconds.to_bits(),
-    );
-    static CACHE: Mutex<Option<std::collections::HashMap<String, Vec<TemperaturePredictor>>>> =
-        Mutex::new(None);
-    if let Some(pool) = CACHE
-        .lock()
-        .expect("training cache not poisoned")
-        .get_or_insert_with(Default::default)
-        .get(&key)
-    {
-        return Ok(pool.clone());
-    }
-    let pool = train_predictor_pool_uncached(config, device)?;
-    CACHE
-        .lock()
-        .expect("training cache not poisoned")
-        .get_or_insert_with(Default::default)
-        .insert(key, pool.clone());
-    Ok(pool)
-}
-
-/// The actual training campaign behind [`train_predictor_pool`]'s
-/// memoization.
-fn train_predictor_pool_uncached(
-    config: &SweepConfig,
-    device: &'static str,
-) -> Result<Vec<TemperaturePredictor>, FleetError> {
     let spec = usta_device::by_id(device).expect("device validated up front");
     let mut per_benchmark: Vec<TrainingLog> = Vec::new();
     for (i, &benchmark) in config.training_benchmarks.iter().enumerate() {
@@ -487,6 +448,47 @@ fn train_predictor_pool_uncached(
         pool.push(predictor);
     }
     Ok(pool)
+}
+
+/// Trains one predictor pool per device in `devices`, in device order
+/// (none for baseline-only sweeps). Per-device campaigns are
+/// independent, so up to `config.threads` workers claim device indices
+/// from one shared cursor; results land in per-device slots, so the
+/// pools are the same at any thread count.
+fn train_pools(
+    config: &SweepConfig,
+    devices: &[&'static str],
+) -> Result<Vec<(&'static str, Vec<TemperaturePredictor>)>, FleetError> {
+    if !config.usta {
+        return Ok(Vec::new());
+    }
+    let _span = usta_telemetry::Sink::active()
+        .map(|registry| registry.span_with("fleet.train", 0.0, 60.0, 1000));
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<_>>> = devices.iter().map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..config.threads.clamp(1, devices.len()) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&device) = devices.get(i) else {
+                    break;
+                };
+                *slots[i].lock().expect("no poisoned training slot") =
+                    Some(train_predictor_pool(config, device));
+            });
+        }
+    });
+    devices
+        .iter()
+        .zip(slots)
+        .map(|(&device, slot)| {
+            let pool = slot
+                .into_inner()
+                .expect("no poisoned training slot")
+                .expect("every device index was claimed")?;
+            Ok((device, pool))
+        })
+        .collect()
 }
 
 /// The policy limit a triple's USTA stack targets: the user's own
@@ -604,119 +606,6 @@ pub(crate) fn run_triple(
         work: result.work,
     };
     (outcome, steps_csv)
-}
-
-/// A work-stealing chunk scheduler over `0..n_chunks`.
-///
-/// Each worker owns a deque seeded with a contiguous block of chunk
-/// indices. A worker pops its own deque's **front**; when empty it
-/// steals the richest victim's **back half** (ceil(m/2) chunks,
-/// order preserved) into its own deque and continues. Every chunk is
-/// claimed exactly once regardless of interleaving, and *which* worker
-/// runs a chunk never matters — results merge in chunk-index order
-/// downstream — so any steal schedule produces bit-identical output.
-///
-/// A worker that finds every deque empty exits. A steal in flight can
-/// briefly hide chunks from the scan (they sit in the thief's hands
-/// between locks), so a racing worker may retire early — that costs
-/// only parallelism at the tail, never work: the thief still runs what
-/// it took.
-pub(crate) struct ChunkScheduler {
-    deques: Vec<Mutex<VecDeque<usize>>>,
-    /// Unclaimed chunks across all deques (drives the
-    /// `fleet.queue_depth` gauge without summing under locks).
-    remaining: AtomicUsize,
-}
-
-/// One claim's provenance, for the scheduling-counter telemetry.
-pub(crate) enum Claim {
-    /// Popped from the worker's own deque.
-    Local(usize),
-    /// Obtained by stealing another worker's back half.
-    Stolen(usize),
-}
-
-impl Claim {
-    pub(crate) fn chunk(&self) -> usize {
-        match *self {
-            Claim::Local(chunk) | Claim::Stolen(chunk) => chunk,
-        }
-    }
-}
-
-impl ChunkScheduler {
-    /// Partitions `0..n_chunks` into `workers` contiguous blocks,
-    /// front-loading the remainder so block sizes differ by at most 1.
-    pub(crate) fn new(n_chunks: usize, workers: usize) -> ChunkScheduler {
-        let workers = workers.max(1);
-        let base = n_chunks / workers;
-        let extra = n_chunks % workers;
-        let mut next = 0usize;
-        let deques = (0..workers)
-            .map(|w| {
-                let len = base + usize::from(w < extra);
-                let block: VecDeque<usize> = (next..next + len).collect();
-                next += len;
-                Mutex::new(block)
-            })
-            .collect();
-        debug_assert_eq!(next, n_chunks, "every chunk lands in exactly one deque");
-        ChunkScheduler {
-            deques,
-            remaining: AtomicUsize::new(n_chunks),
-        }
-    }
-
-    /// Unclaimed chunks across all deques (approximate during steals).
-    pub(crate) fn remaining(&self) -> usize {
-        self.remaining.load(Ordering::Relaxed)
-    }
-
-    /// Claims the next chunk for `worker`, stealing when its own deque
-    /// is empty. `None` means every deque looked empty — time to exit.
-    pub(crate) fn claim(&self, worker: usize) -> Option<Claim> {
-        if let Some(chunk) = self.deques[worker]
-            .lock()
-            .expect("deque not poisoned")
-            .pop_front()
-        {
-            self.remaining.fetch_sub(1, Ordering::Relaxed);
-            return Some(Claim::Local(chunk));
-        }
-        loop {
-            // Pick the victim with the most queued chunks; scanning
-            // takes each lock briefly, which is fine — steals only
-            // happen when this worker would otherwise idle.
-            let victim = self
-                .deques
-                .iter()
-                .enumerate()
-                .filter(|&(v, _)| v != worker)
-                .map(|(v, dq)| (dq.lock().expect("deque not poisoned").len(), v))
-                .max()
-                .filter(|&(len, _)| len > 0)
-                .map(|(_, v)| v)?;
-            // Take the back half (ceil(m/2)), keeping chunk order; the
-            // victim may have drained since the scan — rescan if so.
-            let mut taken = {
-                let mut dq = self.deques[victim].lock().expect("deque not poisoned");
-                let m = dq.len();
-                if m == 0 {
-                    continue;
-                }
-                dq.split_off(m - m.div_ceil(2))
-            };
-            let first = taken.pop_front().expect("stole at least one chunk");
-            self.remaining.fetch_sub(1, Ordering::Relaxed);
-            if !taken.is_empty() {
-                self.deques[worker]
-                    .lock()
-                    .expect("deque not poisoned")
-                    .append(&mut taken);
-            }
-            return Some(Claim::Stolen(first));
-        }
-    }
 }
 
 /// The report's governor-stack label (`"usta(<baseline>)"` or the bare
@@ -851,15 +740,6 @@ pub(crate) struct FleetTelemetry {
     /// Exact in-flight count behind the `inflight` gauge (gauges are
     /// last-write-wins; the atomic makes concurrent updates add up).
     inflight_count: std::sync::atomic::AtomicI64,
-    /// `fleet.steals`: successful work steals. A *scheduling* counter —
-    /// its value depends on thread interleaving, so it lives outside
-    /// the deterministic surface (JSON `"scheduling"` section, absent
-    /// from [`usta_telemetry::Registry::counters`] and the CLI's
-    /// diffed `telemetry:` block).
-    steals: usta_telemetry::Counter,
-    /// `fleet.steal_empty`: steal probes that found every deque empty
-    /// (the prober then retires). Scheduling counter, like `steals`.
-    steal_empty: usta_telemetry::Counter,
 }
 
 /// The `'static` gauge name for worker `w`'s busy fraction
@@ -894,8 +774,6 @@ impl FleetTelemetry {
             queue_depth: registry.gauge("fleet.queue_depth"),
             inflight: registry.gauge("fleet.inflight_triples"),
             inflight_count: std::sync::atomic::AtomicI64::new(0),
-            steals: registry.scheduling_counter("fleet.steals"),
-            steal_empty: registry.scheduling_counter("fleet.steal_empty"),
         }
     }
 
@@ -906,17 +784,9 @@ impl FleetTelemetry {
         self.registry.gauge(worker_busy_gauge_name(worker))
     }
 
-    /// Records a claim's provenance and the queue depth after it.
-    pub(crate) fn chunk_claimed(&self, claim: &Claim, remaining: usize) {
-        if matches!(claim, Claim::Stolen(_)) {
-            self.steals.increment();
-        }
+    /// A worker claimed a chunk, leaving `remaining` unclaimed.
+    pub(crate) fn chunk_claimed(&self, remaining: usize) {
         self.queue_depth.set(remaining as f64);
-    }
-
-    /// A steal probe found every deque empty.
-    pub(crate) fn steal_came_up_empty(&self) {
-        self.steal_empty.increment();
     }
 
     /// A `fleet.triple` span: wall-clock seconds per triple, and one
@@ -972,66 +842,21 @@ pub fn run_sweep(config: &SweepConfig) -> Result<FleetReport, FleetError> {
             "trace_steps requires a trace_dir to write into".to_owned(),
         ));
     }
-    let (devices, catalog, population) = sweep_inputs(config)?;
+    let inputs = sweep_inputs(config)?;
+    let pools = train_pools(config, &inputs.0)?;
+    run_sweep_trained(config, &inputs, &pools)
+}
+
+/// [`run_sweep`] after validation and training: runs every triple of
+/// `inputs` (from [`sweep_inputs`]) against the already-trained
+/// `pools`, so [`target_percentile`] trains once per search.
+fn run_sweep_trained(
+    config: &SweepConfig,
+    (devices, catalog, population): &(Vec<&'static str>, ScenarioCatalog, UserPopulation),
+    pools: &[(&'static str, Vec<TemperaturePredictor>)],
+) -> Result<FleetReport, FleetError> {
     let total = population.len() * catalog.len();
     let telemetry = FleetTelemetry::from_sink();
-    // Per-device training campaigns are independent, so spare threads
-    // (capped at `config.threads`, like the sweep itself) run them
-    // concurrently off a shared index queue; results land in per-device
-    // slots, so the pools (and everything downstream) are identical to
-    // a sequential run.
-    let train_span = usta_telemetry::Sink::active()
-        .filter(|_| config.usta)
-        .map(|registry| registry.span_with("fleet.train", 0.0, 60.0, 1000));
-    let pools: Vec<(&'static str, Vec<TemperaturePredictor>)> = if config.usta {
-        let trainers = config.threads.clamp(1, devices.len());
-        let trained: Vec<Result<Vec<TemperaturePredictor>, FleetError>> = if trainers > 1 {
-            let next = AtomicUsize::new(0);
-            let slots: Vec<std::sync::Mutex<Option<Result<_, FleetError>>>> = devices
-                .iter()
-                .map(|_| std::sync::Mutex::new(None))
-                .collect();
-            std::thread::scope(|scope| {
-                for _ in 0..trainers {
-                    let next = &next;
-                    let slots = &slots;
-                    let devices = &devices;
-                    scope.spawn(move || loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= devices.len() {
-                            break;
-                        }
-                        let pool = train_predictor_pool(config, devices[i]);
-                        *slots[i].lock().expect("no poisoned training slot") = Some(pool);
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|slot| {
-                    slot.into_inner()
-                        .expect("no poisoned training slot")
-                        .expect("every device index was claimed")
-                })
-                .collect()
-        } else {
-            devices
-                .iter()
-                .map(|&device| train_predictor_pool(config, device))
-                .collect()
-        };
-        devices
-            .iter()
-            .zip(trained)
-            .map(|(&device, pool)| Ok((device, pool?)))
-            .collect::<Result<_, FleetError>>()?
-    } else {
-        Vec::new()
-    };
-    drop(train_span);
-    if config.usta && pools.iter().any(|(_, pool)| pool.is_empty()) {
-        return Err(FleetError::NoTrainingData);
-    }
 
     let mut trace = match &config.trace_dir {
         Some(dir) => {
@@ -1051,7 +876,9 @@ pub fn run_sweep(config: &SweepConfig) -> Result<FleetReport, FleetError> {
     let chunk_size = config.chunk_size.max(1);
     let n_chunks = total.div_ceil(chunk_size);
     let workers = config.threads.clamp(1, n_chunks);
-    let scheduler = ChunkScheduler::new(n_chunks, workers);
+    // Workers claim chunks in index order from one shared cursor, so
+    // the oldest unmerged chunk is always already running.
+    let next_chunk = AtomicUsize::new(0);
     // Set when the trace sink fails: the sweep's result is already lost
     // at that point, so workers drain fast instead of simulating the
     // rest of a (possibly huge) grid just to discard it.
@@ -1080,11 +907,8 @@ pub fn run_sweep(config: &SweepConfig) -> Result<FleetReport, FleetError> {
     let (aggregate, worst) = std::thread::scope(|scope| {
         for worker_id in 0..workers {
             let tx = tx.clone();
-            let scheduler = &scheduler;
+            let next_chunk = &next_chunk;
             let abort = &abort;
-            let population = &population;
-            let catalog = &catalog;
-            let pools = &pools[..];
             let telemetry = telemetry.as_ref();
             scope.spawn(move || {
                 // One preallocated ring per worker, cleared between
@@ -1094,18 +918,12 @@ pub fn run_sweep(config: &SweepConfig) -> Result<FleetReport, FleetError> {
                 let mut busy = std::time::Duration::ZERO;
                 let busy_gauge = telemetry.map(|t| t.worker_busy(worker_id));
                 loop {
-                    let Some(claim) = scheduler.claim(worker_id) else {
-                        if let Some(telemetry) = telemetry {
-                            telemetry.steal_came_up_empty();
-                        }
-                        break;
-                    };
-                    let chunk = claim.chunk();
-                    if abort.load(Ordering::Relaxed) {
+                    let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
+                    if chunk >= n_chunks || abort.load(Ordering::Relaxed) {
                         break;
                     }
                     if let Some(telemetry) = telemetry {
-                        telemetry.chunk_claimed(&claim, scheduler.remaining());
+                        telemetry.chunk_claimed(n_chunks - chunk - 1);
                     }
                     let work_start = busy_gauge.as_ref().map(|_| std::time::Instant::now());
                     let lo = chunk * chunk_size;
@@ -1204,9 +1022,11 @@ pub fn run_sweep(config: &SweepConfig) -> Result<FleetReport, FleetError> {
         // stragglers. The canonical chunk-index merge order is what
         // makes the f64 sums bit-identical at every thread count — and
         // the trace rows hit the file in the same order, so the CSV is
-        // too. The straggler buffer is bounded by the workers'
-        // in-flight spread — memory stays O(workers × chunk), never
-        // O(chunks).
+        // too. Chunks are claimed in index order, so a straggler only
+        // waits on chunks that were already running when it was
+        // claimed: the buffer holds what the other workers finish
+        // while the oldest chunk runs, a few chunks per worker when
+        // chunk costs are alike, however long the sweep.
         let mut aggregate = FleetAggregate::new();
         let mut worst: Vec<WorstTriple> = Vec::new();
         let mut stragglers = std::collections::BTreeMap::new();
@@ -1299,7 +1119,7 @@ pub fn run_sweep(config: &SweepConfig) -> Result<FleetReport, FleetError> {
         scenarios: catalog.len(),
         seed: config.seed,
         governor: governor_label(config),
-        devices,
+        devices: devices.clone(),
         aggregate,
         worst,
     })
@@ -1348,7 +1168,8 @@ pub struct PercentileTarget {
 /// feasible set is a prefix of `[0, 100]` and bisection applies. The
 /// search probes percentile 100 first (done if already feasible), then
 /// percentile 0 (the fallback when nothing is feasible), then runs
-/// `iterations` rounds of bisection. Every probe is a full
+/// `iterations` rounds of bisection. The predictor pools are trained
+/// once and shared by every probe; each probe is otherwise a full
 /// [`run_sweep`], so the whole search is bit-deterministic at any
 /// thread count; trace and flight sinks are disabled for probe runs.
 ///
@@ -1363,12 +1184,14 @@ pub fn target_percentile(
     let mut probe_config = config.clone();
     probe_config.trace_dir = None;
     probe_config.trace_steps = 0;
+    let inputs = sweep_inputs(&probe_config)?;
+    let pools = train_pools(&probe_config, &inputs.0)?;
     let mut trajectory = Vec::new();
     let mut evaluate = |percentile: f64,
                         trajectory: &mut Vec<PercentileProbe>|
      -> Result<(f64, FleetReport), FleetError> {
         probe_config.policy_limit_percentile = Some(percentile);
-        let report = run_sweep(&probe_config)?;
+        let report = run_sweep_trained(&probe_config, &inputs, &pools)?;
         let p99_time_over = report.aggregate.time_over_limit.sketch.quantile(0.99);
         trajectory.push(PercentileProbe {
             percentile,
@@ -1435,7 +1258,7 @@ mod tests {
         let registry: &'static usta_telemetry::Registry =
             Box::leak(Box::new(usta_telemetry::Registry::new()));
         let telemetry = FleetTelemetry::with_registry(registry);
-        telemetry.chunk_claimed(&Claim::Local(0), 7);
+        telemetry.chunk_claimed(7);
         assert_eq!(registry.gauge("fleet.queue_depth").value(), 7.0);
         telemetry.triple_started();
         telemetry.triple_started();
@@ -1443,95 +1266,11 @@ mod tests {
         telemetry.triple_finished();
         assert_eq!(registry.gauge("fleet.inflight_triples").value(), 1.0);
         assert_eq!(registry.counter("fleet.triples").value(), 1);
-        // Steals land in the scheduling namespace, not the
-        // deterministic counter surface.
-        telemetry.chunk_claimed(&Claim::Stolen(3), 4);
-        telemetry.steal_came_up_empty();
+        telemetry.chunk_claimed(4);
         assert_eq!(registry.gauge("fleet.queue_depth").value(), 4.0);
-        assert_eq!(
-            registry.scheduling_counters(),
-            vec![("fleet.steal_empty", 1), ("fleet.steals", 1)]
-        );
-        assert!(registry
-            .counters()
-            .iter()
-            .all(|(name, _)| !name.starts_with("fleet.steal")));
         // Worker busy gauges resolve to stable leaked names.
         telemetry.worker_busy(0).set(0.75);
         assert_eq!(registry.gauge("fleet.worker0.busy").value(), 0.75);
-    }
-
-    #[test]
-    fn scheduler_partitions_contiguously_and_claims_every_chunk_once() {
-        let scheduler = ChunkScheduler::new(7, 3);
-        // Worker 0 gets 3 chunks, workers 1 and 2 get 2 each, all
-        // contiguous and front-loaded.
-        let mut seen = Vec::new();
-        for worker in 0..3 {
-            while let Some(chunk) = {
-                let mut dq = scheduler.deques[worker].lock().unwrap();
-                dq.pop_front()
-            } {
-                seen.push((worker, chunk));
-            }
-        }
-        assert_eq!(
-            seen,
-            vec![(0, 0), (0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)]
-        );
-    }
-
-    #[test]
-    fn scheduler_steals_the_richest_victims_back_half() {
-        let scheduler = ChunkScheduler::new(8, 2);
-        // Worker 0 holds 0..4, worker 1 holds 4..8. Drain worker 1,
-        // then its next claim must steal the back half (2, 3) of
-        // worker 0 and hand out chunk 2 first.
-        for expect in 4..8 {
-            match scheduler.claim(1) {
-                Some(Claim::Local(chunk)) => assert_eq!(chunk, expect),
-                other => panic!("expected local claim, got {:?}", other.map(|c| c.chunk())),
-            }
-        }
-        match scheduler.claim(1) {
-            Some(Claim::Stolen(chunk)) => assert_eq!(chunk, 2),
-            other => panic!("expected steal, got {:?}", other.map(|c| c.chunk())),
-        }
-        // The rest of the stolen run now sits in worker 1's own deque.
-        match scheduler.claim(1) {
-            Some(Claim::Local(chunk)) => assert_eq!(chunk, 3),
-            other => panic!("expected local claim, got {:?}", other.map(|c| c.chunk())),
-        }
-        assert_eq!(scheduler.remaining(), 2);
-        // Worker 0 still drains its untouched front half.
-        assert_eq!(scheduler.claim(0).map(|c| c.chunk()), Some(0));
-        assert_eq!(scheduler.claim(0).map(|c| c.chunk()), Some(1));
-        // Everything claimed: both workers see an empty world.
-        assert!(scheduler.claim(0).is_none());
-        assert!(scheduler.claim(1).is_none());
-        assert_eq!(scheduler.remaining(), 0);
-    }
-
-    #[test]
-    fn scheduler_claims_each_chunk_exactly_once_under_contention() {
-        for workers in [2usize, 3, 5] {
-            let scheduler = ChunkScheduler::new(97, workers);
-            let claimed = Mutex::new(Vec::new());
-            std::thread::scope(|scope| {
-                for worker in 0..workers {
-                    let scheduler = &scheduler;
-                    let claimed = &claimed;
-                    scope.spawn(move || {
-                        while let Some(claim) = scheduler.claim(worker) {
-                            claimed.lock().unwrap().push(claim.chunk());
-                        }
-                    });
-                }
-            });
-            let mut chunks = claimed.into_inner().unwrap();
-            chunks.sort_unstable();
-            assert_eq!(chunks, (0..97).collect::<Vec<_>>(), "workers={workers}");
-        }
     }
 
     #[test]
@@ -1982,6 +1721,26 @@ mod tests {
         if one.feasible {
             assert!(one.p99_time_over <= 0.05);
         }
+    }
+
+    #[test]
+    fn percentile_targeting_report_matches_a_freshly_trained_sweep() {
+        // The search trains its pools once and shares them across
+        // probes; the chosen report must equal a plain sweep (which
+        // trains its own pools) at the chosen percentile.
+        let config = tiny_config();
+        let target = target_percentile(&config, 0.05, 3).unwrap();
+        let fresh = run_sweep(&SweepConfig {
+            policy_limit_percentile: Some(target.percentile),
+            ..config
+        })
+        .unwrap();
+        assert!(
+            target.trajectory.len() > 1,
+            "the pools served several probes"
+        );
+        assert_eq!(target.report, fresh);
+        assert_eq!(target.report.summary(), fresh.summary());
     }
 
     #[test]

@@ -313,7 +313,6 @@ impl LocalTimings {
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<&'static str, Arc<AtomicU64>>>,
-    scheduling: Mutex<BTreeMap<&'static str, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<&'static str, Arc<AtomicU64>>>,
     histograms: Mutex<BTreeMap<&'static str, Arc<HistCell>>>,
 }
@@ -332,22 +331,6 @@ impl Registry {
     /// The counter named `name`, created at zero on first use.
     pub fn counter(&self, name: &'static str) -> Counter {
         let mut map = self.counters.lock().expect("counter map not poisoned");
-        Counter {
-            cell: Arc::clone(map.entry(name).or_default()),
-        }
-    }
-
-    /// The *scheduling* counter named `name`, created at zero on first
-    /// use.
-    ///
-    /// Scheduling counters count **scheduling luck** — work-stealing
-    /// steals, empty probes, and the like — whose values depend on
-    /// thread interleaving. They live in their own namespace so the
-    /// deterministic surface ([`Registry::counters`], the JSON
-    /// `"deterministic"` section) stays bit-identical at any thread
-    /// count; they export under the separate `"scheduling"` section.
-    pub fn scheduling_counter(&self, name: &'static str) -> Counter {
-        let mut map = self.scheduling.lock().expect("scheduling map not poisoned");
         Counter {
             cell: Arc::clone(map.entry(name).or_default()),
         }
@@ -423,18 +406,6 @@ impl Registry {
             .collect()
     }
 
-    /// Every scheduling counter, sorted by name. Deliberately separate
-    /// from [`Registry::counters`]: these values vary with thread
-    /// interleaving and must never join the deterministic surface.
-    pub fn scheduling_counters(&self) -> Vec<(&'static str, u64)> {
-        self.scheduling
-            .lock()
-            .expect("scheduling map not poisoned")
-            .iter()
-            .map(|(&name, cell)| (name, cell.load(ORDER)))
-            .collect()
-    }
-
     /// Every gauge, sorted by name.
     pub fn gauges(&self) -> Vec<(&'static str, f64)> {
         self.gauges
@@ -476,17 +447,6 @@ impl Registry {
             out.push_str(&format!("{sep}    {}: {value}", json_string(name)));
         }
         out.push_str(if counters.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        out.push_str("  \"scheduling\": {");
-        let scheduling = self.scheduling_counters();
-        for (i, (name, value)) in scheduling.iter().enumerate() {
-            let sep = if i == 0 { "\n" } else { ",\n" };
-            out.push_str(&format!("{sep}    {}: {value}", json_string(name)));
-        }
-        out.push_str(if scheduling.is_empty() {
             "},\n"
         } else {
             "\n  },\n"
@@ -544,10 +504,6 @@ impl Registry {
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
         for (name, value) in self.counters() {
-            let prom = prom_name(name);
-            out.push_str(&format!("# TYPE {prom} counter\n{prom} {value}\n"));
-        }
-        for (name, value) in self.scheduling_counters() {
             let prom = prom_name(name);
             out.push_str(&format!("# TYPE {prom} counter\n{prom} {value}\n"));
         }
@@ -661,32 +617,6 @@ mod tests {
         b.increment();
         assert_eq!(a.value(), 3);
         assert_eq!(r.counters(), vec![("x", 3)]);
-    }
-
-    #[test]
-    fn scheduling_counters_live_outside_the_deterministic_surface() {
-        let r = Registry::new();
-        r.counter("fleet.triples").add(5);
-        r.scheduling_counter("fleet.steals").add(3);
-        r.scheduling_counter("fleet.steal_empty").increment();
-        // Deterministic listing never sees scheduling counters (and
-        // vice versa), even under a shared name.
-        assert_eq!(r.counters(), vec![("fleet.triples", 5)]);
-        assert_eq!(
-            r.scheduling_counters(),
-            vec![("fleet.steal_empty", 1), ("fleet.steals", 3)]
-        );
-        let text = r.to_json();
-        let value = crate::json::parse(&text).expect("valid JSON");
-        let obj = value.as_object().expect("top-level object");
-        let det = obj["deterministic"].as_object().expect("object");
-        assert!(!det.contains_key("fleet.steals"), "{text}");
-        let sched = obj["scheduling"].as_object().expect("object");
-        assert_eq!(sched["fleet.steals"].as_f64(), Some(3.0));
-        assert_eq!(sched["fleet.steal_empty"].as_f64(), Some(1.0));
-        // Prometheus still exposes them as plain counters.
-        let prom = r.render_prometheus();
-        assert!(prom.contains("# TYPE usta_fleet_steals counter\nusta_fleet_steals 3\n"));
     }
 
     #[test]

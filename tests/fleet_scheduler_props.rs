@@ -1,10 +1,10 @@
-//! Work-stealing scheduler output equality, as properties.
+//! Thread-count invariance of every sweep artifact, as properties.
 //!
 //! The fleet runner's contract is that the report, the `triples.csv`
 //! trace, and every triaged flight dump are pure functions of the
-//! [`SweepConfig`] minus `threads` — the work-stealing deques only
-//! change *which worker* folds a chunk, never what any chunk computes
-//! or the order partials merge. These tests drive that claim across
+//! [`SweepConfig`] minus `threads` — the thread count only changes
+//! *which worker* runs a chunk, never what any chunk computes or the
+//! order partials merge. These tests drive that claim across
 //! proptest-generated uneven sweep shapes at threads 1, 2, and 4.
 
 use std::collections::BTreeMap;
@@ -66,7 +66,7 @@ proptest! {
     /// byte-identical reports, `triples.csv`, and flight dumps at
     /// threads 1, 2, and 4.
     #[test]
-    fn stealing_workers_reproduce_the_single_thread_artifacts(
+    fn any_thread_count_reproduces_the_single_thread_artifacts(
         users in 2usize..6,
         chunk_size in 1usize..6,
         max_sim in proptest::sample::select(vec![15.0f64, 30.0, 45.0]),
