@@ -1,37 +1,36 @@
-//! # usta-catalog — file-driven device & scenario catalogs
+//! # usta-catalog — catalog directories
 //!
-//! Every device and scenario grid used to be compiled into the binary;
-//! growing the fleet toward "hundreds of devices × scenarios without
-//! recompiling" needs a declarative catalog on disk. This crate is
-//! that catalog: a zero-dependency, strict TOML-subset parser (written
-//! in the same in-house style as the telemetry crate's JSON parser)
-//! that deserializes [`usta_device::DeviceSpec`] — clusters, OPP
-//! tables, GPU/display domains, thermal topology — and
-//! [`ScenarioGridSpec`] sweep axes from `.toml` files, with structured
-//! [`CatalogError`]s carrying file/line/key context and the full
-//! `DeviceSpec::validate` suite running on every load.
+//! Growing the fleet toward "hundreds of devices × scenarios without
+//! recompiling" needs catalogs on disk. The file format itself — the
+//! strict TOML-subset parser, [`parse_device`] / [`device_to_toml`],
+//! scenario grids, and the structured [`CatalogError`] — belongs to
+//! `usta-device`, because it is `DeviceSpec`'s own format and the
+//! built-in devices are parsed from it. This crate adds what is about
+//! directories: a [`Catalog`] is what one directory of `.toml` files
+//! parses into, and [`Catalog::install`] merges its devices over the
+//! built-ins in the process-wide registry (`usta_device::install`),
+//! after which every consumer of `usta_device::by_id` — scenario
+//! resolution, sweeps, `--device all` expansion, error listings — sees
+//! the merged set. [`RegistryExt::from_dir`] builds the same merge as a
+//! local registry instead. The format items are re-exported here
+//! too.
 //!
-//! A [`Catalog`] is what one directory of files parses into;
-//! [`Catalog::install`] merges its devices over the built-ins in the
-//! process-wide registry (`usta_device::install`), after which every
-//! consumer of `usta_device::by_id` — scenario resolution, sweeps,
-//! `--device all` expansion, error listings — sees the merged set. The
-//! file round trip is exact: serializing a built-in with
-//! [`device_to_toml`] and re-parsing yields an **equal** spec, so a
-//! sweep over `catalog/nexus4.toml` is bit-identical to one over the
-//! compiled-in nexus4.
+//! The committed `catalog/` directory holds the five built-in files
+//! themselves, so installing it leaves every built-in unchanged.
 //!
 //! ```
 //! use usta_catalog::{device_to_toml, parse_device};
+//! use usta_device::Registry;
 //!
-//! let nexus4 = usta_device::nexus4();
-//! let text = device_to_toml(&nexus4);
-//! assert_eq!(parse_device(&text).expect("round-trips"), nexus4);
+//! let nexus4 = Registry::builtin().by_id("nexus4").expect("built-in");
+//! let text = device_to_toml(nexus4);
+//! assert_eq!(&parse_device(&text).expect("round-trips"), nexus4);
 //! ```
 //!
-//! Dependency direction: this crate sits beside `usta-device` (whose
-//! specs it de/serializes) and below `usta-fleet` (which resolves grid
-//! axis strings against its scenario enums and exposes the CLI flags).
+//! Dependency direction: this crate sits above `usta-device` (whose
+//! file format and merged registry it uses) and below `usta-fleet`
+//! (which resolves grid axis strings against its scenario enums and
+//! exposes the CLI flags).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,22 +39,13 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use usta_device::{DeviceSpec, Registry};
+use usta_device::{parse_file, CatalogFile, DeviceSpec, Registry};
 
-pub mod device;
-pub mod error;
-pub mod grid;
-mod intern;
-pub mod toml;
-
-pub use device::{device_to_toml, material_name, parse_device};
-pub use error::{CatalogError, ErrorKind};
-pub use grid::{grid_to_toml, parse_grid, ScenarioGridSpec};
-
-/// The `schema` value of a device file.
-pub const DEVICE_SCHEMA: &str = "usta-catalog/device/v1";
-/// The `schema` value of a scenario-grid file.
-pub const GRID_SCHEMA: &str = "usta-catalog/grid/v1";
+pub use usta_device::{device, error, grid, toml};
+pub use usta_device::{
+    device_to_toml, grid_to_toml, material_name, parse_device, parse_grid, CatalogError, ErrorKind,
+    ScenarioGridSpec, DEVICE_SCHEMA, GRID_SCHEMA,
+};
 
 /// Everything one catalog directory parsed into: validated device
 /// specs and scenario grids, in filename order.
@@ -106,13 +96,8 @@ impl Catalog {
     fn load_file(&mut self, path: &Path) -> Result<(), CatalogError> {
         let text = fs::read_to_string(path)
             .map_err(|e| CatalogError::io(format!("cannot read file: {e}")).with_file(path))?;
-        let doc = toml::parse(&text)
-            .map_err(|e| CatalogError::parse(e.line, e.message).with_file(path))?;
-        let root = device::Section::new(&doc, "");
-        let schema = root.string("schema").map_err(|e| e.with_file(path))?;
-        match schema.as_str() {
-            DEVICE_SCHEMA => {
-                let spec = device::device_from_document(&doc).map_err(|e| e.with_file(path))?;
+        match parse_file(&text).map_err(|e| e.with_file(path))? {
+            CatalogFile::Device(spec) => {
                 if let Some(previous) = self
                     .devices
                     .iter()
@@ -128,10 +113,9 @@ impl Catalog {
                     )
                     .with_file(path));
                 }
-                self.devices.push(spec);
+                self.devices.push(*spec);
             }
-            GRID_SCHEMA => {
-                let spec = grid::grid_from_document(&doc).map_err(|e| e.with_file(path))?;
+            CatalogFile::Grid(spec) => {
                 if self.grids.iter().any(|g| g.name == spec.name) {
                     return Err(CatalogError::schema(
                         0,
@@ -144,18 +128,6 @@ impl Catalog {
                     .with_file(path));
                 }
                 self.grids.push(spec);
-            }
-            other => {
-                return Err(CatalogError::schema(
-                    root.require_item("schema")
-                        .map(|item| item.line)
-                        .unwrap_or(0),
-                    "schema",
-                    format!(
-                        "unsupported schema {other:?} (known: {DEVICE_SCHEMA:?}, {GRID_SCHEMA:?})"
-                    ),
-                )
-                .with_file(path));
             }
         }
         Ok(())
@@ -232,6 +204,10 @@ impl RegistryExt for Registry {
 mod tests {
     use super::*;
 
+    fn builtin(id: &str) -> DeviceSpec {
+        Registry::builtin().by_id(id).expect("built-in").clone()
+    }
+
     fn write_dir(files: &[(&str, String)]) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "usta-catalog-test-{}-{:p}",
@@ -256,8 +232,8 @@ mod tests {
             hand_held: vec![true],
         };
         let dir = write_dir(&[
-            ("b-nexus4.toml", device_to_toml(&usta_device::nexus4())),
-            ("a-octa.toml", device_to_toml(&usta_device::flagship_octa())),
+            ("b-nexus4.toml", device_to_toml(&builtin("nexus4"))),
+            ("a-octa.toml", device_to_toml(&builtin("flagship-octa"))),
             ("z-grid.toml", grid_to_toml(&grid)),
         ]);
         let catalog = Catalog::load_dir(&dir).expect("loads");
@@ -272,8 +248,8 @@ mod tests {
     #[test]
     fn duplicate_id_across_files_is_rejected() {
         let dir = write_dir(&[
-            ("one.toml", device_to_toml(&usta_device::nexus4())),
-            ("two.toml", device_to_toml(&usta_device::nexus4())),
+            ("one.toml", device_to_toml(&builtin("nexus4"))),
+            ("two.toml", device_to_toml(&builtin("nexus4"))),
         ]);
         let error = Catalog::load_dir(&dir).unwrap_err();
         assert_eq!(error.key.as_deref(), Some("device.id"));
@@ -298,10 +274,10 @@ mod tests {
 
     #[test]
     fn registry_from_dir_merges_over_builtins() {
-        let mut renamed = usta_device::nexus4();
+        let mut renamed = builtin("nexus4");
         renamed.description = "overridden from file";
         let fresh = {
-            let mut spec = usta_device::budget_quad();
+            let mut spec = builtin("budget-quad");
             spec.id = "from-dir-only";
             spec
         };

@@ -10,8 +10,9 @@
 //! The serializer and parser are exact inverses: floats are written
 //! with Rust's shortest-round-trip formatting (`{:?}`) and re-read via
 //! `str::parse::<f64>`, so `parse_device(device_to_toml(spec))`
-//! returns a spec **equal** to the original — the property the
-//! committed `catalog/` directory's bit-identity guarantees rest on.
+//! returns a spec **equal** to the original. The built-in registry is
+//! parsed from the committed `catalog/` files, and a test keeps each
+//! of them in this canonical form.
 //!
 //! Every parsed spec runs the full [`DeviceSpec::validate`] before it
 //! is returned; validation failures are attributed back to the file
@@ -20,15 +21,16 @@
 
 use std::fmt::Write as _;
 
-use usta_device::{
-    BatterySpec, ClusterSpec, CpuPowerSpec, DeviceError, DeviceSpec, DisplaySpec, GpuDomainSpec,
-    GpuPowerSpec, OppPoint, ThermalNodeSpec, ThermalSpec,
-};
 use usta_thermal::materials::Material;
 use usta_thermal::{Celsius, HandContact};
 
-use crate::error::CatalogError;
+use crate::error::{CatalogError, DeviceError};
 use crate::intern::{intern_str, intern_u32s};
+use crate::spec::{
+    BatterySpec, ClusterSpec, CpuPowerSpec, DeviceSpec, DisplaySpec, GpuDomainSpec, GpuPowerSpec,
+    OppPoint,
+};
+use crate::thermal::{ThermalNodeSpec, ThermalSpec};
 use crate::toml::{self, Item, Node, Table, Value};
 use crate::DEVICE_SCHEMA;
 
@@ -681,7 +683,7 @@ pub fn device_to_toml(spec: &DeviceSpec) -> String {
     let w = &mut out;
     let _ = writeln!(
         w,
-        "# {} — exported from the built-in registry by catalog_export.",
+        "# {} — device spec in the canonical form of usta_device::device_to_toml.",
         spec.id
     );
     let _ = writeln!(w, "schema = {}", quoted(DEVICE_SCHEMA));
@@ -829,39 +831,37 @@ pub fn device_to_toml(spec: &DeviceSpec) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use usta_device::{budget_quad, flagship_octa, nexus4, prime_flagship, tablet_10in};
+    use crate::registry::builtin_spec;
+    use crate::Registry;
 
     #[test]
     fn every_builtin_round_trips_to_an_equal_spec() {
-        for spec in [
-            nexus4(),
-            flagship_octa(),
-            prime_flagship(),
-            tablet_10in(),
-            budget_quad(),
-        ] {
-            let text = device_to_toml(&spec);
+        for spec in Registry::builtin().specs() {
+            let text = device_to_toml(spec);
             let parsed = parse_device(&text)
                 .unwrap_or_else(|e| panic!("{} serialization re-parses: {e}", spec.id));
-            assert_eq!(parsed, spec, "{} round-trips", spec.id);
+            assert_eq!(&parsed, spec, "{} round-trips", spec.id);
         }
     }
 
     #[test]
     fn serialization_is_deterministic() {
-        assert_eq!(device_to_toml(&nexus4()), device_to_toml(&nexus4()));
+        assert_eq!(
+            device_to_toml(&builtin_spec("nexus4")),
+            device_to_toml(&builtin_spec("nexus4"))
+        );
     }
 
     #[test]
     fn wrong_schema_is_rejected() {
-        let text = device_to_toml(&nexus4()).replace("device/v1", "device/v9");
+        let text = device_to_toml(&builtin_spec("nexus4")).replace("device/v1", "device/v9");
         let error = parse_device(&text).unwrap_err();
         assert_eq!(error.key.as_deref(), Some("schema"));
     }
 
     #[test]
     fn unknown_key_is_rejected_with_its_path() {
-        let text = device_to_toml(&nexus4()).replace("nominal-v", "nominal-volts");
+        let text = device_to_toml(&builtin_spec("nexus4")).replace("nominal-v", "nominal-volts");
         let error = parse_device(&text).unwrap_err();
         assert_eq!(error.key.as_deref(), Some("device.battery.nominal-volts"));
         assert!(error.line > 0, "error carries a line");
@@ -870,14 +870,14 @@ mod tests {
 
     #[test]
     fn missing_required_key_is_rejected() {
-        let text = device_to_toml(&nexus4()).replace("cores = 4\n", "");
+        let text = device_to_toml(&builtin_spec("nexus4")).replace("cores = 4\n", "");
         let error = parse_device(&text).unwrap_err();
         assert_eq!(error.key.as_deref(), Some("device.cluster[0].cores"));
     }
 
     #[test]
     fn mismatched_opp_arrays_are_rejected() {
-        let spec = nexus4();
+        let spec = builtin_spec("nexus4");
         let first_volts = float(spec.clusters[0].opp[0].volts);
         let text = device_to_toml(&spec).replace(&format!("[{first_volts}, "), "[");
         let error = parse_device(&text).unwrap_err();
@@ -887,7 +887,8 @@ mod tests {
 
     #[test]
     fn non_monotone_opp_is_a_device_error_with_context() {
-        let text = device_to_toml(&nexus4()).replace("opp-khz = [384000,", "opp-khz = [999000,");
+        let text = device_to_toml(&builtin_spec("nexus4"))
+            .replace("opp-khz = [384000,", "opp-khz = [999000,");
         let error = parse_device(&text).unwrap_err();
         assert_eq!(error.key.as_deref(), Some("device.cluster"));
         assert!(matches!(
@@ -899,7 +900,8 @@ mod tests {
 
     #[test]
     fn unknown_material_lists_known_names() {
-        let text = device_to_toml(&nexus4()).replace("\"polycarbonate\"", "\"adamantium\"");
+        let text =
+            device_to_toml(&builtin_spec("nexus4")).replace("\"polycarbonate\"", "\"adamantium\"");
         let error = parse_device(&text).unwrap_err();
         assert_eq!(error.key.as_deref(), Some("device.back-cover"));
         assert!(error.to_string().contains("polycarbonate"));

@@ -1,4 +1,16 @@
-//! Validation errors for device specs and registries.
+//! Errors: [`DeviceError`] for specs and registries that fail
+//! validation, and [`CatalogError`] for catalog files that fail to
+//! load, carrying file / line / key context.
+//!
+//! Every failure mode of the file loader — unreadable file, malformed
+//! TOML, schema mismatch, or a spec that fails `DeviceSpec::validate` —
+//! maps onto one [`CatalogError`]. It renders as
+//! `path.toml:LINE: key a.b.c: message`, each piece of context omitted
+//! gracefully when unknown, so a CLI can print it verbatim and the user
+//! lands on the offending line.
+
+use std::fmt;
+use std::path::{Path, PathBuf};
 
 /// Why a [`crate::DeviceSpec`] (or a [`crate::Registry`]) was rejected.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,8 +84,8 @@ pub enum DeviceError {
     DuplicateId(String),
 }
 
-impl std::fmt::Display for DeviceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for DeviceError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DeviceError::InvalidId(id) => {
                 write!(f, "device id {id:?} must be non-empty [a-z0-9-]")
@@ -137,3 +149,135 @@ impl std::fmt::Display for DeviceError {
 }
 
 impl std::error::Error for DeviceError {}
+
+/// What went wrong while loading a catalog file.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ErrorKind {
+    /// The file (or directory) could not be read.
+    Io(String),
+    /// The text is not valid catalog TOML (lexical/structural).
+    Parse(String),
+    /// The TOML parsed but does not match the catalog schema
+    /// (missing key, wrong type, unknown key, bad enum name, ...).
+    Schema(String),
+    /// The spec deserialized but failed device validation.
+    Device(DeviceError),
+}
+
+/// A catalog loading error with best-effort source context.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CatalogError {
+    /// The file being loaded, when known.
+    pub file: Option<PathBuf>,
+    /// 1-based source line the error is attributed to; 0 when the
+    /// error is not tied to a specific line (e.g. I/O failures).
+    pub line: usize,
+    /// Dotted key path the error is attributed to, when known
+    /// (e.g. `device.cluster[1].opp-khz`).
+    pub key: Option<String>,
+    /// The failure itself.
+    pub kind: ErrorKind,
+}
+
+impl CatalogError {
+    /// An I/O failure with no line context.
+    pub fn io(message: impl Into<String>) -> Self {
+        CatalogError {
+            file: None,
+            line: 0,
+            key: None,
+            kind: ErrorKind::Io(message.into()),
+        }
+    }
+
+    /// A lexical/structural TOML failure at `line`.
+    pub fn parse(line: usize, message: impl Into<String>) -> Self {
+        CatalogError {
+            file: None,
+            line,
+            key: None,
+            kind: ErrorKind::Parse(message.into()),
+        }
+    }
+
+    /// A schema failure at `line`, attributed to dotted key `key`.
+    pub fn schema(line: usize, key: impl Into<String>, message: impl Into<String>) -> Self {
+        CatalogError {
+            file: None,
+            line,
+            key: Some(key.into()),
+            kind: ErrorKind::Schema(message.into()),
+        }
+    }
+
+    /// A device-validation failure attributed to `key` at `line`.
+    pub fn device(line: usize, key: impl Into<String>, error: DeviceError) -> Self {
+        CatalogError {
+            file: None,
+            line,
+            key: Some(key.into()),
+            kind: ErrorKind::Device(error),
+        }
+    }
+
+    /// Attaches the source file path (kept if already set).
+    #[must_use]
+    pub fn with_file(mut self, path: &Path) -> Self {
+        if self.file.is_none() {
+            self.file = Some(path.to_path_buf());
+        }
+        self
+    }
+}
+
+impl fmt::Display for CatalogError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if let Some(file) = &self.file {
+            write!(f, "{}", file.display())?;
+            if self.line > 0 {
+                write!(f, ":{}", self.line)?;
+            }
+            write!(f, ": ")?;
+        } else if self.line > 0 {
+            write!(f, "line {}: ", self.line)?;
+        }
+        if let Some(key) = &self.key {
+            write!(f, "key {key}: ")?;
+        }
+        match &self.kind {
+            ErrorKind::Io(message) => write!(f, "{message}"),
+            ErrorKind::Parse(message) => write!(f, "{message}"),
+            ErrorKind::Schema(message) => write!(f, "{message}"),
+            ErrorKind::Device(error) => write!(f, "invalid device spec: {error}"),
+        }
+    }
+}
+
+impl std::error::Error for CatalogError {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn display_includes_file_line_and_key() {
+        let error = CatalogError::schema(12, "device.cluster[0].opp-khz", "expected an array")
+            .with_file(Path::new("catalog/nexus4.toml"));
+        assert_eq!(
+            error.to_string(),
+            "catalog/nexus4.toml:12: key device.cluster[0].opp-khz: expected an array"
+        );
+    }
+
+    #[test]
+    fn display_degrades_without_file() {
+        let error = CatalogError::parse(3, "unterminated string");
+        assert_eq!(error.to_string(), "line 3: unterminated string");
+    }
+
+    #[test]
+    fn display_io_has_no_line_prefix() {
+        let error = CatalogError::io("cannot read catalog/: not a directory");
+        assert_eq!(error.to_string(), "cannot read catalog/: not a directory");
+    }
+}

@@ -2,9 +2,9 @@
 //!
 //! A grid file (`schema = "usta-catalog/grid/v1"`) declares the axes a
 //! sweep crosses — benchmark names, ambient bands, case kinds, and the
-//! charging/grip booleans. The catalog crate stores axis values as
-//! **strings**: it sits below `usta-workloads`/`usta-fleet` in the
-//! dependency order, so resolution against the real `Benchmark` /
+//! charging/grip booleans. Axis values stay **strings** here: this
+//! crate sits below `usta-workloads`/`usta-fleet` in the dependency
+//! order, so resolution against the real `Benchmark` /
 //! `AmbientBand` / `CaseKind` enums happens in the fleet crate
 //! (`usta_fleet::GridAxes::from_spec`), which also rejects unknown
 //! names with the known values listed.

@@ -21,8 +21,19 @@
 //!
 //! and a [`Registry`] validates specs at construction (monotone OPP
 //! power, positive capacitances and conductances, per-cluster die
-//! nodes, connected thermal graph) and resolves ids for CLIs. The
-//! built-in catalog ([`NAMES`]) ships five devices:
+//! nodes, connected thermal graph) and resolves ids for CLIs.
+//!
+//! This crate also owns the device-file format, since it is
+//! `DeviceSpec`'s own: a zero-dependency, strict TOML-subset parser
+//! ([`toml`]) that reads `schema = "usta-catalog/device/v1"` files into
+//! validated specs ([`parse_device`]) and writes them back
+//! ([`device_to_toml`]) exactly, plus scenario-grid files
+//! ([`parse_grid`]). Every failure is a [`CatalogError`] carrying
+//! file, line and key context. The built-in catalog ([`NAMES`]) is
+//! five such files, `catalog/<id>.toml` at the repository root,
+//! compiled in with `include_str!` and parsed once per process: the
+//! files are the only definition of the built-ins. It ships five
+//! devices:
 //!
 //! | id | domains | die nodes | class |
 //! |---|---|---|---|
@@ -33,7 +44,7 @@
 //! | `budget-quad` | 1 (`cpu`, 4 cores) | `cpu` | a low-end quad-core with a shallow OPP table |
 //!
 //! ```
-//! use usta_device::{by_id, Registry, NAMES};
+//! use usta_device::{by_id, device_to_toml, parse_device, Registry, NAMES};
 //!
 //! let nexus4 = by_id("nexus4").expect("built-in");
 //! assert_eq!(nexus4.domains(), 1);
@@ -43,25 +54,33 @@
 //! assert_eq!(flagship.topology(), "4+4");
 //! assert!(Registry::builtin().by_id("FLAGSHIP-OCTA").is_some()); // case-insensitive
 //! assert_eq!(NAMES.len(), Registry::builtin().len());
+//! // The file round trip is exact.
+//! assert_eq!(&parse_device(&device_to_toml(nexus4)).unwrap(), nexus4);
 //! ```
 //!
 //! Dependency direction: this crate sits between `usta-thermal` (whose
 //! topology types its `ThermalSpec` lowers into) and `usta-soc` (which
 //! builds its `OppTable`/`CpuPowerModel`/`Battery`/`Display` instances
-//! *from* a spec — see `usta_soc::spec`).
+//! *from* a spec — see `usta_soc::spec`). `usta-catalog` sits above
+//! it and adds catalog directories: loading every file of one and
+//! installing its devices over the built-ins.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod catalog;
+pub mod device;
 pub mod error;
+pub mod grid;
+mod intern;
 pub mod registry;
 pub mod spec;
 pub mod thermal;
+pub mod toml;
 
-pub use catalog::{budget_quad, flagship_octa, nexus4, prime_flagship, tablet_10in};
-pub use error::DeviceError;
+pub use device::{device_to_toml, material_name, parse_device};
+pub use error::{CatalogError, DeviceError, ErrorKind};
+pub use grid::{grid_to_toml, parse_grid, ScenarioGridSpec};
 pub use registry::{
     by_id, install, merged, merged_ids, try_by_id, Registry, UnknownDeviceError, NAMES,
 };
@@ -70,3 +89,42 @@ pub use spec::{
     OppPoint, MAX_CPU_CLUSTERS, MAX_FREQ_DOMAINS,
 };
 pub use thermal::{ThermalNodeSpec, ThermalSpec};
+
+/// The `schema` value of a device file.
+pub const DEVICE_SCHEMA: &str = "usta-catalog/device/v1";
+/// The `schema` value of a scenario-grid file.
+pub const GRID_SCHEMA: &str = "usta-catalog/grid/v1";
+
+/// What one catalog file parsed into, by its `schema` key.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CatalogFile {
+    /// A validated device spec ([`DEVICE_SCHEMA`]), boxed: it is
+    /// several times the size of a grid.
+    Device(Box<DeviceSpec>),
+    /// A scenario grid ([`GRID_SCHEMA`]).
+    Grid(ScenarioGridSpec),
+}
+
+/// Parses one catalog file of either schema, dispatching on its
+/// `schema` key.
+///
+/// # Errors
+///
+/// Returns a [`CatalogError`] (without file context — the caller
+/// attaches the path) for malformed TOML, an unknown schema, or a
+/// file that [`parse_device`] / [`parse_grid`] would reject.
+pub fn parse_file(text: &str) -> Result<CatalogFile, CatalogError> {
+    let doc = toml::parse(text).map_err(|e| CatalogError::parse(e.line, e.message))?;
+    let root = device::Section::new(&doc, "");
+    match root.string("schema")?.as_str() {
+        DEVICE_SCHEMA => {
+            device::device_from_document(&doc).map(|spec| CatalogFile::Device(Box::new(spec)))
+        }
+        GRID_SCHEMA => grid::grid_from_document(&doc).map(CatalogFile::Grid),
+        other => Err(CatalogError::schema(
+            root.require_item("schema")?.line,
+            "schema",
+            format!("unsupported schema {other:?} (known: {DEVICE_SCHEMA:?}, {GRID_SCHEMA:?})"),
+        )),
+    }
+}

@@ -448,17 +448,17 @@ fn validate_cluster_power(cluster: &ClusterSpec) -> Result<(), DeviceError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{flagship_octa, nexus4};
+    use crate::registry::builtin_spec;
 
     #[test]
     fn nexus4_spec_validates() {
-        assert_eq!(nexus4().validate(), Ok(()));
+        assert_eq!(builtin_spec("nexus4").validate(), Ok(()));
     }
 
     #[test]
     fn bad_ids_are_rejected() {
         for bad in ["", "Nexus4", "nexus 4", "nexus_4", "nexus/4"] {
-            let mut s = nexus4();
+            let mut s = builtin_spec("nexus4");
             s.id = Box::leak(bad.to_owned().into_boxed_str());
             assert!(
                 matches!(s.validate(), Err(DeviceError::InvalidId(_))),
@@ -469,7 +469,7 @@ mod tests {
 
     #[test]
     fn zero_cores_rejected() {
-        let mut s = nexus4();
+        let mut s = builtin_spec("nexus4");
         s.clusters[0].cores = 0;
         assert!(matches!(
             s.validate(),
@@ -482,11 +482,11 @@ mod tests {
 
     #[test]
     fn cluster_list_shape_is_validated() {
-        let mut s = nexus4();
+        let mut s = builtin_spec("nexus4");
         s.clusters.clear();
         assert_eq!(s.validate(), Err(DeviceError::NoClusters));
 
-        let mut s = nexus4();
+        let mut s = builtin_spec("nexus4");
         let cluster = s.clusters[0].clone();
         for name in ["a", "b", "c", "d"] {
             let mut extra = cluster.clone();
@@ -498,14 +498,14 @@ mod tests {
 
     #[test]
     fn cluster_names_are_validated_and_unique() {
-        let mut s = nexus4();
+        let mut s = builtin_spec("nexus4");
         s.clusters[0].name = "Big";
         assert!(matches!(
             s.validate(),
             Err(DeviceError::InvalidClusterName(_))
         ));
 
-        let mut s = flagship_octa();
+        let mut s = builtin_spec("flagship-octa");
         s.clusters[1].name = s.clusters[0].name;
         // Equalise the top frequency so only the duplicate name trips.
         assert!(matches!(
@@ -516,7 +516,7 @@ mod tests {
 
     #[test]
     fn little_before_big_is_rejected() {
-        let mut s = flagship_octa();
+        let mut s = builtin_spec("flagship-octa");
         s.clusters.reverse();
         assert!(matches!(
             s.validate(),
@@ -526,11 +526,11 @@ mod tests {
 
     #[test]
     fn empty_and_unsorted_opp_rejected() {
-        let mut s = nexus4();
+        let mut s = builtin_spec("nexus4");
         s.clusters[0].opp.clear();
         assert_eq!(s.validate(), Err(DeviceError::EmptyOppTable));
 
-        let mut s = nexus4();
+        let mut s = builtin_spec("nexus4");
         s.clusters[0].opp.swap(0, 1);
         assert!(matches!(
             s.validate(),
@@ -542,7 +542,7 @@ mod tests {
     fn non_monotone_power_rejected() {
         // Raise a middle level's voltage above its successor's: power at
         // the next level no longer rises.
-        let mut s = nexus4();
+        let mut s = builtin_spec("nexus4");
         s.clusters[0].opp[5].volts = s.clusters[0].opp[11].volts + 0.2;
         assert!(matches!(
             s.validate(),
@@ -552,7 +552,7 @@ mod tests {
 
     #[test]
     fn non_positive_capacitance_rejected() {
-        let mut s = nexus4();
+        let mut s = builtin_spec("nexus4");
         s.thermal.nodes[3].capacitance = 0.0;
         assert!(matches!(
             s.validate(),
@@ -565,7 +565,7 @@ mod tests {
 
     #[test]
     fn non_positive_conductance_rejected() {
-        let mut s = nexus4();
+        let mut s = builtin_spec("nexus4");
         s.thermal.couplings[0].2 = -0.1;
         assert!(matches!(
             s.validate(),
@@ -575,21 +575,21 @@ mod tests {
             })
         ));
 
-        let mut s = nexus4();
+        let mut s = builtin_spec("nexus4");
         s.thermal.ambient_links.clear();
         assert!(s.validate().is_err());
     }
 
     #[test]
     fn gpu_idle_above_max_rejected() {
-        let mut s = nexus4();
+        let mut s = builtin_spec("nexus4");
         s.gpu_power.idle_w = s.gpu_power.max_w + 1.0;
         assert!(s.validate().is_err());
     }
 
     #[test]
     fn derived_summaries() {
-        let s = nexus4();
+        let s = builtin_spec("nexus4");
         assert_eq!(s.domains(), 1);
         assert_eq!(s.cores(), 4);
         assert_eq!(s.topology(), "4");
@@ -607,7 +607,7 @@ mod tests {
 
     #[test]
     fn flagship_summaries_span_both_clusters() {
-        let s = flagship_octa();
+        let s = builtin_spec("flagship-octa");
         assert_eq!(s.domains(), 2);
         assert_eq!(s.cores(), 8);
         assert_eq!(s.topology(), "4+4");

@@ -353,7 +353,7 @@ fn valid_node_name(name: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{flagship_octa, nexus4};
+    use crate::registry::builtin_spec;
     use usta_thermal::PhoneThermalParams;
 
     #[test]
@@ -361,28 +361,28 @@ mod tests {
         // The migration contract: the declarative spec lowers to the
         // very topology the seed's hardwired params produce.
         assert_eq!(
-            nexus4().thermal.topology(),
+            builtin_spec("nexus4").thermal.topology(),
             PhoneThermalParams::default().topology()
         );
     }
 
     #[test]
     fn validation_catches_unknown_names() {
-        let mut s = nexus4().thermal;
+        let mut s = builtin_spec("nexus4").thermal;
         s.couplings[0].0 = "die";
         assert_eq!(
             s.validate(1),
             Err(DeviceError::UnknownThermalNode("die".to_owned()))
         );
 
-        let mut s = nexus4().thermal;
+        let mut s = builtin_spec("nexus4").thermal;
         s.skin_node = "palm";
         assert_eq!(
             s.validate(1),
             Err(DeviceError::UnknownThermalNode("palm".to_owned()))
         );
 
-        let mut s = nexus4().thermal;
+        let mut s = builtin_spec("nexus4").thermal;
         s.die_nodes = vec!["hotspot"];
         assert_eq!(
             s.validate(1),
@@ -392,7 +392,7 @@ mod tests {
 
     #[test]
     fn validation_requires_one_die_node_per_cluster() {
-        let s = nexus4().thermal;
+        let s = builtin_spec("nexus4").thermal;
         assert_eq!(
             s.validate(2),
             Err(DeviceError::DieNodeMismatch {
@@ -400,7 +400,7 @@ mod tests {
                 clusters: 2
             })
         );
-        let mut two = flagship_octa().thermal;
+        let mut two = builtin_spec("flagship-octa").thermal;
         two.die_nodes.pop();
         assert_eq!(
             two.validate(2),
@@ -413,7 +413,7 @@ mod tests {
 
     #[test]
     fn duplicate_die_designations_are_rejected() {
-        let mut s = flagship_octa().thermal;
+        let mut s = builtin_spec("flagship-octa").thermal;
         s.die_nodes[1] = s.die_nodes[0];
         assert_eq!(
             s.validate(2),
@@ -423,14 +423,14 @@ mod tests {
 
     #[test]
     fn bad_node_names_and_duplicates_are_rejected() {
-        let mut s = nexus4().thermal;
+        let mut s = builtin_spec("nexus4").thermal;
         s.nodes[0].name = "CPU";
         assert_eq!(
             s.validate(1),
             Err(DeviceError::InvalidThermalNodeName("CPU".to_owned()))
         );
 
-        let mut s = nexus4().thermal;
+        let mut s = builtin_spec("nexus4").thermal;
         s.nodes[1].name = s.nodes[0].name;
         assert!(matches!(
             s.validate(1),
@@ -440,14 +440,14 @@ mod tests {
 
     #[test]
     fn self_and_duplicate_couplings_are_rejected() {
-        let mut s = nexus4().thermal;
+        let mut s = builtin_spec("nexus4").thermal;
         s.couplings.push(("board", "board", 0.5));
         assert!(matches!(
             s.validate(1),
             Err(DeviceError::InvalidThermalCoupling(ref m)) if m.contains("itself")
         ));
 
-        let mut s = nexus4().thermal;
+        let mut s = builtin_spec("nexus4").thermal;
         let (a, b, g) = s.couplings[0];
         s.couplings.push((b, a, g));
         assert!(matches!(
@@ -458,7 +458,7 @@ mod tests {
 
     #[test]
     fn disconnected_nodes_are_rejected() {
-        let mut s = nexus4().thermal;
+        let mut s = builtin_spec("nexus4").thermal;
         s.nodes.push(ThermalNodeSpec {
             name: "camera",
             capacitance: 2.0,
@@ -474,7 +474,7 @@ mod tests {
 
     #[test]
     fn non_positive_parameters_are_rejected() {
-        let mut s = nexus4().thermal;
+        let mut s = builtin_spec("nexus4").thermal;
         s.nodes[3].capacitance = 0.0;
         assert!(matches!(
             s.validate(1),
@@ -484,7 +484,7 @@ mod tests {
             })
         ));
 
-        let mut s = nexus4().thermal;
+        let mut s = builtin_spec("nexus4").thermal;
         s.couplings[0].2 = -0.1;
         assert!(matches!(
             s.validate(1),
@@ -494,11 +494,11 @@ mod tests {
             })
         ));
 
-        let mut s = nexus4().thermal;
+        let mut s = builtin_spec("nexus4").thermal;
         s.ambient_links.clear();
         assert!(s.validate(1).is_err());
 
-        let mut s = nexus4().thermal;
+        let mut s = builtin_spec("nexus4").thermal;
         s.hand.blocked_fraction = 1.5;
         assert!(matches!(
             s.validate(1),
@@ -511,7 +511,7 @@ mod tests {
 
     #[test]
     fn summaries_and_lookups() {
-        let s = nexus4().thermal;
+        let s = builtin_spec("nexus4").thermal;
         assert_eq!(s.node_index("cpu"), Some(0));
         assert_eq!(s.node_index("screen"), Some(6));
         assert_eq!(s.node_index("palm"), None);

@@ -227,9 +227,18 @@ pub enum FleetError {
     },
     /// The predictor pool or its training campaign is empty.
     NoTrainingData,
-    /// A simulated-time cap is zero, negative, or NaN — the sweep would
-    /// take zero steps and report −∞ peaks.
+    /// A simulated-time cap is zero, negative, NaN or infinite — the
+    /// sweep would take zero steps and report −∞ peaks, or never end.
     NonPositiveSimCap,
+    /// A triage threshold would switch its trigger off without notice:
+    /// the time-over fraction is NaN or outside [0, 1], or the peak
+    /// margin is not finite.
+    InvalidTriageThreshold {
+        /// The offending [`SweepConfig`] field.
+        field: &'static str,
+        /// What the field must be.
+        expected: &'static str,
+    },
     /// The per-triple trace sink could not be created or written.
     TraceSink(String),
 }
@@ -260,6 +269,9 @@ impl std::fmt::Display for FleetError {
             }
             FleetError::NonPositiveSimCap => {
                 write!(f, "simulated-time caps must be positive and finite")
+            }
+            FleetError::InvalidTriageThreshold { field, expected } => {
+                write!(f, "triage threshold {field} must be {expected}")
             }
             FleetError::TraceSink(message) => write!(f, "trace sink: {message}"),
         }
@@ -677,10 +689,22 @@ pub(crate) fn sweep_inputs(
 ) -> Result<(Vec<&'static str>, ScenarioCatalog, UserPopulation), FleetError> {
     usta_governors::try_by_name(&config.governor)
         .map_err(|e| FleetError::UnknownGovernor(e.name().to_owned()))?;
-    let caps_valid = config.max_sim_seconds > 0.0 && config.training_cap_seconds > 0.0;
-    if !caps_valid {
-        // NaN fails the comparisons, so it lands here too.
+    let cap_valid = |seconds: f64| seconds > 0.0 && seconds.is_finite();
+    if !cap_valid(config.max_sim_seconds) || !cap_valid(config.training_cap_seconds) {
+        // NaN fails the comparison, so it lands here too.
         return Err(FleetError::NonPositiveSimCap);
+    }
+    if !(0.0..=1.0).contains(&config.triage_over_fraction) {
+        return Err(FleetError::InvalidTriageThreshold {
+            field: "triage_over_fraction",
+            expected: "a fraction in [0, 1]",
+        });
+    }
+    if !config.triage_peak_margin_c.is_finite() {
+        return Err(FleetError::InvalidTriageThreshold {
+            field: "triage_peak_margin_c",
+            expected: "finite",
+        });
     }
     let devices = config.resolved_devices()?;
     if devices.is_empty() {
@@ -1352,7 +1376,7 @@ mod tests {
 
     #[test]
     fn non_positive_or_nan_sim_caps_are_rejected() {
-        for bad in [0.0, -10.0, f64::NAN] {
+        for bad in [0.0, -10.0, f64::NAN, f64::INFINITY] {
             let config = SweepConfig {
                 max_sim_seconds: bad,
                 ..tiny_config()
@@ -1364,6 +1388,46 @@ mod tests {
             ..tiny_config()
         };
         assert_eq!(run_sweep(&config), Err(FleetError::NonPositiveSimCap));
+    }
+
+    #[test]
+    fn unusable_triage_thresholds_are_rejected() {
+        for bad in [f64::NAN, -0.01, 1.5, f64::INFINITY] {
+            let config = SweepConfig {
+                triage_over_fraction: bad,
+                ..tiny_config()
+            };
+            let error = run_sweep(&config).expect_err("bad fraction is rejected");
+            assert_eq!(
+                error.to_string(),
+                "triage threshold triage_over_fraction must be a fraction in [0, 1]",
+                "{bad}"
+            );
+        }
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let config = SweepConfig {
+                triage_peak_margin_c: bad,
+                ..tiny_config()
+            };
+            assert_eq!(
+                run_sweep(&config),
+                Err(FleetError::InvalidTriageThreshold {
+                    field: "triage_peak_margin_c",
+                    expected: "finite",
+                }),
+                "{bad}"
+            );
+        }
+        // The ends of the fraction range, and any finite margin, are
+        // usable thresholds.
+        for (over, margin) in [(0.0, -3.0), (1.0, 0.0)] {
+            let config = SweepConfig {
+                triage_over_fraction: over,
+                triage_peak_margin_c: margin,
+                ..tiny_config()
+            };
+            assert!(sweep_inputs(&config).is_ok(), "{over} {margin}");
+        }
     }
 
     #[test]

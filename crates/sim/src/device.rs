@@ -42,7 +42,10 @@ pub struct DeviceConfig {
 
 impl Default for DeviceConfig {
     fn default() -> DeviceConfig {
-        DeviceConfig::for_device(usta_device::nexus4())
+        // The built-in registry, not the merged one: an installed
+        // catalog never changes the default device.
+        let nexus4 = usta_device::Registry::builtin().by_id("nexus4");
+        DeviceConfig::for_device(nexus4.expect("nexus4 is built in").clone())
     }
 }
 

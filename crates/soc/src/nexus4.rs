@@ -6,7 +6,8 @@
 //! 384 MHz and 1.512 GHz (§3.B of the paper).
 //!
 //! Since the device catalog landed, the canonical numbers live in
-//! [`usta_device::catalog::nexus4`]; this module keeps the seed's API
+//! `catalog/nexus4.toml`, the built-in spec [`usta_device::by_id`]
+//! resolves for `"nexus4"`; this module keeps the seed's API
 //! as thin wrappers over [`crate::spec`] applied to that spec, so
 //! existing callers (and the Table-1 reproduction) see bit-identical
 //! models.

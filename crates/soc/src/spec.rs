@@ -253,10 +253,11 @@ mod tests {
 
     #[test]
     fn hand_built_invalid_spec_is_caught_at_model_construction() {
-        let mut bad = usta_device::nexus4();
+        let nexus4 = by_id("nexus4").expect("built-in");
+        let mut bad = nexus4.clone();
         bad.clusters[0].opp.clear();
         assert!(opp_table(&bad, 0).is_err());
-        bad = usta_device::nexus4();
+        bad = nexus4.clone();
         bad.clusters[0].cores = 0;
         assert!(cpu(&bad, 0).is_err());
     }

@@ -1,7 +1,8 @@
-//! Integration suite for the file-driven catalog: committed-file
-//! drift, exact round-trips, malformed-input robustness, the merged
-//! registry, and the golden guarantee that a device loaded from a file
-//! simulates bit-identically to its compiled-in twin.
+//! Integration suite for the file-driven catalog: canonical form of
+//! the committed built-in files, exact round-trips, malformed-input
+//! robustness, the merged registry, and the golden guarantee that a
+//! device loaded from a file simulates bit-identically to the built-in
+//! compiled from the same file.
 
 use std::path::PathBuf;
 
@@ -24,18 +25,18 @@ fn builtin_specs() -> Vec<DeviceSpec> {
 
 #[test]
 fn committed_files_match_the_serializer_exactly() {
-    // CI regenerates the five built-in files with catalog_export and
-    // diffs; this is the same check without the binary, so `cargo test`
-    // alone catches drift between code constants and committed files.
+    // The built-in files are the only definition of the built-ins;
+    // this keeps each in the canonical form the serializer writes, so
+    // a hand edit stays minimal, exact and diffable.
     let dir = committed_catalog_dir();
     for spec in builtin_specs() {
         let path = dir.join(format!("{}.toml", spec.id));
         let committed = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("{} must be committed: {e}", path.display()));
-        assert_eq!(
-            committed,
-            device_to_toml(&spec),
-            "{} drifted from the built-in spec — rerun catalog_export",
+        let canonical = device_to_toml(&spec);
+        assert!(
+            committed == canonical,
+            "{} is not in canonical form; its canonical text is:\n{canonical}",
             path.display()
         );
     }
@@ -95,8 +96,11 @@ fn registry_from_dir_merges_the_committed_catalog() {
     let registry = Registry::from_dir(committed_catalog_dir()).expect("merges");
     assert_eq!(registry.len(), usta_device::NAMES.len() + 1);
     assert!(registry.by_id("sd8s-gen3").is_some());
-    // Built-ins keep their identity (files are exact exports).
-    assert_eq!(registry.by_id("nexus4"), Some(&usta_device::nexus4()));
+    // Built-ins keep their identity (the files are the built-ins).
+    assert_eq!(
+        registry.by_id("nexus4"),
+        Registry::builtin().by_id("nexus4")
+    );
 }
 
 /// Runs GFXBench on a device built from the given spec.
@@ -122,9 +126,10 @@ fn nexus4_from_file_reproduces_the_builtin_trajectory_bit_for_bit() {
     let text = std::fs::read_to_string(committed_catalog_dir().join("nexus4.toml"))
         .expect("committed nexus4 file");
     let from_file = parse_device(&text).expect("parses");
-    assert_eq!(from_file, usta_device::nexus4());
+    let builtin = Registry::builtin().by_id("nexus4").expect("built-in");
+    assert_eq!(&from_file, builtin);
     let a = gfxbench_on(&from_file, 42);
-    let b = gfxbench_on(&usta_device::nexus4(), 42);
+    let b = gfxbench_on(builtin, 42);
     assert_eq!(a.skin_trace, b.skin_trace, "skin traces diverged");
     assert_eq!(a.freq_trace, b.freq_trace, "frequency traces diverged");
     assert_eq!(a.max_skin, b.max_skin);
@@ -211,10 +216,10 @@ fn non_monotone_opp_files_are_device_errors_with_file_context() {
     // Swap the first two OPP frequencies of the first cluster: parses
     // fine, fails DeviceSpec validation — and through Catalog::load_dir
     // the error names the file.
-    let spec = usta_device::nexus4();
+    let spec = Registry::builtin().by_id("nexus4").expect("built-in");
     let khz0 = spec.clusters[0].opp[0].khz;
     let khz1 = spec.clusters[0].opp[1].khz;
-    let text = device_to_toml(&spec).replacen(
+    let text = device_to_toml(spec).replacen(
         &format!("opp-khz = [{khz0}, {khz1}"),
         &format!("opp-khz = [{khz1}, {khz0}"),
         1,
