@@ -24,17 +24,10 @@ use crate::predictor::TemperaturePredictor;
 use usta_governors::{CpuGovernor, DvfsDecision, GovernorInput};
 use usta_ml::ResidualStats;
 use usta_soc::{DomainKind, PerDomain};
-use usta_telemetry::LocalTimings;
 use usta_thermal::Celsius;
 
 /// Default prediction cadence, seconds (§3.B).
 pub const DEFAULT_PREDICTION_PERIOD_S: f64 = 3.0;
-
-/// Local accumulator for arbiter wall-clock time: `[0, 100 µs)` in
-/// 100 ns bins, flushed by the sim runner as `usta.arbiter`.
-fn arbiter_timings() -> LocalTimings {
-    LocalTimings::new(0.0, 1e-4, 1000)
-}
 
 /// The USTA governor: baseline DVFS + predictor-driven frequency cap.
 #[derive(Debug)]
@@ -56,7 +49,6 @@ pub struct UstaGovernor {
     /// across governor periods instead of re-walking every OPP table
     /// each 100 ms.
     budget_cache: Option<(FrequencyCap, usize, f64)>,
-    arbiter_timings: Option<LocalTimings>,
     /// Provenance of the most recent `decide` call — the flight
     /// recorder's source. Inline `Copy` data, refreshed in place.
     last_record: Option<DecisionRecord>,
@@ -86,7 +78,6 @@ impl UstaGovernor {
             arbiter_invocations: 0,
             die_temps: None,
             budget_cache: None,
-            arbiter_timings: usta_telemetry::enabled().then(arbiter_timings),
             last_record: None,
             residuals: ResidualStats::new(),
         }
@@ -181,16 +172,6 @@ impl UstaGovernor {
         self.arbiter_invocations
     }
 
-    /// Drains the accumulated arbiter wall-clock timings, leaving a
-    /// fresh accumulator in place (`None` unless telemetry is
-    /// enabled; the sim runner flushes this as `usta.arbiter`).
-    pub fn take_arbiter_timings(&mut self) -> Option<LocalTimings> {
-        std::mem::replace(
-            &mut self.arbiter_timings,
-            usta_telemetry::enabled().then(arbiter_timings),
-        )
-    }
-
     /// The user policy in force.
     pub fn policy(&self) -> &UstaPolicy {
         &self.policy
@@ -245,15 +226,8 @@ impl CpuGovernor for UstaGovernor {
                 }
             };
             self.arbiter_invocations += 1;
-            let start = self
-                .arbiter_timings
-                .as_ref()
-                .map(|_| std::time::Instant::now());
             let allocation =
                 arbiter::arbitrate_with_budget(budget_w, input.domains, demand.as_slice(), hottest);
-            if let (Some(timings), Some(start)) = (self.arbiter_timings.as_mut(), start) {
-                timings.record(start.elapsed());
-            }
             arbiter_share = Some(ArbiterShare {
                 budget_w: allocation.budget_w,
                 allocated_w: allocation.allocated_w,
@@ -302,7 +276,6 @@ impl CpuGovernor for UstaGovernor {
         self.arbiter_invocations = 0;
         self.die_temps = None;
         self.budget_cache = None;
-        self.arbiter_timings = usta_telemetry::enabled().then(arbiter_timings);
         self.last_record = None;
         self.residuals = ResidualStats::new();
     }

@@ -649,36 +649,51 @@ fn flight_json(
     outcome: &TripleOutcome,
     ring: &FlightRecorder,
 ) -> String {
-    use usta_telemetry::json::{json_number, json_string};
+    use std::fmt::Write as _;
+    use usta_telemetry::json::{write_json_number, write_json_string};
     let user_index = index / catalog.len();
     let user = &population.users()[user_index];
     let scenario = &catalog.scenarios()[index % catalog.len()];
-    let domains: Vec<String> = outcome
-        .domain_names
-        .as_slice()
-        .iter()
-        .map(|name| json_string(name))
-        .collect();
-    format!(
+    let mut out =
+        String::with_capacity(1024 + ring.len() * usta_telemetry::flight::EVENT_JSON_BYTES);
+    let _ = write!(
+        out,
         "{{\n  \"schema\": \"usta-flight/v1\",\n  \"triple\": {index},\n  \
-         \"user\": {user_index},\n  \"user_limit_c\": {},\n  \
-         \"scenario\": {},\n  \"device\": {},\n  \"governor\": {},\n  \
-         \"peak_skin_c\": {},\n  \"time_over_fraction\": {},\n  \
-         \"qos\": {},\n  \"windows\": {{\"recorded\": {}, \"kept\": {}, \
-         \"capacity\": {}}},\n  \"domains\": [{}],\n  \"events\": {}\n}}\n",
-        json_number(user.skin_limit.value()),
-        json_string(&scenario.name()),
-        json_string(scenario.device),
-        json_string(&governor_label(config)),
-        json_number(outcome.peak_skin_c),
-        json_number(outcome.time_over_fraction),
-        json_number(outcome.qos),
+         \"user\": {user_index},\n  \"user_limit_c\": "
+    );
+    write_json_number(&mut out, user.skin_limit.value());
+    out.push_str(",\n  \"scenario\": ");
+    write_json_string(&mut out, &scenario.name());
+    out.push_str(",\n  \"device\": ");
+    write_json_string(&mut out, scenario.device);
+    out.push_str(",\n  \"governor\": ");
+    write_json_string(&mut out, &governor_label(config));
+    for (key, value) in [
+        ("peak_skin_c", outcome.peak_skin_c),
+        ("time_over_fraction", outcome.time_over_fraction),
+        ("qos", outcome.qos),
+    ] {
+        let _ = write!(out, ",\n  \"{key}\": ");
+        write_json_number(&mut out, value);
+    }
+    let _ = write!(
+        out,
+        ",\n  \"windows\": {{\"recorded\": {}, \"kept\": {}, \"capacity\": {}}},\n  \
+         \"domains\": [",
         ring.recorded(),
         ring.len(),
-        ring.capacity(),
-        domains.join(", "),
-        ring.events_json(),
-    )
+        ring.capacity()
+    );
+    for (i, name) in outcome.domain_names.as_slice().iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        write_json_string(&mut out, name);
+    }
+    out.push_str("],\n  \"events\": ");
+    ring.write_events_json(&mut out);
+    out.push_str("\n}\n");
+    out
 }
 
 /// Validates the sweep's static inputs and builds the grid shared by

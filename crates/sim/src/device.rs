@@ -233,11 +233,6 @@ pub struct Device {
     per_core_scratch: Vec<f64>,
     /// Reused per-step buffer for per-cluster CPU power.
     die_w_scratch: Vec<f64>,
-    /// Wall-clock time spent in the thermal RC step, accumulated
-    /// locally and drained by the runner as `sim.thermal_step`.
-    /// `None` (and therefore zero overhead) unless telemetry is
-    /// enabled when the device is built.
-    thermal_timings: Option<usta_telemetry::LocalTimings>,
 }
 
 impl Device {
@@ -283,8 +278,6 @@ impl Device {
             unserved_khz_s: 0.0,
             per_core_scratch: Vec::new(),
             die_w_scratch: Vec::new(),
-            thermal_timings: usta_telemetry::enabled()
-                .then(|| usta_telemetry::LocalTimings::new(0.0, 1e-3, 1000)),
         })
     }
 
@@ -419,14 +412,7 @@ impl Device {
         heat.display_w = display_w;
         heat.battery_w = battery_w;
         heat.board_w = board_w;
-        let thermal_start = self
-            .thermal_timings
-            .as_ref()
-            .map(|_| std::time::Instant::now());
         self.thermal.step(dt);
-        if let (Some(timings), Some(start)) = (self.thermal_timings.as_mut(), thermal_start) {
-            timings.record(start.elapsed());
-        }
 
         self.total_demand_khz_s += demand.total_cpu_khz() * dt;
         let mut unserved = 0.0;
@@ -464,12 +450,10 @@ impl Device {
                 level: gpu.level,
                 avg_utilization: gpu.utilization,
                 max_utilization: gpu.utilization,
-                die_temp: self
-                    .spec
-                    .thermal
-                    .gpu_node
-                    .and_then(|name| self.thermal.node_temperature_by_name(name))
-                    .unwrap_or_else(|| self.thermal.die_temperature(0)),
+                die_temp: match self.thermal.topology().roles.gpu {
+                    Some(node) => self.thermal.node_temperature(node),
+                    None => self.thermal.die_temperature(0),
+                },
             });
         }
         if let Some(panel) = &self.display_dom {
@@ -537,16 +521,6 @@ impl Device {
     pub fn reset_qos_accounting(&mut self) {
         self.total_demand_khz_s = 0.0;
         self.unserved_khz_s = 0.0;
-    }
-
-    /// Drains the accumulated thermal-step wall-clock timings, leaving
-    /// a fresh accumulator in place (`None` unless telemetry is
-    /// enabled; the runner flushes this as `sim.thermal_step`).
-    pub fn take_thermal_timings(&mut self) -> Option<usta_telemetry::LocalTimings> {
-        std::mem::replace(
-            &mut self.thermal_timings,
-            usta_telemetry::enabled().then(|| usta_telemetry::LocalTimings::new(0.0, 1e-3, 1000)),
-        )
     }
 
     /// The thermal model (read access for experiments).

@@ -1,11 +1,14 @@
 //! The experiment loop: workload × device × governor → traces.
 
+use std::sync::OnceLock;
+use std::time::Instant;
+
 use crate::device::Device;
 use usta_core::training::{LoggedSample, TrainingLog};
 use usta_core::UstaGovernor;
 use usta_governors::{CpuGovernor, DomainSample, DvfsDecision, FreqDomain, GovernorInput};
 use usta_soc::PerDomain;
-use usta_telemetry::{DecisionEvent, FlightRecorder};
+use usta_telemetry::{DecisionEvent, DurationHistogram, FlightRecorder};
 use usta_thermal::Celsius;
 use usta_workloads::Workload;
 
@@ -167,6 +170,88 @@ impl RunWork {
     }
 }
 
+/// While telemetry is enabled, one step in this many runs under the
+/// phase clock. A prime, so coprime with the 30-step log and
+/// prediction cadence: log and prediction steps are sampled at their
+/// true rate. A layer's sampled `total_s` times this stride estimates
+/// its share of the run's wall time.
+pub const PHASE_STRIDE: u64 = 61;
+
+/// Registry names of the per-layer phase histograms, in step order.
+/// Every sampled step records one lap into each of them.
+pub const PHASE_NAMES: [&str; PHASES] = [
+    "sim.phase.demand",
+    "sim.phase.apply",
+    "sim.phase.observe",
+    "sim.phase.usta",
+    "sim.phase.decide",
+    "sim.phase.record",
+    "sim.phase.log",
+];
+
+const PHASES: usize = 7;
+
+/// The layers of one step, in loop order (indexes [`PHASE_NAMES`]).
+#[derive(Debug, Clone, Copy)]
+enum Phase {
+    /// `Workload::demand_at`.
+    Demand,
+    /// `Device::apply`: scheduling, power, battery, thermal RC.
+    Apply,
+    /// `Device::observe` plus the USTA features it feeds.
+    Observe,
+    /// Die temperatures, `tick` and `score_prediction`.
+    Usta,
+    /// Governor (and arbiter) decision plus the cap clamp.
+    Decide,
+    /// The flight event.
+    Record,
+    /// Accumulators, trace and training-log pushes.
+    Log,
+}
+
+/// The clock of one sampled step. Each lap runs from the previous
+/// layer boundary to the next, so the laps tile the step: no nesting,
+/// and they sum to the step's wall time.
+#[derive(Debug, Clone, Copy)]
+struct StepClock {
+    mark: Instant,
+    laps: [u64; PHASES],
+}
+
+impl StepClock {
+    fn start() -> StepClock {
+        StepClock {
+            mark: Instant::now(),
+            laps: [0; PHASES],
+        }
+    }
+
+    /// Charges the time since the last boundary to `phase`.
+    fn lap(&mut self, phase: Phase) {
+        let now = Instant::now();
+        self.laps[phase as usize] = (now - self.mark).as_nanos() as u64;
+        self.mark = now;
+    }
+}
+
+/// Ends `phase` on a sampled step; a no-op (no clock read) otherwise.
+#[inline(always)]
+fn lap(clock: &mut Option<StepClock>, phase: Phase) {
+    if let Some(clock) = clock {
+        clock.lap(phase);
+    }
+}
+
+/// The global registry's phase histograms (`[0, 10 µs)` in 10 ns
+/// bins), resolved once per process.
+fn phase_histograms() -> &'static [DurationHistogram; PHASES] {
+    static HISTOGRAMS: OnceLock<[DurationHistogram; PHASES]> = OnceLock::new();
+    HISTOGRAMS.get_or_init(|| {
+        PHASE_NAMES.map(|name| usta_telemetry::global().histogram_with(name, 0.0, 1e-5, 1000))
+    })
+}
+
 /// Everything a run produces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
@@ -284,8 +369,9 @@ pub fn run_workload_recorded(
 
     // Deterministic work counting is unconditional (plain integer
     // adds); wall-clock timing exists only while telemetry is enabled
-    // — the sink resolves once per run, and the disabled path carries
-    // no `Instant::now` calls and no atomics.
+    // — the sink resolves once per run, the disabled path carries no
+    // `Instant::now` calls and no atomics, and the enabled path reads
+    // the clock on every `PHASE_STRIDE`-th step only.
     let usta_before = match governor {
         Governor::Usta(g) => (
             g.predictions_made(),
@@ -295,14 +381,15 @@ pub fn run_workload_recorded(
         Governor::Baseline(_) => (0, 0, 0),
     };
     let sink = usta_telemetry::Sink::active();
-    let mut decide_timings = sink.map(|_| usta_telemetry::LocalTimings::new(0.0, 1e-4, 1000));
-    let mut step_timings = sink.map(|_| usta_telemetry::LocalTimings::new(0.0, 1e-3, 1000));
     let mut work = RunWork::default();
 
     // Integer step counts avoid f64 accumulation drift at both the log
     // cadence and the run boundary.
     let steps_per_log = (config.log_period_s / dt).round().max(1.0) as u64;
     let total_steps = (duration / dt).round() as u64;
+    let mut phase_laps: Option<Vec<[u64; PHASES]>> =
+        sink.map(|_| Vec::with_capacity(total_steps.div_ceil(PHASE_STRIDE) as usize));
+    let usta_stack = matches!(governor, Governor::Usta(_));
     let mut t = 0.0;
     let mut levels: PerDomain<usize> = PerDomain::splat(n_domains, 0);
     let mut skin_trace = Vec::new();
@@ -320,25 +407,27 @@ pub fn run_workload_recorded(
     let mut max_die = vec![Celsius(f64::NEG_INFINITY); n_dies];
 
     for step_no in 0..total_steps {
+        let mut clock =
+            (phase_laps.is_some() && step_no.is_multiple_of(PHASE_STRIDE)).then(StepClock::start);
         work.steps += 1;
         let demand = workload.demand_at(t, dt);
-        let apply_start = step_timings.as_ref().map(|_| std::time::Instant::now());
+        lap(&mut clock, Phase::Demand);
         device.apply(&demand, levels.as_slice(), dt);
-        if let (Some(timings), Some(start)) = (step_timings.as_mut(), apply_start) {
-            timings.record(start.elapsed());
-        }
+        lap(&mut clock, Phase::Apply);
         let obs = device.observe();
+        let features = usta_stack.then(|| obs.features());
+        lap(&mut clock, Phase::Observe);
 
         // USTA's 3-second prediction loop rides on the sensor stream;
         // the per-cluster die temperatures ride along so the cap
         // splitter can break power-share ties toward the hotter die.
-        if let Governor::Usta(usta) = governor {
+        if let (Governor::Usta(usta), Some(features)) = (&mut *governor, &features) {
             usta.observe_die_temperatures(obs.die_temps().as_slice());
             // Each new prediction scores the previous one against the
             // skin temperature it was predicting — the residual stream
             // the flight recorder and `DecisionRecord` surface.
             let previous = usta.last_prediction();
-            if usta.tick(&obs.features(), dt).is_some() {
+            if usta.tick(features, dt).is_some() {
                 if let Some(previous) = previous {
                     usta.score_prediction(previous, obs.skin_true);
                 }
@@ -347,6 +436,7 @@ pub fn run_workload_recorded(
                 }
             }
         }
+        lap(&mut clock, Phase::Usta);
 
         // Governor reacts to the per-domain utilization it just
         // observed; its output is clamped to the thermal caps here, at
@@ -363,16 +453,13 @@ pub fn run_workload_recorded(
             die_temp_c: Some(obs.hottest_die().value()),
         };
         work.governor_decisions += 1;
-        let decide_start = decide_timings.as_ref().map(|_| std::time::Instant::now());
         let decision = match governor {
             Governor::Baseline(g) => g.decide(&input),
             Governor::Usta(g) => g.decide(&input),
         };
-        if let (Some(timings), Some(start)) = (decide_timings.as_mut(), decide_start) {
-            timings.record(start.elapsed());
-        }
         let decision = enforce_caps(decision, caps.as_slice());
         levels = PerDomain::from_slice(decision.levels());
+        lap(&mut clock, Phase::Decide);
 
         if let Some(ring) = recorder.as_mut() {
             let mut event = DecisionEvent::new(step_no, t, n_domains);
@@ -409,6 +496,7 @@ pub fn run_workload_recorded(
             }
             ring.record(event);
         }
+        lap(&mut clock, Phase::Record);
 
         freq_time_khz += obs.freq_khz * dt;
         for (acc, state) in domain_freq_time_khz.iter_mut().zip(obs.domains.iter()) {
@@ -449,6 +537,10 @@ pub fn run_workload_recorded(
             });
         }
         t += dt;
+        lap(&mut clock, Phase::Log);
+        if let (Some(laps), Some(clock)) = (phase_laps.as_mut(), clock) {
+            laps.push(clock.laps);
+        }
     }
 
     // USTA's own counters are cumulative across runs (governors can be
@@ -460,18 +552,10 @@ pub fn run_workload_recorded(
     }
     if let Some(registry) = sink {
         work.flush_to(registry);
-        if let Some(timings) = &decide_timings {
-            registry.merge_timings("sim.governor_decide", timings);
-        }
-        if let Some(timings) = &step_timings {
-            registry.merge_timings("sim.device_step", timings);
-        }
-        if let Some(timings) = device.take_thermal_timings() {
-            registry.merge_timings("sim.thermal_step", &timings);
-        }
-        if let Governor::Usta(g) = governor {
-            if let Some(timings) = g.take_arbiter_timings() {
-                registry.merge_timings("usta.arbiter", &timings);
+        let histograms = phase_histograms();
+        for laps in phase_laps.iter().flatten() {
+            for (histogram, &ns) in histograms.iter().zip(laps) {
+                histogram.record_nanos(ns);
             }
         }
     }
@@ -708,6 +792,53 @@ mod tests {
             events.iter().any(|e| e.residual_c.is_finite()),
             "scored predictions must surface residuals"
         );
+    }
+
+    #[test]
+    fn phase_laps_tile_one_sampled_step() {
+        let outer = Instant::now();
+        let mut clock = StepClock::start();
+        let begin = clock.mark;
+        let phases = [
+            Phase::Demand,
+            Phase::Apply,
+            Phase::Observe,
+            Phase::Usta,
+            Phase::Decide,
+            Phase::Record,
+            Phase::Log,
+        ];
+        for (i, &phase) in phases.iter().enumerate() {
+            // A different amount of work per layer, so each lap must
+            // land on its own phase.
+            let spin = Instant::now();
+            while spin.elapsed() < std::time::Duration::from_micros(10 * i as u64) {}
+            clock.lap(phase);
+        }
+        let wall_ns = (outer.elapsed()).as_nanos() as u64;
+        let laps_ns: u64 = clock.laps.iter().sum();
+        assert_eq!(
+            laps_ns,
+            (clock.mark - begin).as_nanos() as u64,
+            "the laps sum to the step's wall time exactly"
+        );
+        assert!(laps_ns <= wall_ns);
+        for (i, &ns) in clock.laps.iter().enumerate() {
+            assert!(ns >= 10_000 * i as u64, "{}: {ns} ns", PHASE_NAMES[i]);
+        }
+    }
+
+    #[test]
+    fn phase_stride_samples_log_steps_at_their_true_rate() {
+        let steps_per_log = (RunConfig::default().log_period_s / 0.1).round() as u64;
+        assert_eq!(steps_per_log, 30);
+        let gcd = |mut a: u64, mut b: u64| {
+            while b != 0 {
+                (a, b) = (b, a % b);
+            }
+            a
+        };
+        assert_eq!(gcd(PHASE_STRIDE, steps_per_log), 1);
     }
 
     #[test]

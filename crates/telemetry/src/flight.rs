@@ -16,7 +16,9 @@
 //! it: no timestamps, no thread identity. The fleet layer leans on that
 //! to dump bit-identical `flight-*.json` files at any `--threads`.
 
-use crate::registry::{json_number, json_string};
+use std::fmt::Write as _;
+
+use crate::registry::{write_json_number, write_json_string};
 
 /// Per-domain array capacity. Matches the workspace's
 /// `MAX_FREQ_DOMAINS` (up to four CPU clusters plus the GPU and
@@ -139,41 +141,71 @@ impl DecisionEvent {
         self.binding_domains().next().is_some()
     }
 
-    /// The event as one deterministic JSON object (floats in shortest
-    /// round-trip form, NaN as `null`, arrays truncated to the real
-    /// domain/die counts).
-    pub fn to_json(&self) -> String {
-        let floats = |values: &[f64]| -> String {
-            let inner: Vec<String> = values.iter().map(|&v| json_number(v)).collect();
-            format!("[{}]", inner.join(", "))
-        };
-        let ints = |values: &[u16]| -> String {
-            let inner: Vec<String> = values.iter().map(|v| v.to_string()).collect();
-            format!("[{}]", inner.join(", "))
-        };
+    /// Appends the event to `out` as one deterministic JSON object
+    /// (floats in shortest round-trip form, NaN as `null`, arrays
+    /// truncated to the real domain/die counts).
+    pub fn write_json(&self, out: &mut String) {
         let n = self.domains as usize;
-        let dies = self.dies as usize;
-        format!(
-            "{{\"w\": {}, \"t_s\": {}, \"band\": {}, \"skin_c\": {}, \
-             \"predicted_skin_c\": {}, \"residual_c\": {}, \"budget_w\": {}, \
-             \"allocated_w\": {}, \"util\": {}, \"freq_khz\": {}, \"cap\": {}, \
-             \"level\": {}, \"max_level\": {}, \"die_c\": {}}}",
-            self.window,
-            json_number(self.t_s),
-            json_string(band_name(self.band)),
-            json_number(self.skin_c),
-            json_number(self.predicted_skin_c),
-            json_number(self.residual_c),
-            json_number(self.budget_w),
-            json_number(self.allocated_w),
-            floats(&self.util[..n]),
-            floats(&self.freq_khz[..n]),
-            ints(&self.cap[..n]),
-            ints(&self.level[..n]),
-            ints(&self.max_level[..n]),
-            floats(&self.die_c[..dies]),
-        )
+        let _ = write!(out, "{{\"w\": {}, \"t_s\": ", self.window);
+        write_json_number(out, self.t_s);
+        out.push_str(", \"band\": ");
+        write_json_string(out, band_name(self.band));
+        for (key, value) in [
+            ("skin_c", self.skin_c),
+            ("predicted_skin_c", self.predicted_skin_c),
+            ("residual_c", self.residual_c),
+            ("budget_w", self.budget_w),
+            ("allocated_w", self.allocated_w),
+        ] {
+            let _ = write!(out, ", \"{key}\": ");
+            write_json_number(out, value);
+        }
+        write_array(out, "util", &self.util[..n], |out, &v| {
+            write_json_number(out, v)
+        });
+        write_array(out, "freq_khz", &self.freq_khz[..n], |out, &v| {
+            write_json_number(out, v)
+        });
+        for (key, values) in [
+            ("cap", &self.cap),
+            ("level", &self.level),
+            ("max_level", &self.max_level),
+        ] {
+            write_array(out, key, &values[..n], |out, v| {
+                let _ = write!(out, "{v}");
+            });
+        }
+        write_array(
+            out,
+            "die_c",
+            &self.die_c[..self.dies as usize],
+            |out, &v| write_json_number(out, v),
+        );
+        out.push('}');
     }
+}
+
+/// A serialized four-domain event's size with its separator, rounded
+/// up (flagship-octa smoke events average 442 bytes, at most 451): the
+/// per-event pre-size hint for buffers passed to
+/// [`FlightRecorder::write_events_json`].
+pub const EVENT_JSON_BYTES: usize = 460;
+
+/// Appends `, "key": [v0, v1, …]` to `out`.
+fn write_array<T>(
+    out: &mut String,
+    key: &str,
+    values: &[T],
+    mut write_value: impl FnMut(&mut String, &T),
+) {
+    let _ = write!(out, ", \"{key}\": [");
+    for (i, value) in values.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        write_value(out, value);
+    }
+    out.push(']');
 }
 
 /// A bounded drop-oldest ring of [`DecisionEvent`]s, preallocated up
@@ -258,13 +290,19 @@ impl FlightRecorder {
     /// The kept events as a deterministic JSON array (one event object
     /// per line, oldest first).
     pub fn events_json(&self) -> String {
-        let mut out = String::from("[");
+        let mut out = String::with_capacity(self.events.len() * EVENT_JSON_BYTES + 8);
+        self.write_events_json(&mut out);
+        out
+    }
+
+    /// Appends [`FlightRecorder::events_json`]'s array to `out`.
+    pub fn write_events_json(&self, out: &mut String) {
+        out.push('[');
         for (i, event) in self.events().enumerate() {
             out.push_str(if i == 0 { "\n    " } else { ",\n    " });
-            out.push_str(&event.to_json());
+            event.write_json(out);
         }
         out.push_str(if self.events.is_empty() { "]" } else { "\n  ]" });
-        out
     }
 }
 
@@ -352,6 +390,77 @@ mod tests {
         // NaN fields export as null.
         assert!(first["predicted_skin_c"].as_f64().is_none());
         assert_eq!(first["skin_c"].as_f64(), Some(30.0));
+    }
+
+    /// The serializer as it was before it wrote into one buffer: one
+    /// `String` per number, joined. Kept as the byte-for-byte oracle.
+    fn reference_json(e: &DecisionEvent) -> String {
+        use crate::registry::{json_number, json_string};
+        let floats = |values: &[f64]| -> String {
+            let inner: Vec<String> = values.iter().map(|&v| json_number(v)).collect();
+            format!("[{}]", inner.join(", "))
+        };
+        let ints = |values: &[u16]| -> String {
+            let inner: Vec<String> = values.iter().map(|v| v.to_string()).collect();
+            format!("[{}]", inner.join(", "))
+        };
+        let n = e.domains as usize;
+        format!(
+            "{{\"w\": {}, \"t_s\": {}, \"band\": {}, \"skin_c\": {}, \
+             \"predicted_skin_c\": {}, \"residual_c\": {}, \"budget_w\": {}, \
+             \"allocated_w\": {}, \"util\": {}, \"freq_khz\": {}, \"cap\": {}, \
+             \"level\": {}, \"max_level\": {}, \"die_c\": {}}}",
+            e.window,
+            json_number(e.t_s),
+            json_string(band_name(e.band)),
+            json_number(e.skin_c),
+            json_number(e.predicted_skin_c),
+            json_number(e.residual_c),
+            json_number(e.budget_w),
+            json_number(e.allocated_w),
+            floats(&e.util[..n]),
+            floats(&e.freq_khz[..n]),
+            ints(&e.cap[..n]),
+            ints(&e.level[..n]),
+            ints(&e.max_level[..n]),
+            floats(&e.die_c[..e.dies as usize]),
+        )
+    }
+
+    #[test]
+    fn buffered_serializer_matches_the_reference_bytes() {
+        let mut full = DecisionEvent::new(123_456, 12_345.6, MAX_DOMAINS);
+        full.band = 2;
+        full.skin_c = 36.676_543_210_987;
+        full.predicted_skin_c = -0.0;
+        full.residual_c = f64::INFINITY;
+        full.budget_w = 1e-300;
+        full.allocated_w = 2.5e21;
+        full.dies = MAX_DOMAINS as u8;
+        for d in 0..MAX_DOMAINS {
+            full.util[d] = 1.0 / (d as f64 + 3.0);
+            full.freq_khz[d] = 2_265_600.0 - d as f64 * 0.1;
+            full.cap[d] = u16::MAX - d as u16;
+            full.level[d] = d as u16;
+            full.max_level[d] = 10 * d as u16;
+            full.die_c[d] = if d == 3 {
+                f64::NAN
+            } else {
+                40.0 + d as f64 / 7.0
+            };
+        }
+        let mut rec = FlightRecorder::new(3);
+        for e in [event(0), full, DecisionEvent::new(9, f64::NAN, 1), event(4)] {
+            let mut out = String::new();
+            e.write_json(&mut out);
+            assert_eq!(out, reference_json(&e));
+            rec.record(e);
+        }
+        let joined: Vec<String> = rec.events().map(reference_json).collect();
+        assert_eq!(
+            rec.events_json(),
+            format!("[\n    {}\n  ]", joined.join(",\n    "))
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 use std::str::Chars;
 
-pub use crate::registry::{json_number, json_string};
+pub use crate::registry::{json_number, json_string, write_json_number, write_json_string};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

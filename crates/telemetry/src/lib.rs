@@ -28,23 +28,32 @@
 //! ## The disabled path is a no-op
 //!
 //! Telemetry is off until [`enable`] is called (once, by a CLI).
-//! Hot loops check [`Sink::active`] once per run and keep an
-//! `Option<LocalTimings>` — when disabled there are no atomics, no
+//! Hot loops check [`Sink::active`] once per run and keep their timing
+//! state in an `Option` — when disabled there are no atomics, no
 //! `Instant::now` calls, and no registry traffic, which the
-//! `telemetry_overhead` criterion bench in `usta-bench` pins.
+//! `telemetry_overhead` criterion bench in `usta-bench` pins. When
+//! enabled, the sim step loop reads the clock only on sampled steps and
+//! flushes its laps into the `sim.phase.*` histograms once per run.
 //!
 //! ```
 //! use usta_telemetry::{Registry, Sink};
 //!
-//! // Hot path: resolve the sink once, accumulate locally, flush once.
+//! // Hot path: resolve the sink and the handles once, time a sample of
+//! // the iterations locally, flush once.
 //! let registry = Registry::new(); // or Sink::active() for the global one
-//! let mut local = usta_telemetry::LocalTimings::new(0.0, 1e-3, 1000);
-//! for _ in 0..100 {
-//!     local.record(std::time::Duration::from_micros(12));
+//! let lap = registry.histogram_with("demo.lap", 0.0, 1e-5, 1000);
+//! let mut laps = Vec::new();
+//! for i in 0..100u64 {
+//!     if i % 10 == 0 {
+//!         let start = std::time::Instant::now();
+//!         std::hint::black_box(i * i);
+//!         laps.push(start.elapsed());
+//!     }
 //! }
-//! registry.merge_timings("demo.step", &local);
+//! laps.iter().for_each(|&d| lap.record(d));
 //! registry.counter("demo.steps").add(100);
 //! assert_eq!(registry.counters(), vec![("demo.steps", 100)]);
+//! assert_eq!(lap.snapshot().count, 10);
 //! assert!(Sink::active().is_none() || usta_telemetry::enabled());
 //! ```
 
@@ -59,7 +68,7 @@ pub mod span;
 pub mod trace;
 
 pub use flight::{DecisionEvent, FlightRecorder};
-pub use registry::{Counter, DurationHistogram, Gauge, HistogramSnapshot, LocalTimings, Registry};
+pub use registry::{Counter, DurationHistogram, Gauge, HistogramSnapshot, Registry};
 pub use span::Span;
 pub use trace::TraceEvent;
 

@@ -7,6 +7,7 @@
 //! updates and merges are exactly order-independent.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -128,86 +129,60 @@ impl DurationHistogram {
         cell.max_ns.fetch_max(ns, ORDER);
     }
 
-    /// An empty [`LocalTimings`] with this histogram's exact shape —
-    /// the hot-loop accumulator to flush back via
-    /// [`DurationHistogram::merge_local`].
-    pub fn local(&self) -> LocalTimings {
-        LocalTimings::new(self.cell.lo_s, self.cell.hi_s, self.cell.bins.len())
-    }
-
-    /// Folds a local accumulator in (no-op when empty).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `local` has a different shape.
-    pub fn merge_local(&self, local: &LocalTimings) {
-        if local.count == 0 {
-            return;
-        }
-        let cell = &self.cell;
-        assert_eq!(cell.lo_s, local.lo_s, "histogram ranges differ");
-        assert_eq!(cell.hi_s, local.hi_s, "histogram ranges differ");
-        assert_eq!(cell.bins.len(), local.bins.len(), "bin counts differ");
-        for (bin, &n) in cell.bins.iter().zip(&local.bins) {
-            if n > 0 {
-                bin.fetch_add(n, ORDER);
-            }
-        }
-        cell.count.fetch_add(local.count, ORDER);
-        cell.sum_ns.fetch_add(local.sum_ns, ORDER);
-        cell.min_ns.fetch_min(local.min_ns, ORDER);
-        cell.max_ns.fetch_max(local.max_ns, ORDER);
-    }
-
     /// A point-in-time summary of the distribution.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let cell = &self.cell;
         let count = cell.count.load(ORDER);
+        if count == 0 {
+            return HistogramSnapshot {
+                count,
+                total_s: 0.0,
+                mean_s: f64::NAN,
+                min_s: f64::NAN,
+                p50_s: f64::NAN,
+                p90_s: f64::NAN,
+                p99_s: f64::NAN,
+                max_s: f64::NAN,
+            };
+        }
+        let min_s = cell.min_ns.load(ORDER) as f64 * 1e-9;
+        let max_s = cell.max_ns.load(ORDER) as f64 * 1e-9;
         let bins: Vec<u64> = cell.bins.iter().map(|b| b.load(ORDER)).collect();
+        let width = (cell.hi_s - cell.lo_s) / bins.len() as f64;
+        // The bin's upper edge, pulled inside the exact observed range
+        // (`max`/`min` rather than `clamp`, which panics on the
+        // inverted range a snapshot racing a first record can see).
         let quantile = |q: f64| -> f64 {
-            if count == 0 {
-                return f64::NAN;
-            }
             let target = (q.clamp(0.0, 1.0) * count as f64).ceil().max(1.0) as u64;
             let mut cum = 0u64;
-            for (i, &b) in bins.iter().enumerate() {
-                cum += b;
-                if cum >= target {
-                    let width = (cell.hi_s - cell.lo_s) / bins.len() as f64;
-                    return cell.lo_s + width * (i + 1) as f64;
-                }
-            }
-            cell.hi_s
+            let edge = bins
+                .iter()
+                .position(|&b| {
+                    cum += b;
+                    cum >= target
+                })
+                .map_or(cell.hi_s, |i| cell.lo_s + width * (i + 1) as f64);
+            edge.max(min_s).min(max_s)
         };
         let total_s = cell.sum_ns.load(ORDER) as f64 * 1e-9;
         HistogramSnapshot {
             count,
             total_s,
-            mean_s: if count == 0 {
-                f64::NAN
-            } else {
-                total_s / count as f64
-            },
-            min_s: if count == 0 {
-                f64::NAN
-            } else {
-                cell.min_ns.load(ORDER) as f64 * 1e-9
-            },
+            mean_s: total_s / count as f64,
+            min_s,
             p50_s: quantile(0.50),
             p90_s: quantile(0.90),
             p99_s: quantile(0.99),
-            max_s: if count == 0 {
-                f64::NAN
-            } else {
-                cell.max_ns.load(ORDER) as f64 * 1e-9
-            },
+            max_s,
         }
     }
 }
 
 /// A point-in-time summary of one duration histogram (seconds).
-/// Quantiles read off the sketch at bin resolution (upper bin edge);
-/// min/max/total are exact.
+/// Quantiles read off the sketch at bin resolution (the upper edge of
+/// the bin holding the quantile), clamped to the exact `[min_s, max_s]`
+/// so no quantile ever leaves the observed range; min/max/total are
+/// exact. Every field but `count` and `total_s` is NaN when empty.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HistogramSnapshot {
     /// Observations recorded.
@@ -218,94 +193,14 @@ pub struct HistogramSnapshot {
     pub mean_s: f64,
     /// Exact minimum, seconds (NaN when empty).
     pub min_s: f64,
-    /// Median at bin resolution.
+    /// Median at bin resolution, within `[min_s, max_s]`.
     pub p50_s: f64,
-    /// 90th percentile at bin resolution.
+    /// 90th percentile at bin resolution, within `[min_s, max_s]`.
     pub p90_s: f64,
-    /// 99th percentile at bin resolution.
+    /// 99th percentile at bin resolution, within `[min_s, max_s]`.
     pub p99_s: f64,
     /// Exact maximum, seconds (NaN when empty).
     pub max_s: f64,
-}
-
-/// A plain, thread-local duration accumulator for hot loops: no
-/// atomics, no registry traffic. Create one per run (or derive the
-/// shape from a registered histogram via [`DurationHistogram::local`]),
-/// record into it per step, and flush once at the end with
-/// [`Registry::merge_timings`].
-#[derive(Debug, Clone)]
-pub struct LocalTimings {
-    lo_s: f64,
-    hi_s: f64,
-    bins: Vec<u64>,
-    count: u64,
-    sum_ns: u64,
-    min_ns: u64,
-    max_ns: u64,
-}
-
-impl LocalTimings {
-    /// An empty accumulator with `bins` equal-width bins over
-    /// `[lo_s, hi_s)` seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or the range is empty or non-finite.
-    pub fn new(lo_s: f64, hi_s: f64, bins: usize) -> LocalTimings {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(
-            lo_s.is_finite() && hi_s.is_finite() && lo_s < hi_s,
-            "bad range"
-        );
-        LocalTimings {
-            lo_s,
-            hi_s,
-            bins: vec![0; bins],
-            count: 0,
-            sum_ns: 0,
-            min_ns: u64::MAX,
-            max_ns: 0,
-        }
-    }
-
-    /// Records one duration.
-    pub fn record(&mut self, duration: Duration) {
-        self.record_nanos(duration.as_nanos().min(u64::MAX as u128) as u64);
-    }
-
-    /// Records one duration given in nanoseconds.
-    pub fn record_nanos(&mut self, ns: u64) {
-        let n = self.bins.len();
-        let frac = (ns as f64 * 1e-9 - self.lo_s) / (self.hi_s - self.lo_s);
-        let idx = if frac <= 0.0 {
-            0
-        } else {
-            ((frac * n as f64) as usize).min(n - 1)
-        };
-        self.bins[idx] += 1;
-        self.count += 1;
-        self.sum_ns += ns;
-        self.min_ns = self.min_ns.min(ns);
-        self.max_ns = self.max_ns.max(ns);
-    }
-
-    /// Observations recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Drains this accumulator, leaving it empty with the same shape.
-    pub fn take(&mut self) -> LocalTimings {
-        std::mem::replace(
-            self,
-            LocalTimings::new(self.lo_s, self.hi_s, self.bins.len()),
-        )
-    }
 }
 
 /// The name → instrument map. One per process behind
@@ -370,18 +265,6 @@ impl Registry {
                     .or_insert_with(|| Arc::new(HistCell::new(lo_s, hi_s, bins))),
             ),
         }
-    }
-
-    /// Flushes a local accumulator into the histogram named `name`
-    /// (registered with the accumulator's own shape on first use).
-    /// No-op when `local` is empty, so never-hit paths register
-    /// nothing.
-    pub fn merge_timings(&self, name: &'static str, local: &LocalTimings) {
-        if local.is_empty() {
-            return;
-        }
-        self.histogram_with(name, local.lo_s, local.hi_s, local.bins.len())
-            .merge_local(local);
     }
 
     /// An RAII span timing into the histogram named `name` (default
@@ -579,6 +462,12 @@ fn prom_number(v: f64) -> String {
 /// A JSON string literal (quotes and escapes included).
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    write_json_string(&mut out, s);
+    out
+}
+
+/// Appends [`json_string`]'s literal to `out`.
+pub fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -587,20 +476,28 @@ pub fn json_string(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
     out.push('"');
-    out
 }
 
 /// A JSON number literal; non-finite values become `null`.
 pub fn json_number(v: f64) -> String {
+    let mut out = String::new();
+    write_json_number(&mut out, v);
+    out
+}
+
+/// Appends [`json_number`]'s literal to `out`.
+pub fn write_json_number(out: &mut String, v: f64) {
     if v.is_finite() {
-        format!("{v}")
+        let _ = write!(out, "{v}");
     } else {
-        "null".to_owned()
+        out.push_str("null");
     }
 }
 
@@ -657,57 +554,34 @@ mod tests {
     }
 
     #[test]
+    fn quantiles_never_leave_the_observed_range() {
+        // One 5 ns lap in 100 ns bins: the bin's upper edge (100 ns)
+        // lies above the only value ever recorded.
+        let r = Registry::new();
+        let h = r.histogram_with("lap", 0.0, 1e-4, 1000);
+        h.record_nanos(5);
+        let s = h.snapshot();
+        assert!((s.min_s - 5e-9).abs() < 1e-18);
+        assert_eq!(s.min_s, s.max_s);
+        for q in [s.p50_s, s.p90_s, s.p99_s] {
+            assert_eq!(q, s.max_s, "quantile {q} outside [min, max]");
+        }
+        // Saturated end bins clamp too: 5 s in a [0, 1 ms) sketch.
+        let h = r.histogram_with("slow", 0.0, 1e-3, 10);
+        h.record(Duration::from_secs(5));
+        h.record(Duration::from_secs(6));
+        let s = h.snapshot();
+        assert!(s.min_s <= s.p50_s && s.p50_s <= s.p99_s && s.p99_s <= s.max_s);
+        assert_eq!(s.p50_s, s.min_s, "both seconds-long values saturate");
+    }
+
+    #[test]
     fn empty_histogram_snapshot_is_nan_not_garbage() {
         let r = Registry::new();
         let s = r.histogram("never").snapshot();
         assert_eq!(s.count, 0);
         assert!(s.mean_s.is_nan() && s.min_s.is_nan() && s.max_s.is_nan());
         assert!(s.p50_s.is_nan());
-    }
-
-    #[test]
-    fn local_timings_flush_matches_direct_recording() {
-        let r = Registry::new();
-        let direct = r.histogram_with("direct", 0.0, 0.01, 100);
-        let mut local = direct.local();
-        for us in [10u64, 50, 900, 4_000, 20_000] {
-            direct.record_nanos(us * 1000);
-            local.record_nanos(us * 1000);
-        }
-        r.merge_timings("flushed", &local);
-        let flushed = r.histogram_with("flushed", 0.0, 0.01, 100);
-        assert_eq!(direct.snapshot(), flushed.snapshot());
-    }
-
-    #[test]
-    fn merging_empty_timings_registers_nothing() {
-        let r = Registry::new();
-        r.merge_timings("never", &LocalTimings::new(0.0, 1.0, 10));
-        assert!(r.histogram_snapshots().is_empty());
-    }
-
-    #[test]
-    fn take_drains_and_keeps_the_shape() {
-        let mut local = LocalTimings::new(0.0, 1.0, 10);
-        local.record(Duration::from_millis(100));
-        let taken = local.take();
-        assert_eq!(taken.count(), 1);
-        assert!(local.is_empty());
-        // Same shape: merging the drained accumulator still works.
-        let r = Registry::new();
-        r.merge_timings("t", &taken);
-        r.merge_timings("t", &local);
-        assert_eq!(r.histogram_with("t", 0.0, 1.0, 10).snapshot().count, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "ranges differ")]
-    fn shape_mismatch_is_loud() {
-        let r = Registry::new();
-        let h = r.histogram_with("h", 0.0, 1.0, 10);
-        let mut wrong = LocalTimings::new(0.0, 2.0, 10);
-        wrong.record_nanos(1);
-        h.merge_local(&wrong);
     }
 
     #[test]

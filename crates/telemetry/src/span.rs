@@ -9,8 +9,9 @@ use crate::registry::DurationHistogram;
 /// emits one trace event into the per-thread ring.
 ///
 /// Spans are for **coarse** scopes (a whole triple, a training fit) —
-/// per-step hot loops should accumulate into a
-/// [`crate::LocalTimings`] instead and flush once.
+/// per-step hot loops should time a sample of their iterations locally
+/// and flush into a resolved [`DurationHistogram`] once, as the sim
+/// step loop's phase clock does.
 #[derive(Debug)]
 pub struct Span {
     name: &'static str,
