@@ -34,7 +34,9 @@ pub struct DeviceConfig {
     pub thermal: ThermalTopology,
     /// Battery state of charge at power-on, 0–1.
     pub battery_soc: f64,
-    /// Seed for all sensor noise streams.
+    /// Key of the device's counter-based sensor noise: each step's four
+    /// readings draw their noise from `(sensor_seed, step index)`
+    /// alone (see [`usta_soc::sensors::step_normals`]).
     pub sensor_seed: u64,
     /// Whether a hand holds the phone.
     pub hand_held: bool,
@@ -221,6 +223,10 @@ pub struct Device {
     /// Effective panel brightness actually applied last step, 0–1.
     effective_brightness: f64,
     battery: Battery,
+    /// Key of the sensor noise (the config's `sensor_seed`).
+    sensor_key: u64,
+    /// Steps applied since power-on: the sensor noise counter.
+    step: u64,
     cpu_sensor: ThermalSensor,
     battery_sensor: ThermalSensor,
     skin_thermistor: ThermalSensor,
@@ -240,9 +246,10 @@ impl Device {
     ///
     /// # Errors
     ///
-    /// Propagates construction errors from the SoC or thermal models,
-    /// and rejects a working-copy topology whose die-node count
-    /// diverged from the spec's cluster count.
+    /// Propagates construction errors from the SoC or thermal models
+    /// and from sensor-parameter validation, and rejects a working-copy
+    /// topology whose die-node count diverged from the spec's cluster
+    /// count.
     pub fn new(config: DeviceConfig) -> Result<Device, Box<dyn std::error::Error>> {
         config.spec.validate()?;
         if config.thermal.dies() != config.spec.domains() {
@@ -253,7 +260,16 @@ impl Device {
         }
         let mut thermal = DeviceThermalModel::new(config.thermal)?;
         thermal.set_hand_contact(config.hand_held);
-        let seed = config.sensor_seed;
+        let sensors = [
+            SensorParams::kernel_zone(),
+            SensorParams::kernel_zone(),
+            SensorParams::thermistor(),
+            SensorParams::thermistor(),
+        ];
+        for params in &sensors {
+            params.validate()?;
+        }
+        let [cpu, battery, skin, screen] = sensors.map(ThermalSensor::new);
         Ok(Device {
             clusters: usta_soc::spec::cpus(&config.spec)?,
             cluster_power: usta_soc::spec::cpu_power_models(&config.spec)?,
@@ -269,10 +285,12 @@ impl Device {
             battery: usta_soc::spec::battery(&config.spec, config.battery_soc)?,
             spec: config.spec,
             thermal,
-            cpu_sensor: ThermalSensor::new(SensorParams::kernel_zone(), seed ^ 0x01),
-            battery_sensor: ThermalSensor::new(SensorParams::kernel_zone(), seed ^ 0x02),
-            skin_thermistor: ThermalSensor::new(SensorParams::thermistor(), seed ^ 0x03),
-            screen_thermistor: ThermalSensor::new(SensorParams::thermistor(), seed ^ 0x04),
+            sensor_key: config.sensor_seed,
+            step: 0,
+            cpu_sensor: cpu,
+            battery_sensor: battery,
+            skin_thermistor: skin,
+            screen_thermistor: screen,
             clock_s: 0.0,
             total_demand_khz_s: 0.0,
             unserved_khz_s: 0.0,
@@ -413,6 +431,14 @@ impl Device {
         heat.battery_w = battery_w;
         heat.board_w = board_w;
         self.thermal.step(dt);
+        // The probes' thermal mass lags the surfaces once per step.
+        self.cpu_sensor.track(self.thermal.die_temperature(0));
+        self.battery_sensor
+            .track(self.thermal.battery_temperature());
+        self.skin_thermistor.track(self.thermal.skin_temperature());
+        self.screen_thermistor
+            .track(self.thermal.screen_temperature());
+        self.step += 1;
 
         self.total_demand_khz_s += demand.total_cpu_khz() * dt;
         let mut unserved = 0.0;
@@ -430,8 +456,10 @@ impl Device {
         self.apply(demand, levels.as_slice(), dt);
     }
 
-    /// Takes a full observation (sensor reads advance the noise streams).
-    pub fn observe(&mut self) -> Observation {
+    /// Takes a full observation. It is a pure function of the device's
+    /// state: the sensor noise is keyed by the step index, so observing
+    /// twice between steps, or skipping steps, changes no reading.
+    pub fn observe(&self) -> Observation {
         let mut domains = PerDomain::from_fn(self.clusters.len(), |d| {
             let cluster = &self.clusters[d];
             DomainState {
@@ -484,16 +512,22 @@ impl Device {
             }
             weighted / total_cores as f64
         };
+        let [z_cpu, z_battery, z_skin, z_screen] =
+            usta_soc::sensors::step_normals(self.sensor_key, self.step);
         Observation {
             t: self.clock_s,
             // The primary CPU zone sits on the big cluster's die (die
             // node 0) — on the single-die Nexus 4, *the* die.
-            cpu_temp: self.cpu_sensor.read(self.thermal.die_temperature(0)),
-            battery_temp: self.battery_sensor.read(self.thermal.battery_temperature()),
-            skin_thermistor: self.skin_thermistor.read(self.thermal.skin_temperature()),
+            cpu_temp: self.cpu_sensor.read(self.thermal.die_temperature(0), z_cpu),
+            battery_temp: self
+                .battery_sensor
+                .read(self.thermal.battery_temperature(), z_battery),
+            skin_thermistor: self
+                .skin_thermistor
+                .read(self.thermal.skin_temperature(), z_skin),
             screen_thermistor: self
                 .screen_thermistor
-                .read(self.thermal.screen_temperature()),
+                .read(self.thermal.screen_temperature(), z_screen),
             skin_true: self.thermal.skin_temperature(),
             screen_true: self.thermal.screen_temperature(),
             avg_utilization: util_sum / total_cores as f64,
@@ -741,6 +775,34 @@ mod tests {
         let o = d.observe();
         assert!((o.skin_thermistor - o.skin_true).abs() < 1.0);
         assert!((o.screen_thermistor - o.screen_true).abs() < 1.0);
+    }
+
+    #[test]
+    fn observing_twice_between_steps_is_idempotent() {
+        let mut d = Device::with_seed(8).unwrap();
+        assert_eq!(d.observe(), d.observe());
+        for _ in 0..40 {
+            d.apply_level(&busy_demand(), 9, 0.1);
+            assert_eq!(d.observe(), d.observe());
+        }
+    }
+
+    #[test]
+    fn sparse_observation_matches_every_step_observation() {
+        // Readings depend on (seed, step) and the lagged truth only, so
+        // a device read every 30th step sees exactly what a device read
+        // every step sees on those steps.
+        let mut dense = Device::with_seed(10).unwrap();
+        let mut sparse = Device::with_seed(10).unwrap();
+        for step in 1..=300 {
+            let level = step % 12;
+            dense.apply_level(&busy_demand(), level, 0.1);
+            sparse.apply_level(&busy_demand(), level, 0.1);
+            let dense_obs = dense.observe();
+            if step % 30 == 0 {
+                assert_eq!(sparse.observe(), dense_obs, "step {step}");
+            }
+        }
     }
 
     #[test]

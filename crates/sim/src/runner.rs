@@ -867,7 +867,7 @@ mod tests {
         let clamped = decision.clamped_to(&[3, 5]);
         assert_eq!(clamped.levels(), &[3, 5]);
         // And the loop helper never lets levels escape the caps.
-        let mut device = device();
+        let device = device();
         let dvfs = DvfsLoop::for_device(&device);
         let obs = device.observe();
         let levels = PerDomain::splat(1, 0);

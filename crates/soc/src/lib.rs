@@ -15,9 +15,9 @@
 //! * [`display`] — panel + backlight power;
 //! * [`battery`] — state of charge, discharge/charge currents, and the
 //!   internal losses that heat the pack;
-//! * [`sensors`] — noisy, quantized thermal sensors standing in for both
-//!   the on-device CPU/battery sensors and the paper's external
-//!   thermistors;
+//! * [`sensors`] — noisy, quantized, lagged thermal sensors standing in
+//!   for both the on-device CPU/battery sensors and the paper's external
+//!   thermistors, with counter-based noise keyed by (seed, step);
 //! * [`domain`] — fixed-capacity [`PerDomain`] vectors carrying
 //!   per-frequency-domain state (samples, caps, decisions) through the
 //!   hot loop without heap allocation;

@@ -7,6 +7,13 @@
 //! refactors of the step loop, the thermal integrator and the fleet
 //! runner: a change that moves any simulated bit moves a digest.
 //!
+//! The trace-file digests were last recaptured when sensor noise became
+//! counter-based: the readings' noise and the thermistor lag changed,
+//! so the retrained predictors' leaf values moved. Only the predicted
+//! skin temperature and its residual changed (`predicted_skin_c` and
+//! `residual_c` in `flight-*.json`, `prediction_c` in `steps-*.csv`);
+//! the smoke reports and `triples.csv` kept their digests.
+//!
 //! The USTA-retraining item on the ROADMAP changes what the fleet
 //! reports on purpose; it re-baselines these digests once, with the
 //! report diff explained. On a deliberate change, copy the `got` table
@@ -60,39 +67,39 @@ const SMOKE_SUMMARIES: &[(&str, u64)] = &[
 /// Every file a flagship-octa smoke sweep writes with a trace
 /// directory and `trace_steps = 4`, by file name.
 const FLAGSHIP_TRACE_FILES: &[(&str, u64)] = &[
-    ("flight-000002.json", 0x62a9_34e2_bdfb_9278),
-    ("flight-000006.json", 0xd048_8fd7_cd7e_56e4),
-    ("flight-000010.json", 0xcd8b_a32e_3db3_5ec3),
-    ("flight-000014.json", 0xce58_53bb_3c3b_94cd),
-    ("flight-000018.json", 0x7810_7673_382c_0fe7),
-    ("flight-000022.json", 0x2091_b70d_5621_b00c),
-    ("flight-000026.json", 0xc72c_aae4_caa2_671b),
-    ("flight-000030.json", 0x78a8_bc50_099e_935e),
-    ("flight-000034.json", 0xc2b7_f449_04d7_cc7c),
-    ("flight-000038.json", 0xfd12_b853_e0c9_64d0),
-    ("flight-000042.json", 0xbe24_acc3_980f_73e8),
-    ("flight-000046.json", 0xa6f9_a32d_c4c8_36f2),
-    ("flight-000047.json", 0x969e_2518_f2da_9faf),
-    ("flight-000050.json", 0xa5c1_8431_d277_d861),
-    ("flight-000054.json", 0x91f9_3405_e79b_4539),
-    ("flight-000055.json", 0x35f0_4cac_3e5f_ea16),
-    ("flight-000062.json", 0x855d_1a27_402f_3f90),
-    ("flight-000066.json", 0xc842_c4f4_f818_1764),
-    ("flight-000070.json", 0xa351_95ca_494d_e601),
-    ("flight-000071.json", 0x4024_305b_9e5e_78d8),
-    ("flight-000074.json", 0x0489_f833_d848_b505),
-    ("flight-000078.json", 0xd7bf_e494_1cef_eca0),
-    ("flight-000082.json", 0xe332_4b4f_b06e_e0cf),
-    ("flight-000083.json", 0xbf42_f2f6_b465_2cbe),
-    ("flight-000086.json", 0x442c_91ad_a9d5_09f8),
-    ("flight-000087.json", 0x8b92_39e4_77e4_70de),
-    ("flight-000090.json", 0x2d63_4cf3_9eb8_633b),
-    ("flight-000094.json", 0x5c98_d768_83f7_36d3),
-    ("flight-000098.json", 0xc6dd_6159_46bb_edfa),
-    ("steps-000000.csv", 0x407d_1d19_c92c_892b),
-    ("steps-000001.csv", 0x4bc2_4b51_98a4_8666),
-    ("steps-000002.csv", 0x6274_4ac0_c6ea_6c71),
-    ("steps-000003.csv", 0x08d8_06b0_58ce_32a1),
+    ("flight-000002.json", 0xf9f7_6b8e_6db9_82f4),
+    ("flight-000006.json", 0x79f3_d75e_8f06_4f3c),
+    ("flight-000010.json", 0xc3ea_816e_9903_df1b),
+    ("flight-000014.json", 0x1a99_17c1_6f1b_b903),
+    ("flight-000018.json", 0xb0c2_103c_8ec4_9871),
+    ("flight-000022.json", 0xe368_3eba_3203_47f8),
+    ("flight-000026.json", 0xab51_f576_86c0_13e1),
+    ("flight-000030.json", 0xb702_275a_5e26_04a0),
+    ("flight-000034.json", 0x9199_e13d_2741_dd8a),
+    ("flight-000038.json", 0x8cea_7a98_174b_c49e),
+    ("flight-000042.json", 0x5591_25ea_747b_05e0),
+    ("flight-000046.json", 0x0bc3_bfeb_1be6_8c6c),
+    ("flight-000047.json", 0x4495_47eb_a443_e42d),
+    ("flight-000050.json", 0xa206_5d7a_6ff2_9087),
+    ("flight-000054.json", 0xba57_ab6c_7631_fd41),
+    ("flight-000055.json", 0xeaab_47ea_99f6_8a8a),
+    ("flight-000062.json", 0xbef6_b642_e111_9c52),
+    ("flight-000066.json", 0xd4fc_f5fd_b796_339a),
+    ("flight-000070.json", 0xc4bb_53cc_a346_ca1f),
+    ("flight-000071.json", 0x3149_d9a6_0e48_e2ca),
+    ("flight-000074.json", 0x03d6_b313_ef48_2823),
+    ("flight-000078.json", 0x0d2f_a45c_2626_0b8a),
+    ("flight-000082.json", 0xbe80_4937_a5ab_6661),
+    ("flight-000083.json", 0xe560_928a_7c71_8e5a),
+    ("flight-000086.json", 0x9402_edf3_a0ce_1102),
+    ("flight-000087.json", 0xb754_14a3_7ec5_cc02),
+    ("flight-000090.json", 0x8cb1_73ea_5a2d_0e45),
+    ("flight-000094.json", 0xc0b1_68f5_87d8_e76d),
+    ("flight-000098.json", 0x4c2d_e30e_f04f_d4a6),
+    ("steps-000000.csv", 0xb66f_06d3_3708_f9a9),
+    ("steps-000001.csv", 0x9890_0a98_fa0a_4c31),
+    ("steps-000002.csv", 0x45f5_4805_4601_80af),
+    ("steps-000003.csv", 0x04e7_3fb7_b32b_c2fd),
     ("triples.csv", 0x313d_0a36_2067_71bc),
 ];
 

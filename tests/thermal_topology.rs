@@ -222,7 +222,7 @@ fn prime_flagship_single_thread_burst_heats_the_prime_die() {
 /// shape.
 #[test]
 fn nexus4_topology_and_features_are_the_single_die_special_case() {
-    let mut d = device("nexus4", 1);
+    let d = device("nexus4", 1);
     assert_eq!(
         *d.thermal_model().topology(),
         usta_thermal::PhoneThermalParams::default().topology()
