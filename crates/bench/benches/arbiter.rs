@@ -5,11 +5,15 @@
 //! topology gets its own benchmark id; the band sets how much of the
 //! ladder the loop climbs, so the widest (Unrestricted) and tightest
 //! (MinimumFrequency) budgets bracket the cost.
+//!
+//! The governor prices a device's ladders once ([`PriceTable`]) and
+//! keeps the table for the run, so each row times one decision on a
+//! table built outside the timed loop.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
-use usta_core::arbitrate;
+use usta_core::arbiter::PriceTable;
 use usta_core::policy::FrequencyCap;
 use usta_governors::FreqDomain;
 use usta_sim::{Device, DeviceConfig};
@@ -22,6 +26,7 @@ fn bench(c: &mut Criterion) {
         let device = Device::new(DeviceConfig::for_device_id(id).expect("catalog id"))
             .expect("catalog device builds");
         let domains: Vec<FreqDomain> = device.freq_domains();
+        let prices = PriceTable::new(&domains);
         let demand: Vec<f64> = domains
             .iter()
             .enumerate()
@@ -34,9 +39,8 @@ fn bench(c: &mut Criterion) {
         ] {
             group.bench_function(format!("{band_name}/{id}"), |b| {
                 b.iter(|| {
-                    black_box(arbitrate(
+                    black_box(black_box(&prices).arbitrate(
                         black_box(band),
-                        black_box(&domains),
                         black_box(&demand),
                         black_box(Some(55.0)),
                     ))

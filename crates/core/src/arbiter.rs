@@ -20,13 +20,18 @@
 //! 3. emits the resulting per-domain caps in exactly the shape the
 //!    governors already consume.
 //!
+//! Every price the greedy reads — each step's watts and capacity, the
+//! floors, the four band budgets — depends only on the domain set,
+//! which is fixed for a run. [`PriceTable`] computes them once per
+//! device; a decision then re-prices only the domain it just raised.
+//!
 //! On a CPU-only device the arbiter is never engaged —
 //! [`crate::UstaGovernor`] keeps the historical power-share splitter,
 //! bit for bit.
 
 use crate::policy::FrequencyCap;
 use usta_governors::FreqDomain;
-use usta_soc::{DomainKind, PerDomain};
+use usta_soc::{DomainKind, PerDomain, MAX_FREQ_DOMAINS};
 
 /// Kind weight: how much one unit of normalised demanded capacity is
 /// worth, per watt, on each kind of domain. The ordering encodes the
@@ -87,55 +92,198 @@ pub fn power_at_level(domain: &FreqDomain, level: usize) -> f64 {
     domain.full_load_w * (at.khz as f64 * at.volts * at.volts) / denom
 }
 
-/// The utility-per-watt of raising `domain` from `level` to
-/// `level + 1`, given its demand signal and the hottest CPU die.
-fn marginal_utility(
-    domain: &FreqDomain,
-    level: usize,
-    demand: f64,
-    hottest_die_c: Option<f64>,
-) -> f64 {
-    let delta_w = power_at_level(domain, level + 1) - power_at_level(domain, level);
-    // `> 0.0` is false for NaN too — a free (or degenerate) step is
-    // taken unconditionally.
-    let costs_power = delta_w > 0.0;
-    if !costs_power {
-        return f64::INFINITY;
-    }
-    let khz_max = domain.opp.max().khz as f64;
-    let delta_capacity =
-        (domain.opp.level(level + 1).khz as f64 - domain.opp.level(level).khz as f64) / khz_max;
-    let mut weight = kind_weight(domain.kind);
-    if domain.kind == DomainKind::CpuCluster {
-        if let Some(die_c) = hottest_die_c {
-            let derate = 1.0 - ((die_c - CPU_DERATE_START_C) / CPU_DERATE_SPAN_C).clamp(0.0, 1.0);
-            weight *= derate.max(CPU_DERATE_FLOOR);
-        }
-    }
-    let demand = DEMAND_FLOOR + (1.0 - DEMAND_FLOOR) * demand.clamp(0.0, 1.0);
-    weight * demand * delta_capacity / delta_w
+/// One domain's OPP ladder, priced: per step `l → l + 1`, the watts
+/// it costs (`p[l + 1] − p[l]`, [`power_at_level`]) and the capacity it
+/// buys, as a fraction of the domain's top frequency.
+#[derive(Debug, Clone)]
+struct PricedLadder {
+    kind: DomainKind,
+    /// `(Δw, Δcapacity)` of each step; `steps.len()` is the top level.
+    steps: Vec<(f64, f64)>,
 }
 
-/// The band's watt envelope for one [`FrequencyCap`]: the predicted
-/// full-load power of every domain at its band-capped level (the
-/// historical splitter run over all domains).
+/// One domain's next OPP step in the greedy: its watts and its
+/// utility per watt. `open` is false at the top of the ladder.
+#[derive(Debug, Clone, Copy, Default)]
+struct Step {
+    open: bool,
+    delta_w: f64,
+    utility: f64,
+}
+
+impl PricedLadder {
+    fn new(domain: &FreqDomain) -> PricedLadder {
+        let khz_max = domain.opp.max().khz as f64;
+        let steps = (0..domain.max_index())
+            .map(|l| {
+                let delta_w = power_at_level(domain, l + 1) - power_at_level(domain, l);
+                let delta_capacity =
+                    (domain.opp.level(l + 1).khz as f64 - domain.opp.level(l).khz as f64) / khz_max;
+                (delta_w, delta_capacity)
+            })
+            .collect();
+        PricedLadder {
+            kind: domain.kind,
+            steps,
+        }
+    }
+
+    /// How much one unit of capacity is worth on this domain right now:
+    /// its kind weight (derated on a hot die for CPU clusters) times its
+    /// floored, clamped demand.
+    fn weighted_demand(&self, demand: f64, hottest_die_c: Option<f64>) -> f64 {
+        let mut weight = kind_weight(self.kind);
+        if self.kind == DomainKind::CpuCluster {
+            if let Some(die_c) = hottest_die_c {
+                let derate =
+                    1.0 - ((die_c - CPU_DERATE_START_C) / CPU_DERATE_SPAN_C).clamp(0.0, 1.0);
+                weight *= derate.max(CPU_DERATE_FLOOR);
+            }
+        }
+        let demand = DEMAND_FLOOR + (1.0 - DEMAND_FLOOR) * demand.clamp(0.0, 1.0);
+        weight * demand
+    }
+
+    /// The step that raises this domain from `level`.
+    fn next_step(&self, level: usize, weighted_demand: f64) -> Step {
+        let Some(&(delta_w, delta_capacity)) = self.steps.get(level) else {
+            return Step::default();
+        };
+        // `> 0.0` is false for NaN too — a free (or degenerate) step is
+        // taken unconditionally.
+        let utility = if delta_w > 0.0 {
+            weighted_demand * delta_capacity / delta_w
+        } else {
+            f64::INFINITY
+        };
+        Step {
+            open: true,
+            delta_w,
+            utility,
+        }
+    }
+}
+
+/// A device's arbiter prices: per domain, each OPP step's watts and
+/// capacity, plus the watts of all the floors and the four bands' watt
+/// budgets.
 ///
-/// A pure function of `(cap, domains)` — the domain set is fixed for a
-/// run, so callers deciding every governor period can cache this per
-/// band instead of re-pricing the whole OPP table each time (see
-/// [`crate::UstaGovernor`]).
-///
-/// # Panics
-///
-/// Panics if `domains` is empty.
-pub fn band_budget_w(cap: FrequencyCap, domains: &[FreqDomain]) -> f64 {
-    assert!(!domains.is_empty(), "a device has at least one domain");
-    let band_caps = cap.max_allowed_levels(domains);
-    domains
-        .iter()
-        .enumerate()
-        .map(|(d, domain)| power_at_level(domain, band_caps[d]))
-        .sum()
+/// Everything in it is a pure function of the domain set, which is
+/// fixed for a run, so [`crate::UstaGovernor`] builds one per device,
+/// keeps it across governor periods, and prices again only when the
+/// domains differ. Every price is the same expression, and the floors
+/// and budgets are summed in the same domain order, as when pricing
+/// per call, so an allocation does not depend on the table's reuse.
+#[derive(Debug, Clone)]
+pub struct PriceTable {
+    /// The domain set the table priced — its cache key.
+    domains: Vec<FreqDomain>,
+    ladders: Vec<PricedLadder>,
+    floor_w: f64,
+    /// Watt budget per band, indexed by [`FrequencyCap::code`].
+    band_budget_w: [f64; 4],
+}
+
+impl PriceTable {
+    /// Prices `domains`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `domains` is empty.
+    pub fn new(domains: &[FreqDomain]) -> PriceTable {
+        assert!(!domains.is_empty(), "a device has at least one domain");
+        let band_budget_w = [
+            FrequencyCap::Unrestricted,
+            FrequencyCap::OneLevelBelowMax,
+            FrequencyCap::TwoLevelsBelowMax,
+            FrequencyCap::MinimumFrequency,
+        ]
+        .map(|cap| {
+            let band_caps = cap.max_allowed_levels(domains);
+            domains
+                .iter()
+                .enumerate()
+                .map(|(d, domain)| power_at_level(domain, band_caps[d]))
+                .sum()
+        });
+        PriceTable {
+            domains: domains.to_vec(),
+            ladders: domains.iter().map(PricedLadder::new).collect(),
+            floor_w: domains.iter().map(|d| power_at_level(d, 0)).sum(),
+            band_budget_w,
+        }
+    }
+
+    /// Whether this table priced exactly `domains`.
+    pub(crate) fn is_for(&self, domains: &[FreqDomain]) -> bool {
+        self.domains == domains
+    }
+
+    /// The band's watt envelope: the predicted full-load power of every
+    /// domain at its band-capped level (the historical splitter run
+    /// over all domains).
+    fn budget_w(&self, cap: FrequencyCap) -> f64 {
+        self.band_budget_w[usize::from(cap.code())]
+    }
+
+    /// Runs the arbiter for one instant on the priced device; see
+    /// [`arbitrate`] for the arguments.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `demand` is not parallel to the priced domains.
+    pub fn arbitrate(
+        &self,
+        cap: FrequencyCap,
+        demand: &[f64],
+        hottest_die_c: Option<f64>,
+    ) -> BudgetAllocation {
+        let n = self.ladders.len();
+        assert_eq!(demand.len(), n, "one demand signal per frequency domain");
+        let budget_w = self.budget_w(cap);
+        let ceiling_w = budget_w + budget_w.abs() * BUDGET_EPSILON;
+
+        // Greedy re-spend from the floors. Each domain's next step is
+        // priced once per level it reaches, not once per round. The
+        // scratch state is plain arrays: building it through
+        // `PerDomain`'s checked pushes more than doubled the cost of a
+        // MinimumFrequency call.
+        let mut levels: PerDomain<usize> = PerDomain::splat(n, 0);
+        let mut weighted = [0.0; MAX_FREQ_DOMAINS];
+        let mut next = [Step::default(); MAX_FREQ_DOMAINS];
+        for (d, ladder) in self.ladders.iter().enumerate() {
+            weighted[d] = ladder.weighted_demand(demand[d], hottest_die_c);
+            next[d] = ladder.next_step(0, weighted[d]);
+        }
+        let mut allocated_w = self.floor_w;
+        loop {
+            // The best affordable step; strict > keeps ties on the
+            // lower domain id — deterministic.
+            let mut best = usize::MAX;
+            let mut best_utility = 0.0;
+            for (d, step) in next[..n].iter().enumerate() {
+                if !step.open || allocated_w + step.delta_w > ceiling_w {
+                    continue;
+                }
+                if best == usize::MAX || step.utility > best_utility {
+                    best = d;
+                    best_utility = step.utility;
+                }
+            }
+            if best == usize::MAX {
+                break;
+            }
+            allocated_w += next[best].delta_w;
+            levels[best] += 1;
+            next[best] = self.ladders[best].next_step(levels[best], weighted[best]);
+        }
+
+        BudgetAllocation {
+            caps: levels,
+            budget_w,
+            allocated_w,
+        }
+    }
 }
 
 /// Runs the arbiter for one instant.
@@ -146,10 +294,14 @@ pub fn band_budget_w(cap: FrequencyCap, domains: &[FreqDomain]) -> f64 {
 /// `hottest_die_c` derates CPU-cluster utility when the die runs hot.
 ///
 /// The watt budget is the predicted power of the band's own per-domain
-/// caps ([`band_budget_w`]), so [`FrequencyCap::Unrestricted`] always
-/// affords every domain its top level and
-/// [`FrequencyCap::MinimumFrequency`] affords exactly the floors — the
-/// band's envelope is preserved, only its distribution changes.
+/// caps (the historical splitter run over all domains), so
+/// [`FrequencyCap::Unrestricted`] always affords every domain its top
+/// level and [`FrequencyCap::MinimumFrequency`] affords exactly the
+/// floors — the band's envelope is preserved, only its distribution
+/// changes.
+///
+/// Prices `domains` afresh; a caller deciding every governor period
+/// keeps a [`PriceTable`] instead.
 ///
 /// # Panics
 ///
@@ -160,63 +312,11 @@ pub fn arbitrate(
     demand: &[f64],
     hottest_die_c: Option<f64>,
 ) -> BudgetAllocation {
-    arbitrate_with_budget(band_budget_w(cap, domains), domains, demand, hottest_die_c)
+    PriceTable::new(domains).arbitrate(cap, demand, hottest_die_c)
 }
 
-/// [`arbitrate`] with the watt budget already priced — the greedy
-/// re-spend alone, for callers that cache [`band_budget_w`] per band.
-///
-/// # Panics
-///
-/// Panics if `domains` is empty or `demand` is not parallel to it.
-pub fn arbitrate_with_budget(
-    budget_w: f64,
-    domains: &[FreqDomain],
-    demand: &[f64],
-    hottest_die_c: Option<f64>,
-) -> BudgetAllocation {
-    assert!(!domains.is_empty(), "a device has at least one domain");
-    assert_eq!(
-        demand.len(),
-        domains.len(),
-        "one demand signal per frequency domain"
-    );
-
-    // Greedy re-spend from the floors.
-    let mut levels: PerDomain<usize> = PerDomain::splat(domains.len(), 0);
-    let mut allocated_w: f64 = domains.iter().map(|d| power_at_level(d, 0)).sum();
-    let slack = budget_w.abs() * BUDGET_EPSILON;
-    loop {
-        let mut best: Option<(f64, usize, f64)> = None; // (utility, domain, delta_w)
-        for (d, domain) in domains.iter().enumerate() {
-            if levels[d] >= domain.max_index() {
-                continue;
-            }
-            let delta_w = power_at_level(domain, levels[d] + 1) - power_at_level(domain, levels[d]);
-            if allocated_w + delta_w > budget_w + slack {
-                continue;
-            }
-            let utility = marginal_utility(domain, levels[d], demand[d], hottest_die_c);
-            // Strict > keeps ties on the lower domain id — deterministic.
-            if best.is_none() || utility > best.expect("checked").0 {
-                best = Some((utility, d, delta_w));
-            }
-        }
-        match best {
-            Some((_, d, delta_w)) => {
-                levels[d] += 1;
-                allocated_w += delta_w;
-            }
-            None => break,
-        }
-    }
-
-    BudgetAllocation {
-        caps: levels,
-        budget_w,
-        allocated_w,
-    }
-}
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -423,23 +523,47 @@ mod tests {
     }
 
     #[test]
-    fn cached_budget_path_matches_arbitrate_exactly() {
-        let domains = system_domains();
+    fn priced_arbiter_matches_the_reference_on_degenerate_ladders() {
+        // Free steps (a zero-watt domain), a one-level ladder, a twin
+        // of the big cluster whose every step ties with it, and
+        // non-finite demand: the priced greedy must take the same
+        // steps as the per-call reference, to the bit.
+        let mut domains = system_domains();
+        domains[1].full_load_w = 0.0;
+        domains[3].opp =
+            usta_soc::OppTable::new(vec![domains[3].opp.max()]).expect("one-level ladder");
+        domains.push(FreqDomain {
+            id: 4,
+            ..domains[0].clone()
+        });
+        let table = PriceTable::new(&domains);
         for cap in [
             FrequencyCap::Unrestricted,
             FrequencyCap::OneLevelBelowMax,
             FrequencyCap::TwoLevelsBelowMax,
             FrequencyCap::MinimumFrequency,
         ] {
-            let budget_w = band_budget_w(cap, &domains);
-            for demand in [[1.0; 4], [0.2, 0.9, 0.5, 1.0], [0.0; 4]] {
-                for die in [None, Some(35.0), Some(80.0)] {
-                    let direct = arbitrate(cap, &domains, &demand, die);
-                    let cached = arbitrate_with_budget(budget_w, &domains, &demand, die);
-                    assert_eq!(direct, cached, "{cap:?} {demand:?} {die:?}");
+            for demand in [[1.0; 5], [f64::NAN, -2.0, 3.0, 0.5, 2.0], [0.0; 5]] {
+                for die in [None, Some(35.0), Some(f64::NAN)] {
+                    let priced = table.arbitrate(cap, &demand, die);
+                    let oracle = reference::arbitrate(cap, &domains, &demand, die);
+                    assert_eq!(priced.caps, oracle.caps, "{cap:?} {demand:?} {die:?}");
+                    assert_eq!(priced.budget_w.to_bits(), oracle.budget_w.to_bits());
+                    assert_eq!(priced.allocated_w.to_bits(), oracle.allocated_w.to_bits());
                 }
             }
         }
+    }
+
+    #[test]
+    fn price_table_is_keyed_on_the_exact_domain_set() {
+        let domains = system_domains();
+        let table = PriceTable::new(&domains);
+        assert!(table.is_for(&domains));
+        let mut hotter = domains.clone();
+        hotter[2].full_load_w += 0.5;
+        assert!(!table.is_for(&hotter), "same length, different GPU");
+        assert!(!table.is_for(&domains[..3]));
     }
 
     #[test]

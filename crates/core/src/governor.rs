@@ -16,7 +16,7 @@
 //! * continuously: [`UstaGovernor::tick`] with fresh sensor features —
 //!   internally rate-limited to the 3-second prediction cadence.
 
-use crate::arbiter;
+use crate::arbiter::PriceTable;
 use crate::decision::{ArbiterShare, DecisionRecord};
 use crate::features::FeatureVector;
 use crate::policy::{FrequencyCap, UstaPolicy};
@@ -43,12 +43,10 @@ pub struct UstaGovernor {
     capped_decisions: u64,
     arbiter_invocations: u64,
     die_temps: Option<PerDomain<f64>>,
-    /// The arbiter's watt budget is a pure function of
-    /// `(cap, domains)`; the domain set is fixed for a run, so one
-    /// `(cap, domain_count, budget)` entry memoizes the band pricing
-    /// across governor periods instead of re-walking every OPP table
-    /// each 100 ms.
-    budget_cache: Option<(FrequencyCap, usize, f64)>,
+    /// The arbiter's prices for the device last decided on: a pure
+    /// function of the domain set, which is fixed for a run, so it is
+    /// built once and rebuilt only when the domains differ.
+    prices: Option<Box<PriceTable>>,
     /// Provenance of the most recent `decide` call — the flight
     /// recorder's source. Inline `Copy` data, refreshed in place.
     last_record: Option<DecisionRecord>,
@@ -77,7 +75,7 @@ impl UstaGovernor {
             capped_decisions: 0,
             arbiter_invocations: 0,
             die_temps: None,
-            budget_cache: None,
+            prices: None,
             last_record: None,
             residuals: ResidualStats::new(),
         }
@@ -186,6 +184,31 @@ impl UstaGovernor {
     pub fn predictor(&self) -> &TemperaturePredictor {
         &self.predictor
     }
+
+    /// The system-level branch of [`CpuGovernor::decide`]: the band
+    /// re-spent as watts across every domain, priced from the cached
+    /// table. Kept out of line so the CPU-only path stays small.
+    #[inline(never)]
+    fn arbitrate(&mut self, input: &GovernorInput<'_>) -> (PerDomain<usize>, ArbiterShare) {
+        let demand: PerDomain<f64> =
+            PerDomain::from_fn(input.domains.len(), |d| input.samples[d].max_utilization);
+        let hottest = input.die_temp_c.or_else(|| {
+            self.die_temps
+                .as_ref()
+                .and_then(|t| t.iter().copied().reduce(f64::max))
+        });
+        let prices = match &mut self.prices {
+            Some(prices) if prices.is_for(input.domains) => prices,
+            slot => slot.insert(Box::new(PriceTable::new(input.domains))),
+        };
+        self.arbiter_invocations += 1;
+        let allocation = prices.arbitrate(self.cap, demand.as_slice(), hottest);
+        let share = ArbiterShare {
+            budget_w: allocation.budget_w,
+            allocated_w: allocation.allocated_w,
+        };
+        (allocation.caps, share)
+    }
 }
 
 impl CpuGovernor for UstaGovernor {
@@ -208,31 +231,9 @@ impl CpuGovernor for UstaGovernor {
             .any(|d| d.kind != DomainKind::CpuCluster);
         let mut arbiter_share = None;
         let usta_caps = if system_level {
-            let demand: PerDomain<f64> =
-                PerDomain::from_fn(input.domains.len(), |d| input.samples[d].max_utilization);
-            let hottest = input.die_temp_c.or_else(|| {
-                self.die_temps
-                    .as_ref()
-                    .and_then(|t| t.iter().copied().reduce(f64::max))
-            });
-            let budget_w = match self.budget_cache {
-                Some((cap, count, budget_w)) if cap == self.cap && count == input.domains.len() => {
-                    budget_w
-                }
-                _ => {
-                    let budget_w = arbiter::band_budget_w(self.cap, input.domains);
-                    self.budget_cache = Some((self.cap, input.domains.len(), budget_w));
-                    budget_w
-                }
-            };
-            self.arbiter_invocations += 1;
-            let allocation =
-                arbiter::arbitrate_with_budget(budget_w, input.domains, demand.as_slice(), hottest);
-            arbiter_share = Some(ArbiterShare {
-                budget_w: allocation.budget_w,
-                allocated_w: allocation.allocated_w,
-            });
-            allocation.caps
+            let (caps, share) = self.arbitrate(input);
+            arbiter_share = Some(share);
+            caps
         } else {
             match &self.die_temps {
                 Some(temps) => self
@@ -275,7 +276,7 @@ impl CpuGovernor for UstaGovernor {
         self.capped_decisions = 0;
         self.arbiter_invocations = 0;
         self.die_temps = None;
-        self.budget_cache = None;
+        self.prices = None;
         self.last_record = None;
         self.residuals = ResidualStats::new();
     }
@@ -288,6 +289,7 @@ impl CpuGovernor for UstaGovernor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arbiter;
     use crate::predictor::PredictionTarget;
     use crate::training::{LoggedSample, TrainingLog};
     use usta_governors::{DomainSample, FreqDomain, OnDemand};
@@ -562,7 +564,7 @@ mod tests {
     }
 
     #[test]
-    fn arbiter_counters_and_budget_cache_track_system_decides() {
+    fn arbiter_counters_and_price_table_track_system_decides() {
         let domains = cpu_plus_display();
         let samples = [DomainSample {
             avg_utilization: 1.0,
@@ -585,12 +587,12 @@ mod tests {
             0,
             "unrestricted band tightens nothing"
         );
-        // The second decide hits the memoized budget and must agree.
+        // The second decide reuses the price table and must agree.
         let second = g.decide(&input);
         assert_eq!(first.levels(), second.levels());
         assert_eq!(g.arbiter_invocations(), 2);
-        // A new cap re-prices the budget: the minimum band pins both
-        // domains to their floors.
+        // A new cap reads another budget from the same table: the
+        // minimum band pins both domains to their floors.
         g.tick(&features(36.8), 3.0);
         assert_eq!(g.cap(), FrequencyCap::MinimumFrequency);
         assert_eq!(g.decide(&input).levels(), &[0, 0]);
@@ -598,6 +600,40 @@ mod tests {
         g.reset();
         assert_eq!(g.arbiter_invocations(), 0);
         assert_eq!(g.capped_decisions(), 0);
+    }
+
+    #[test]
+    fn reused_governor_reprices_a_different_device_of_equal_domain_count() {
+        // Two devices with the same domain count and different power:
+        // a governor reused across them without `reset` must spend the
+        // second device's budget, not the first's.
+        let first = cpu_plus_display();
+        let mut second = cpu_plus_display();
+        second[0].full_load_w = 5.0;
+        second[1].full_load_w = 0.6;
+        let samples = [DomainSample {
+            avg_utilization: 1.0,
+            max_utilization: 1.0,
+            current_level: 0,
+        }; 2];
+        let caps = [first[0].max_index(), first[1].max_index()];
+        let mut g = usta();
+        g.tick(&features(28.0), 0.1); // unrestricted
+        for domains in [&first, &second, &first] {
+            g.decide(&GovernorInput {
+                domains,
+                samples: &samples,
+                max_allowed_levels: &caps,
+                die_temp_c: None,
+            });
+            let share = g
+                .last_decision_record()
+                .and_then(|r| r.arbiter)
+                .expect("system-level decide engages the arbiter");
+            let fresh = arbiter::arbitrate(g.cap(), domains, &[1.0, 1.0], None);
+            assert_eq!(share.budget_w.to_bits(), fresh.budget_w.to_bits());
+            assert_eq!(share.allocated_w.to_bits(), fresh.allocated_w.to_bits());
+        }
     }
 
     #[test]

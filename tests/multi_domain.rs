@@ -12,8 +12,15 @@
 //! 3. **Genuine two-domain behaviour:** flagship-octa's clusters run
 //!    at distinct frequencies, and the big cluster absorbs USTA's
 //!    one-level band before the LITTLE cluster loses anything.
+//! 4. **The priced arbiter is the per-call arbiter:** a
+//!    [`PriceTable`] allocates exactly what the reference greedy, which
+//!    re-prices every step it considers, allocates — to the bit.
 
 use proptest::prelude::*;
+use std::path::Path;
+use std::sync::OnceLock;
+use usta_catalog::Catalog;
+use usta_core::arbiter::{power_at_level, PriceTable};
 use usta_core::policy::FrequencyCap;
 use usta_core::{arbitrate, BudgetAllocation};
 use usta_governors::{by_name, DomainSample, FreqDomain, GovernorInput, OnDemand, NAMES};
@@ -21,10 +28,40 @@ use usta_sim::runner::DvfsLoop;
 use usta_sim::{run_workload, Device, DeviceConfig, Governor, RunConfig};
 use usta_workloads::{Benchmark, ConstantLoad, Workload};
 
+/// The arbiter as it ran before the price table, shared with
+/// `usta-core`'s unit tests.
+#[path = "../crates/core/src/arbiter/reference.rs"]
+mod reference;
+
 fn freq_domains_of(id: &str) -> Vec<FreqDomain> {
     let device = Device::new(DeviceConfig::for_device_id(id).expect("builtin id"))
         .expect("catalog device builds");
     device.freq_domains()
+}
+
+/// Every built-in device's domain set, plus the file-only sd8s-gen3
+/// loaded from the committed catalog.
+fn arbiter_devices() -> &'static [(&'static str, Vec<FreqDomain>)] {
+    static DEVICES: OnceLock<Vec<(&'static str, Vec<FreqDomain>)>> = OnceLock::new();
+    DEVICES.get_or_init(|| {
+        let catalog =
+            Catalog::load_dir(Path::new(env!("CARGO_MANIFEST_DIR")).join("../../catalog"))
+                .expect("committed catalog loads");
+        let sd8s = catalog
+            .device("sd8s-gen3")
+            .expect("sd8s-gen3 is committed")
+            .clone();
+        usta_device::NAMES
+            .iter()
+            .map(|id| DeviceConfig::for_device_id(id).expect("builtin id"))
+            .chain([DeviceConfig::for_device(sd8s)])
+            .map(|config| {
+                let id = config.spec.id;
+                let device = Device::new(config).expect("catalog device builds");
+                (id, device.freq_domains())
+            })
+            .collect()
+    })
 }
 
 proptest! {
@@ -152,6 +189,40 @@ proptest! {
         prop_assert_eq!(a.caps.as_slice(), b.caps.as_slice(), "{}", id);
         prop_assert_eq!(a.allocated_w.to_bits(), b.allocated_w.to_bits(), "{}", id);
         prop_assert_eq!(a.budget_w.to_bits(), b.budget_w.to_bits(), "{}", id);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The price table changes how often the arbiter prices a step,
+    /// not what it decides: on every device (sd8s-gen3 from the
+    /// catalog included), every band, demand in and out of [0, 1] or
+    /// NaN, with and without a die temperature, its allocation equals
+    /// the reference's bit for bit.
+    #[test]
+    fn priced_arbiter_matches_the_reference_bit_for_bit(
+        device_index in 0usize..usta_device::NAMES.len() + 1,
+        band_index in 0usize..4,
+        demand_raw in proptest::collection::vec(-0.5f64..1.5, 8),
+        nan_at in 0usize..16,
+        die_raw in 15.0f64..95.0,
+        has_die in proptest::bool::ANY,
+    ) {
+        let (id, domains) = &arbiter_devices()[device_index];
+        let mut demand: Vec<f64> = (0..domains.len())
+            .map(|d| demand_raw[d % demand_raw.len()])
+            .collect();
+        if let Some(slot) = demand.get_mut(nan_at) {
+            *slot = f64::NAN;
+        }
+        let die_c = has_die.then_some(die_raw);
+        let band = band_of(band_index);
+        let priced = PriceTable::new(domains).arbitrate(band, &demand, die_c);
+        let oracle = reference::arbitrate(band, domains, &demand, die_c);
+        prop_assert_eq!(priced.caps.as_slice(), oracle.caps.as_slice(), "{}/{:?}", id, band);
+        prop_assert_eq!(priced.budget_w.to_bits(), oracle.budget_w.to_bits(), "{}", id);
+        prop_assert_eq!(priced.allocated_w.to_bits(), oracle.allocated_w.to_bits(), "{}", id);
     }
 }
 
