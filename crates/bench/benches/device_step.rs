@@ -1,5 +1,5 @@
 //! Substrate throughput: one 100 ms device step (SoC power + battery +
-//! sub-stepped RC thermal integration), and a full observation.
+//! one zero-order-hold RC thermal mat-vec), and a full observation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

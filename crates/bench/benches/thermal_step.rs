@@ -1,7 +1,8 @@
 //! Thermal-topology stepping cost per device: one 100 ms
-//! `DeviceThermalModel` step (sub-stepped RC integration) for every
-//! catalog device, so the per-node cost of growing topologies (7 nodes
-//! on single-cluster phones up to 9 on prime-flagship) is tracked.
+//! `DeviceThermalModel` step (one zero-order-hold mat-vec, discretized
+//! on the first step) for every catalog device, so the per-node cost of
+//! growing topologies (7 nodes on single-cluster phones up to 10 on
+//! prime-flagship) is tracked.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -449,10 +449,12 @@ impl Device {
         self.clock_s += dt;
     }
 
-    /// [`Device::apply`] with every domain at the same (clamped) level —
-    /// the single-domain call shape, still exact on one-domain devices.
+    /// [`Device::apply`] with every frequency domain (CPU clusters, and
+    /// the governed GPU and display where the spec declares them) at the
+    /// same level, clamped into each domain's table — the single-domain
+    /// call shape, still exact on one-domain devices.
     pub fn apply_level(&mut self, demand: &DeviceDemand, level: usize, dt: f64) {
-        let levels: PerDomain<usize> = PerDomain::splat(self.clusters.len(), level);
+        let levels: PerDomain<usize> = PerDomain::splat(self.domains(), level);
         self.apply(demand, levels.as_slice(), dt);
     }
 
@@ -906,6 +908,31 @@ mod tests {
         // Aggregate frequency sits between the two domain clocks.
         assert!(o.freq_khz < o.domains[0].freq_khz);
         assert!(o.freq_khz > o.domains[1].freq_khz);
+    }
+
+    #[test]
+    fn apply_level_sets_every_domain_of_a_governed_gpu_and_display_device() {
+        // flagship-octa: two CPU clusters plus a governed GPU and display,
+        // four domains in all, each with its own ladder length.
+        let mut d = Device::new(DeviceConfig {
+            sensor_seed: 1,
+            ..DeviceConfig::for_device_id("flagship-octa").unwrap()
+        })
+        .unwrap();
+        assert_eq!(d.domains(), 4);
+        let tops: Vec<usize> = d
+            .freq_domains()
+            .iter()
+            .map(|fd| fd.opp.max_index())
+            .collect();
+        d.apply_level(&busy_demand(), usize::MAX, 0.1);
+        let o = d.observe();
+        assert_eq!(o.domains.len(), 4);
+        for (state, &top) in o.domains.iter().zip(&tops) {
+            assert_eq!(state.level, top, "{:?} clamps to its top", state.kind);
+        }
+        d.apply_level(&busy_demand(), 0, 0.1);
+        assert!(d.observe().domains.iter().all(|state| state.level == 0));
     }
 
     #[test]

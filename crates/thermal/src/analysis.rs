@@ -20,27 +20,16 @@ pub fn steady_state(net: &ThermalNetwork) -> Result<Vec<Celsius>, ThermalError> 
     let n = net.node_count();
     let p = net.params();
 
-    // Build A·T = b over all nodes; boundary rows are identity.
-    let mut a = vec![0.0; n * n];
+    // Solve K·T = P + g_amb·T_amb over all nodes; boundary rows are
+    // identity.
+    let mut a = p.conductance_matrix();
     let mut b = vec![0.0; n];
     for i in 0..n {
         if p.boundary[i] {
             a[i * n + i] = 1.0;
             b[i] = net.temperature(NodeId(i)).value();
         } else {
-            let g_amb = p.ambient_conductance[i];
-            a[i * n + i] += g_amb;
-            b[i] = g_amb * p.ambient + p.power[i];
-        }
-    }
-    for &(x, y, g) in p.couplings {
-        if !p.boundary[x] {
-            a[x * n + x] += g;
-            a[x * n + y] -= g;
-        }
-        if !p.boundary[y] {
-            a[y * n + y] += g;
-            a[y * n + x] -= g;
+            b[i] = p.ambient_conductance[i] * p.ambient + p.power[i];
         }
     }
 
@@ -65,8 +54,9 @@ pub fn thermal_resistance(net: &ThermalNetwork, node: NodeId) -> Result<f64, The
 }
 
 /// Estimates the dominant (slowest) time constant of the network in
-/// seconds by power iteration on the linearized system, i.e. the inverse
-/// of the smallest eigenvalue magnitude of `C⁻¹·G`.
+/// seconds: the time for the heat stored above ambient to relax to 1/e
+/// of a uniform +10 K start with no power (exactly `C/G` for a single
+/// RC node).
 ///
 /// This is the time scale on which skin temperature approaches steady
 /// state — minutes for a phone, which is why the paper's user study needed
@@ -74,39 +64,48 @@ pub fn thermal_resistance(net: &ThermalNetwork, node: NodeId) -> Result<f64, The
 ///
 /// # Errors
 ///
-/// Propagates [`ThermalError::SingularSystem`] when the network has no
-/// path to a fixed temperature.
+/// Returns [`ThermalError::SingularSystem`] when the stored heat does not
+/// fall to 1/e within 10⁷ s (no path to a fixed temperature).
 pub fn dominant_time_constant(net: &ThermalNetwork) -> Result<f64, ThermalError> {
-    // Relaxation estimate: start from a uniform +1 K perturbation on
-    // dynamic nodes with zero power, then fit exp decay of the slowest
-    // mode by long-time ratio sampling.
+    const MAX_T: f64 = 1e7;
     let mut probe = net.clone();
     probe.clear_power();
-    // Seed perturbation.
     let amb = probe.ambient();
     for i in 0..probe.node_count() {
         if !probe.params().boundary[i] {
             probe.set_temperature(NodeId(i), amb + 10.0)?;
         }
     }
-    // March until the total excess decays below 1/e of its start; clamp
-    // iterations to avoid infinite loops in near-singular cases.
-    let start: f64 = probe.stored_energy();
+    let start = probe.stored_energy();
     if start <= 0.0 {
         return Err(ThermalError::SingularSystem);
     }
     let target = start / std::f64::consts::E;
-    let dt = probe.max_stable_step().max(1e-6);
-    let mut t = 0.0;
-    let max_t = 1e7;
-    while probe.stored_energy() > target {
-        probe.step(dt);
-        t += dt;
-        if t > max_t {
+    // A step is exact at any length, so the heat left after `t` seconds
+    // is one step of `t` from the start.
+    let above_target = |t: f64| {
+        let mut relaxed = probe.clone();
+        relaxed.step(t);
+        relaxed.stored_energy() > target
+    };
+    // Bracket the crossing by doubling, then bisect it.
+    let (mut lo, mut hi) = (0.0, 1e-3);
+    while above_target(hi) {
+        if hi >= MAX_T {
             return Err(ThermalError::SingularSystem);
         }
+        lo = hi;
+        hi = (2.0 * hi).min(MAX_T);
     }
-    Ok(t)
+    while hi - lo > 1e-9 * hi {
+        let mid = 0.5 * (lo + hi);
+        if above_target(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    Ok(0.5 * (lo + hi))
 }
 
 /// Gaussian elimination with partial pivoting on a row-major dense

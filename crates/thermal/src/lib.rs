@@ -14,8 +14,9 @@
 //! C_i · dT_i/dt = Σ_j G_ij (T_j − T_i) + G_amb,i (T_amb − T_i) + P_i
 //! ```
 //!
-//! with sub-stepped forward Euler, kept inside the stability limit
-//! automatically.
+//! exactly for inputs (power and ambient) held constant over each step:
+//! every step is one precomputed mat-vec, `T[k+1] = Φ·T[k] + Γ·u[k]`,
+//! the zero-order-hold discretization of the ODE (see [`network`]).
 //!
 //! ## Quick start
 //!
@@ -49,12 +50,12 @@
 
 pub mod analysis;
 pub mod error;
-mod integrator;
 pub mod materials;
 pub mod network;
 pub mod phone;
 pub mod topology;
 pub mod units;
+mod zoh;
 
 pub use error::ThermalError;
 pub use network::{NodeId, ThermalNetwork, ThermalNetworkBuilder};

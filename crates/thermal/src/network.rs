@@ -7,10 +7,15 @@
 //! temperature evolves) or **boundary** (fixed temperature — used for
 //! things like a hand holding the phone, whose blood perfusion pins it
 //! near 33 °C).
+//!
+//! [`ThermalNetwork::step`] is exact for the power and ambient held over
+//! the step (zero-order hold): it discretizes the network once per step
+//! length into `T[k+1] = Φ·T[k] + Γ·[P; T_amb]` and then steps by one
+//! mat-vec. Any step length is stable, from milliseconds to hours.
 
 use crate::error::ThermalError;
-use crate::integrator;
 use crate::units::Celsius;
+use crate::zoh::Zoh;
 
 /// Opaque handle to a node of a [`ThermalNetwork`].
 ///
@@ -238,23 +243,6 @@ impl ThermalNetworkBuilder {
             .iter()
             .map(|spec| matches!(spec.kind, NodeKind::Boundary))
             .collect();
-        // Per-node total conductance, used for the Euler stability limit.
-        let mut total_g = ambient_conductance.clone();
-        for &(a, b, g) in &self.couplings {
-            total_g[a] += g;
-            total_g[b] += g;
-        }
-        let stable_dt = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, spec)| match spec.kind {
-                NodeKind::Dynamic { capacitance } if total_g[i] > 0.0 => {
-                    Some(capacitance / total_g[i])
-                }
-                _ => None,
-            })
-            .fold(f64::INFINITY, f64::min);
 
         Ok(ThermalNetwork {
             names: self.nodes.iter().map(|s| s.name.clone()).collect(),
@@ -265,17 +253,16 @@ impl ThermalNetworkBuilder {
             ambient: self.ambient,
             temps: self.nodes.iter().map(|s| s.initial.value()).collect(),
             power: vec![0.0; n],
-            // One tenth of the explicit-Euler stability bound keeps the
-            // scheme stable, monotonic, and accurate to well under a
-            // kelvin even for the fastest node of the network.
-            max_step: 0.1 * stable_dt,
             elapsed: 0.0,
-            scratch: vec![0.0; n],
+            zoh: None,
         })
     }
 }
 
-/// A built thermal network: holds temperatures and integrates them.
+/// A built thermal network: holds temperatures and steps them exactly
+/// under inputs held constant over each step (see [`step`]).
+///
+/// [`step`]: ThermalNetwork::step
 #[derive(Debug, Clone)]
 pub struct ThermalNetwork {
     names: Vec<String>,
@@ -286,9 +273,9 @@ pub struct ThermalNetwork {
     ambient: Celsius,
     temps: Vec<f64>,
     power: Vec<f64>,
-    max_step: f64,
     elapsed: f64,
-    scratch: Vec<f64>,
+    /// The discretization for the most recent step length.
+    zoh: Option<Zoh>,
 }
 
 impl ThermalNetwork {
@@ -363,6 +350,8 @@ impl ThermalNetwork {
     }
 
     /// Changes the ambient temperature (e.g. moving the phone outdoors).
+    /// The ambient is an input of the step, so this keeps the
+    /// discretization.
     pub fn set_ambient(&mut self, t: Celsius) {
         self.ambient = t;
     }
@@ -404,12 +393,6 @@ impl ThermalNetwork {
         self.elapsed
     }
 
-    /// Largest internally-used Euler sub-step (one tenth of the
-    /// stability limit).
-    pub fn max_stable_step(&self) -> f64 {
-        self.max_step
-    }
-
     /// Heat currently stored in the dynamic nodes relative to ambient, in
     /// joules. Useful for energy-balance checks.
     pub fn stored_energy(&self) -> f64 {
@@ -423,33 +406,22 @@ impl ThermalNetwork {
             .sum()
     }
 
-    /// Instantaneous heat flow out of the network, in watts: the sum over
-    /// ambient links plus flow into boundary nodes.
-    pub fn outflow(&self) -> f64 {
-        let amb = self.ambient.value();
-        let mut out = 0.0;
-        for (i, &g) in self.ambient_conductance.iter().enumerate() {
-            if !self.boundary[i] {
-                out += g * (self.temps[i] - amb);
-            }
-        }
-        for &(a, b, g) in &self.couplings {
-            match (self.boundary[a], self.boundary[b]) {
-                (false, true) => out += g * (self.temps[a] - self.temps[b]),
-                (true, false) => out += g * (self.temps[b] - self.temps[a]),
-                _ => {}
-            }
-        }
-        out
-    }
-
-    /// Advances the network by `dt` seconds with forward Euler,
-    /// sub-stepping as needed for stability. `dt <= 0` is a no-op.
+    /// Advances the network by `dt` seconds, exactly for the current
+    /// power and ambient held over the whole step (zero-order hold).
+    /// `dt <= 0` is a no-op.
+    ///
+    /// The step is one mat-vec, `T ← Φ·T + Γ·[P; T_amb]`. Φ and Γ depend
+    /// only on the network and `dt`: they are computed on the first step
+    /// of each new length and reused while the length stays the same.
     pub fn step(&mut self, dt: f64) {
         if dt.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) || !dt.is_finite() {
             return;
         }
-        integrator::euler_step(self, dt);
+        if !self.zoh.as_ref().is_some_and(|z| z.is_for(dt)) {
+            self.zoh = Some(Zoh::new(&self.params(), dt));
+        }
+        let zoh = self.zoh.as_mut().expect("discretized above");
+        zoh.step(&mut self.temps, &self.power, self.ambient.value());
         self.elapsed += dt;
     }
 
@@ -459,7 +431,8 @@ impl ThermalNetwork {
         self.step(duration);
     }
 
-    /// The derivative parameters, for the static analyses.
+    /// The network's parameters, for the discretization and the static
+    /// analyses.
     pub(crate) fn params(&self) -> NetParams<'_> {
         NetParams {
             boundary: &self.boundary,
@@ -470,45 +443,9 @@ impl ThermalNetwork {
             power: &self.power,
         }
     }
-
-    /// Splits the network into the pieces an integrator needs to hold
-    /// simultaneously: mutable temperatures, the resident scratch
-    /// buffer, the immutable derivative parameters, and the sub-step
-    /// bound. Borrow-splitting here is what lets the integrators work
-    /// in place instead of moving the scratch vector out and back every
-    /// step.
-    pub(crate) fn integration_state(&mut self) -> (&mut [f64], &mut [f64], NetParams<'_>, f64) {
-        let ThermalNetwork {
-            capacitance,
-            boundary,
-            couplings,
-            ambient_conductance,
-            ambient,
-            temps,
-            power,
-            max_step,
-            scratch,
-            ..
-        } = self;
-        (
-            temps.as_mut_slice(),
-            scratch.as_mut_slice(),
-            NetParams {
-                boundary,
-                capacitance,
-                couplings,
-                ambient_conductance,
-                ambient: ambient.value(),
-                power,
-            },
-            *max_step,
-        )
-    }
 }
 
-/// Immutable view of everything [`derivatives_into`] needs, borrowed
-/// apart from the temperature and scratch state so integrators can
-/// mutate those while the parameters stay shared.
+/// Immutable view of a network's parameters and current inputs.
 pub(crate) struct NetParams<'a> {
     pub(crate) boundary: &'a [bool],
     pub(crate) capacitance: &'a [f64],
@@ -518,29 +455,29 @@ pub(crate) struct NetParams<'a> {
     pub(crate) power: &'a [f64],
 }
 
-/// Writes dT/dt for `temps` into `out`.
-pub(crate) fn derivatives_into(p: &NetParams<'_>, temps: &[f64], out: &mut [f64]) {
-    let amb = p.ambient;
-    for (i, o) in out.iter_mut().enumerate() {
-        *o = if p.boundary[i] {
-            0.0
-        } else {
-            p.ambient_conductance[i] * (amb - temps[i]) + p.power[i]
-        };
-    }
-    for &(a, b, g) in p.couplings {
-        let flow = g * (temps[a] - temps[b]); // a -> b
-        if !p.boundary[b] {
-            out[b] += flow;
+impl NetParams<'_> {
+    /// The conductance matrix `K = L + diag(g_amb)` (W/K, row-major
+    /// `n × n`), so that `C·dT/dt = −K·T + P + g_amb·T_amb` on dynamic
+    /// nodes. Rows of boundary nodes are zero.
+    pub(crate) fn conductance_matrix(&self) -> Vec<f64> {
+        let n = self.boundary.len();
+        let mut k = vec![0.0; n * n];
+        for i in 0..n {
+            if !self.boundary[i] {
+                k[i * n + i] += self.ambient_conductance[i];
+            }
         }
-        if !p.boundary[a] {
-            out[a] -= flow;
+        for &(x, y, g) in self.couplings {
+            if !self.boundary[x] {
+                k[x * n + x] += g;
+                k[x * n + y] -= g;
+            }
+            if !self.boundary[y] {
+                k[y * n + y] += g;
+                k[y * n + x] -= g;
+            }
         }
-    }
-    for ((o, &b), &c) in out.iter_mut().zip(p.boundary).zip(p.capacitance) {
-        if !b {
-            *o /= c;
-        }
+        k
     }
 }
 
@@ -623,22 +560,24 @@ mod tests {
 
     #[test]
     fn energy_balance_over_one_step() {
-        let (mut net, die, _) = two_node_net();
+        // A closed network (no ambient link, no boundary): internal flows
+        // only move heat, so one exact step stores all the power.
+        let mut b = ThermalNetworkBuilder::new(Celsius(25.0));
+        let die = b.add_node("die", 2.0, Celsius(40.0)).unwrap();
+        let case = b.add_node("case", 30.0, Celsius(25.0)).unwrap();
+        b.couple(die, case, 1.5).unwrap();
+        let mut net = b.build().unwrap();
         net.set_power(die, 3.0);
-        let before = net.stored_energy();
-        // One max-stable step: forward Euler conserves energy exactly per
-        // sub-step (internal flows cancel in the capacitance-weighted sum).
-        let dt = net.max_stable_step();
-        let out_before = net.outflow();
-        net.step(dt);
-        let after = net.stored_energy();
-        let expected = (3.0 - out_before) * dt;
-        assert!(
-            (after - before - expected).abs() < 1e-9,
-            "energy drift: {} vs {}",
-            after - before,
-            expected
-        );
+        for dt in [0.1, 7.5, 300.0] {
+            let before = net.stored_energy();
+            net.step(dt);
+            let stored = net.stored_energy() - before;
+            assert!(
+                (stored - 3.0 * dt).abs() < 1e-9,
+                "dt {dt}: stored {stored} J vs {} J in",
+                3.0 * dt
+            );
+        }
     }
 
     #[test]
@@ -709,5 +648,103 @@ mod tests {
         net.step(f64::NAN);
         assert_eq!(net.temperature(die), t0);
         assert_eq!(net.elapsed(), 0.0);
+    }
+
+    /// Single node with an ambient link has the analytic solution
+    /// T(t) = T_amb + P/G + (T0 − T_amb − P/G)·exp(−G·t/C).
+    fn analytic(t: f64, t0: f64, amb: f64, p: f64, g: f64, c: f64) -> f64 {
+        let t_ss = amb + p / g;
+        t_ss + (t0 - t_ss) * (-g * t / c).exp()
+    }
+
+    fn single_node() -> (ThermalNetwork, NodeId) {
+        let mut b = ThermalNetworkBuilder::new(Celsius(20.0));
+        let n = b.add_node("n", 10.0, Celsius(50.0)).unwrap();
+        b.link_ambient(n, 0.5).unwrap();
+        let mut net = b.build().unwrap();
+        net.set_power(n, 1.0);
+        (net, n)
+    }
+
+    #[test]
+    fn zoh_matches_analytic_solution() {
+        for dt in [0.1, 1.0, 300.0] {
+            let (mut net, node) = single_node();
+            for k in 1..=20 {
+                net.step(dt);
+                let expected = analytic(k as f64 * dt, 50.0, 20.0, 1.0, 0.5, 10.0);
+                let got = net.temperature(node).value();
+                assert!(
+                    (got - expected).abs() < 1e-12,
+                    "dt {dt}, step {k}: zoh {got} vs analytic {expected}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn zoh_is_monotonic_toward_equilibrium() {
+        // Starting above the steady state with no power, temperature must
+        // decrease monotonically — no oscillation at any step length.
+        let (mut net, node) = single_node();
+        net.set_power(node, 0.0);
+        let mut prev = net.temperature(node).value();
+        for k in 0..200 {
+            net.step(if k % 2 == 0 { 1.0 } else { 300.0 });
+            let cur = net.temperature(node).value();
+            assert!(cur <= prev + 1e-12, "non-monotonic: {cur} > {prev}");
+            assert!(cur >= 20.0 - 1e-9, "undershoot below ambient: {cur}");
+            prev = cur;
+        }
+    }
+
+    #[test]
+    fn boundary_node_stays_pinned_bit_for_bit() {
+        let mut b = ThermalNetworkBuilder::new(Celsius(25.0));
+        let die = b.add_node("die", 2.0, Celsius(60.0)).unwrap();
+        let hand = b.add_boundary_node("hand", Celsius(33.5)).unwrap();
+        let cover = b.add_node("cover", 20.0, Celsius(20.0)).unwrap();
+        b.couple(die, hand, 1.0).unwrap();
+        b.couple(hand, cover, 0.4).unwrap();
+        b.link_ambient(cover, 0.1).unwrap();
+        b.link_ambient(hand, 0.3).unwrap();
+        let mut net = b.build().unwrap();
+        net.set_power(hand, 50.0);
+        for k in 0..40 {
+            net.set_power(die, k as f64 * 0.25);
+            net.set_ambient(Celsius(10.0 + k as f64));
+            net.step([0.1, 1.0, 300.0][k % 3]);
+            assert_eq!(net.temperature(hand).value().to_bits(), 33.5f64.to_bits());
+        }
+        assert_ne!(net.temperature(die), Celsius(60.0));
+    }
+
+    #[test]
+    fn alternating_step_lengths_never_reuse_a_stale_discretization() {
+        // Each step must equal the same step taken by a network that has
+        // never been stepped before (so it discretizes afresh).
+        let fresh_copy = |net: &ThermalNetwork| {
+            let (mut copy, die, case) = two_node_net();
+            copy.set_temperature(die, net.temperature(die)).unwrap();
+            copy.set_temperature(case, net.temperature(case)).unwrap();
+            copy.set_power(die, net.power(die));
+            copy
+        };
+        let (mut net, die, _) = two_node_net();
+        net.set_power(die, 2.0);
+        for k in 0..12 {
+            let dt = if k % 2 == 0 { 0.1 } else { 1.0 };
+            let mut reference = fresh_copy(&net);
+            net.step(dt);
+            reference.step(dt);
+            for id in net.node_ids().collect::<Vec<_>>() {
+                assert_eq!(
+                    net.temperature(id).value().to_bits(),
+                    reference.temperature(id).value().to_bits(),
+                    "step {k} (dt {dt}), node {}",
+                    net.node_name(id)
+                );
+            }
+        }
     }
 }

@@ -324,11 +324,13 @@ impl DeviceThermalModel {
     /// Advances the thermal state by `dt` seconds.
     ///
     /// The hand, when present, is applied as an equivalent power term on
-    /// the skin node, recomputed from the current temperatures: it
-    /// conducts toward palm temperature and blocks part of the node's
-    /// convective path (see [`HandContact`]). For the sub-second steps
-    /// of the device simulator this explicit coupling is
-    /// indistinguishable from a true network edge.
+    /// the skin node: it conducts toward palm temperature and blocks part
+    /// of the node's convective path (see [`HandContact`]). The term is
+    /// evaluated from the temperatures at the start of the step and held
+    /// for the whole step, like every other input of the exact
+    /// zero-order-hold step; for the sub-second steps of the device
+    /// simulator this explicit coupling is indistinguishable from a true
+    /// network edge.
     pub fn step(&mut self, dt: f64) {
         debug_assert_eq!(
             self.heat.die_w.len(),
