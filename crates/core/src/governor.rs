@@ -13,8 +13,12 @@
 //!   to a per-domain cap vector on multi-domain devices (the skin
 //!   budget splits across clusters by predicted power share — see
 //!   [`FrequencyCap::max_allowed_levels`]);
-//! * continuously: [`UstaGovernor::tick`] with fresh sensor features —
-//!   internally rate-limited to the 3-second prediction cadence.
+//! * every step: [`UstaGovernor::tick_with`], internally rate-limited
+//!   to the 3-second prediction cadence. Its feature closure runs only
+//!   when a prediction is due ([`UstaGovernor::prediction_due`]), so
+//!   the sensors are read on prediction steps alone.
+
+use std::cmp::Ordering;
 
 use crate::arbiter::PriceTable;
 use crate::decision::{ArbiterShare, DecisionRecord};
@@ -107,12 +111,30 @@ impl UstaGovernor {
     /// Feeds fresh sensor features; runs a prediction if the cadence
     /// elapsed. Returns the new cap when a prediction happened.
     pub fn tick(&mut self, features: &FeatureVector, dt: f64) -> Option<FrequencyCap> {
-        self.since_prediction_s += dt;
-        if self.since_prediction_s < self.period_s {
+        self.tick_with(dt, || *features)
+    }
+
+    /// Whether the next `tick` (or `tick_with`) of `dt` seconds runs
+    /// a prediction: the cadence comparison itself, so a caller can
+    /// read sensors only on the steps that need them. Anything not
+    /// short of the period is due, the infinite start included.
+    pub fn prediction_due(&self, dt: f64) -> bool {
+        (self.since_prediction_s + dt).partial_cmp(&self.period_s) != Some(Ordering::Less)
+    }
+
+    /// [`UstaGovernor::tick`] with the features built on demand:
+    /// `features` runs only when a prediction is due.
+    pub fn tick_with(
+        &mut self,
+        dt: f64,
+        features: impl FnOnce() -> FeatureVector,
+    ) -> Option<FrequencyCap> {
+        if !self.prediction_due(dt) {
+            self.since_prediction_s += dt;
             return None;
         }
         self.since_prediction_s = 0.0;
-        let predicted = self.predictor.predict(features);
+        let predicted = self.predictor.predict(&features());
         self.last_prediction = Some(predicted);
         self.predictions_made += 1;
         self.cap = self.policy.decide(predicted);
@@ -701,6 +723,53 @@ mod tests {
         decide_single(&mut g, 0, top);
         let record = g.last_decision_record().expect("decision ran");
         assert_eq!(record.residual_c, Some(g.residuals().last()));
+    }
+
+    #[test]
+    fn prediction_due_agrees_with_the_next_tick() {
+        for dt in [0.05, 0.1, 0.3] {
+            for period in [0.25, 1.0, 3.0, 10.0] {
+                let mut g = usta();
+                g.set_prediction_period(period);
+                // The eager cadence `tick` always ran: accumulate, then
+                // predict unless still short of the period.
+                let mut since = f64::INFINITY;
+                let mut predictions = 0;
+                for i in 0..10_000 {
+                    if i == 5_000 {
+                        // A reset restarts the cadence: due at once.
+                        g.reset();
+                        since = f64::INFINITY;
+                        assert!(g.prediction_due(dt), "dt {dt}, period {period}");
+                    }
+                    since += dt;
+                    let reference = if since < period {
+                        false
+                    } else {
+                        since = 0.0;
+                        true
+                    };
+                    let due = g.prediction_due(dt);
+                    assert_eq!(due, reference, "dt {dt}, period {period}, tick {i}");
+                    let predicted = if i % 2 == 0 {
+                        g.tick(&features(30.0), dt).is_some()
+                    } else {
+                        let mut built = false;
+                        let predicted = g
+                            .tick_with(dt, || {
+                                built = true;
+                                features(30.0)
+                            })
+                            .is_some();
+                        assert_eq!(built, predicted, "features built only when due");
+                        predicted
+                    };
+                    assert_eq!(due, predicted, "dt {dt}, period {period}, tick {i}");
+                    predictions += usize::from(predicted);
+                }
+                assert!(predictions >= 2, "one prediction opens each half");
+            }
+        }
     }
 
     #[test]

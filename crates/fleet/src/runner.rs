@@ -934,7 +934,12 @@ fn run_sweep_trained(
         worst: Vec<WorstTriple>,
         sent_at: Option<std::time::Instant>,
     }
-    let (tx, rx) = mpsc::channel::<ChunkMsg>();
+    // Bounded: a worker that outruns the coordinator's file writes
+    // blocks on `send` instead of piling serialized chunks up in
+    // memory. The coordinator receives whatever arrives and parks
+    // out-of-order chunks itself, so a full channel only ever waits on
+    // a write in progress, never on a particular chunk.
+    let (tx, rx) = mpsc::sync_channel::<ChunkMsg>(workers);
     let tracing = trace.is_some();
     let trace_steps = if tracing { config.trace_steps } else { 0 };
     // Triage (flight dumps + the worst-triples table) rides on the

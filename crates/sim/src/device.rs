@@ -93,8 +93,68 @@ pub struct DomainState {
     pub die_temp: Celsius,
 }
 
+/// The device's true state at one instant, without any sensor reading:
+/// what the run loop consumes on every step (governor samples, peaks,
+/// traces, flight events). The matching fields of [`Observation`] carry
+/// the same bits.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DeviceState {
+    /// Simulated time, seconds.
+    pub t: f64,
+    /// Ground-truth skin temperature.
+    pub skin_true: Celsius,
+    /// Ground-truth screen temperature.
+    pub screen_true: Celsius,
+    /// Mean CPU utilization over the last step, across every core.
+    pub avg_utilization: f64,
+    /// Busiest-core utilization over the last step, across all domains.
+    pub max_utilization: f64,
+    /// Aggregate CPU frequency, kHz (see [`Observation::freq_khz`]).
+    pub freq_khz: f64,
+    /// Per-frequency-domain state, in the device's big-first order.
+    pub domains: PerDomain<DomainState>,
+}
+
+impl DeviceState {
+    /// The hottest per-cluster die temperature (see
+    /// [`Observation::hottest_die`]).
+    pub fn hottest_die(&self) -> Celsius {
+        hottest_die(self.domains.as_slice())
+    }
+
+    /// Per-CPU-cluster die temperatures, big-first (see
+    /// [`Observation::die_temps`]).
+    pub fn die_temps(&self) -> PerDomain<Celsius> {
+        die_temps(self.domains.as_slice())
+    }
+}
+
+/// Number of CPU-cluster domains: the leading entries of `domains`.
+fn cpu_domain_count(domains: &[DomainState]) -> usize {
+    domains
+        .iter()
+        .filter(|s| s.kind == DomainKind::CpuCluster)
+        .count()
+}
+
+/// The hottest CPU-cluster die temperature of `domains`.
+fn hottest_die(domains: &[DomainState]) -> Celsius {
+    let mut best = domains[0].die_temp;
+    for state in domains.iter().skip(1) {
+        if state.kind == DomainKind::CpuCluster {
+            best = best.max(state.die_temp);
+        }
+    }
+    best
+}
+
+/// The CPU-cluster die temperatures of `domains`, big-first.
+fn die_temps(domains: &[DomainState]) -> PerDomain<Celsius> {
+    PerDomain::from_fn(cpu_domain_count(domains), |d| domains[d].die_temp)
+}
+
 /// Everything the software (and the thermistor rig) can observe at one
-/// instant.
+/// instant: the [`DeviceState`] plus the four sensor readings.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Observation {
     /// Simulated time, seconds.
@@ -128,10 +188,7 @@ impl Observation {
     /// Number of CPU-cluster domains (the leading entries of
     /// [`Observation::domains`]; GPU and display domains follow them).
     pub fn cpu_domain_count(&self) -> usize {
-        self.domains
-            .iter()
-            .filter(|s| s.kind == DomainKind::CpuCluster)
-            .count()
+        cpu_domain_count(self.domains.as_slice())
     }
 
     /// The predictor's feature vector for this observation: one
@@ -164,20 +221,14 @@ impl Observation {
     /// The hottest per-cluster die temperature of this observation
     /// (CPU dies only — the GPU's node keys its own domain).
     pub fn hottest_die(&self) -> Celsius {
-        let mut best = self.domains[0].die_temp;
-        for state in self.domains.iter().skip(1) {
-            if state.kind == DomainKind::CpuCluster {
-                best = best.max(state.die_temp);
-            }
-        }
-        best
+        hottest_die(self.domains.as_slice())
     }
 
     /// Per-CPU-cluster die temperatures, big-first (for
     /// [`usta_core::UstaGovernor::observe_die_temperatures`] and the
     /// splitter's tie-breaks — GPU/display domains are excluded).
     pub fn die_temps(&self) -> PerDomain<Celsius> {
-        PerDomain::from_fn(self.cpu_domain_count(), |d| self.domains[d].die_temp)
+        die_temps(self.domains.as_slice())
     }
 }
 
@@ -458,10 +509,10 @@ impl Device {
         self.apply(demand, levels.as_slice(), dt);
     }
 
-    /// Takes a full observation. It is a pure function of the device's
-    /// state: the sensor noise is keyed by the step index, so observing
-    /// twice between steps, or skipping steps, changes no reading.
-    pub fn observe(&self) -> Observation {
+    /// The true state of the device, with no sensor read: the part of
+    /// [`Device::observe`] every step needs. Its fields carry the same
+    /// bits as the observation's.
+    pub fn state(&self) -> DeviceState {
         let mut domains = PerDomain::from_fn(self.clusters.len(), |d| {
             let cluster = &self.clusters[d];
             DomainState {
@@ -514,10 +565,29 @@ impl Device {
             }
             weighted / total_cores as f64
         };
+        DeviceState {
+            t: self.clock_s,
+            skin_true: self.thermal.skin_temperature(),
+            screen_true: self.thermal.screen_temperature(),
+            avg_utilization: util_sum / total_cores as f64,
+            max_utilization,
+            freq_khz,
+            domains,
+        }
+    }
+
+    /// Takes a full observation: [`Device::state`] plus the four sensor
+    /// readings. It is a pure function of the device's state: the
+    /// sensor noise is keyed by the step index, so observing twice
+    /// between steps, or skipping steps, changes no reading — which is
+    /// what lets the run loop read the sensors only on the steps that
+    /// consume them (log and prediction steps).
+    pub fn observe(&self) -> Observation {
+        let state = self.state();
         let [z_cpu, z_battery, z_skin, z_screen] =
             usta_soc::sensors::step_normals(self.sensor_key, self.step);
         Observation {
-            t: self.clock_s,
+            t: state.t,
             // The primary CPU zone sits on the big cluster's die (die
             // node 0) — on the single-die Nexus 4, *the* die.
             cpu_temp: self.cpu_sensor.read(self.thermal.die_temperature(0), z_cpu),
@@ -530,12 +600,12 @@ impl Device {
             screen_thermistor: self
                 .screen_thermistor
                 .read(self.thermal.screen_temperature(), z_screen),
-            skin_true: self.thermal.skin_temperature(),
-            screen_true: self.thermal.screen_temperature(),
-            avg_utilization: util_sum / total_cores as f64,
-            max_utilization,
-            freq_khz,
-            domains,
+            skin_true: state.skin_true,
+            screen_true: state.screen_true,
+            avg_utilization: state.avg_utilization,
+            max_utilization: state.max_utilization,
+            freq_khz: state.freq_khz,
+            domains: state.domains,
         }
     }
 
@@ -803,6 +873,90 @@ mod tests {
             let dense_obs = dense.observe();
             if step % 30 == 0 {
                 assert_eq!(sparse.observe(), dense_obs, "step {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn lean_state_equals_the_full_observation_every_step() {
+        fn bits<const N: usize>(x: [f64; N]) -> [u64; N] {
+            x.map(f64::to_bits)
+        }
+        let sd8s = usta_device::parse_device(include_str!("../../../catalog/sd8s-gen3.toml"))
+            .expect("sd8s-gen3 parses");
+        let configs = [
+            DeviceConfig::default(),
+            DeviceConfig::for_device_id("flagship-octa").unwrap(),
+            DeviceConfig::for_device(sd8s),
+        ];
+        for config in configs {
+            let id = config.spec.id;
+            let mut d = Device::new(DeviceConfig {
+                sensor_seed: 5,
+                ..config
+            })
+            .unwrap();
+            let tops: Vec<usize> = d.freq_domains().iter().map(|f| f.max_index()).collect();
+            for i in 0..400usize {
+                // Load, thread count, GPU, panel, charging and every
+                // domain's level all vary from step to step.
+                let demand = DeviceDemand {
+                    cpu_threads_khz: vec![300_000.0 + (i * 137 % 1200) as f64 * 1000.0; 1 + i % 9],
+                    gpu_load: (i % 11) as f64 / 10.0,
+                    display_on: i % 5 != 0,
+                    brightness: (i % 7) as f64 / 6.0,
+                    board_w: 0.3,
+                    charging: i % 50 < 10,
+                };
+                let levels: Vec<usize> = tops
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &top)| (i * 3 + k * 5) % (top + 1))
+                    .collect();
+                d.apply(&demand, &levels, 0.1);
+                let state = d.state();
+                let obs = d.observe();
+                assert_eq!(
+                    bits([
+                        state.t,
+                        state.skin_true.value(),
+                        state.screen_true.value(),
+                        state.avg_utilization,
+                        state.max_utilization,
+                        state.freq_khz,
+                    ]),
+                    bits([
+                        obs.t,
+                        obs.skin_true.value(),
+                        obs.screen_true.value(),
+                        obs.avg_utilization,
+                        obs.max_utilization,
+                        obs.freq_khz,
+                    ]),
+                    "{id} step {i}"
+                );
+                assert_eq!(state.domains.len(), obs.domains.len());
+                for (lean, full) in state.domains.iter().zip(obs.domains.iter()) {
+                    assert_eq!(lean.kind, full.kind);
+                    assert_eq!(lean.level, full.level);
+                    assert_eq!(
+                        bits([
+                            lean.freq_khz,
+                            lean.avg_utilization,
+                            lean.max_utilization,
+                            lean.die_temp.value(),
+                        ]),
+                        bits([
+                            full.freq_khz,
+                            full.avg_utilization,
+                            full.max_utilization,
+                            full.die_temp.value(),
+                        ]),
+                        "{id} step {i}"
+                    );
+                }
+                assert_eq!(state.hottest_die(), obs.hottest_die());
+                assert_eq!(state.die_temps(), obs.die_temps());
             }
         }
     }

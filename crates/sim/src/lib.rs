@@ -46,6 +46,6 @@ pub mod experiments;
 pub mod runner;
 pub mod trace;
 
-pub use device::{Device, DeviceConfig, Observation};
+pub use device::{Device, DeviceConfig, DeviceState, Observation};
 pub use runner::{run_workload, run_workload_recorded, Governor, RunConfig, RunResult, RunWork};
 pub use trace::{to_csv_string, write_csv};

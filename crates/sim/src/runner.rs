@@ -198,7 +198,8 @@ enum Phase {
     Demand,
     /// `Device::apply`: scheduling, power, battery, thermal RC.
     Apply,
-    /// `Device::observe` plus the USTA features it feeds.
+    /// `Device::state`, plus `Device::observe` and the features on log
+    /// and prediction steps.
     Observe,
     /// Die temperatures, `tick` and `score_prediction`.
     Usta,
@@ -325,10 +326,15 @@ impl RunResult {
 /// spill), the device steps, and the governor observes each domain's
 /// utilization and picks every domain's next OPP. Governor output is
 /// clamped to the per-domain thermal caps at this call site
-/// (`debug_assert!`ing the [`CpuGovernor`] contract). When the stack is
-/// USTA, sensor features are fed to [`UstaGovernor::tick`] every step;
-/// the governor rate-limits itself to its 3-second prediction cadence
-/// internally.
+/// (`debug_assert!`ing the [`CpuGovernor`] contract). Every step uses
+/// the device's true state ([`Device::state`]); the sensors are read
+/// ([`Device::observe`]) and the predictor's features built only on the
+/// steps that consume them — log steps, for the training log, and,
+/// when the stack is USTA, the steps its 3-second cadence makes due
+/// ([`UstaGovernor::prediction_due`], fed through
+/// [`UstaGovernor::tick_with`]). A step that is both builds them once.
+/// Readings are a pure function of the step index, so the skipped
+/// reads change no output.
 pub fn run_workload(
     device: &mut Device,
     workload: &mut dyn Workload,
@@ -389,7 +395,6 @@ pub fn run_workload_recorded(
     let total_steps = (duration / dt).round() as u64;
     let mut phase_laps: Option<Vec<[u64; PHASES]>> =
         sink.map(|_| Vec::with_capacity(total_steps.div_ceil(PHASE_STRIDE) as usize));
-    let usta_stack = matches!(governor, Governor::Usta(_));
     let mut t = 0.0;
     let mut levels: PerDomain<usize> = PerDomain::splat(n_domains, 0);
     let mut skin_trace = Vec::new();
@@ -414,20 +419,33 @@ pub fn run_workload_recorded(
         lap(&mut clock, Phase::Demand);
         device.apply(&demand, levels.as_slice(), dt);
         lap(&mut clock, Phase::Apply);
-        let obs = device.observe();
-        let features = usta_stack.then(|| obs.features());
+        // Every step needs the true state; only log steps (the training
+        // log) and USTA's prediction steps read the sensors, and they
+        // build the predictor's features once between them.
+        let obs = device.state();
+        let log_step = step_no.is_multiple_of(steps_per_log);
+        let prediction_due = matches!(governor, Governor::Usta(g) if g.prediction_due(dt));
+        let sensed = (log_step || prediction_due).then(|| {
+            let full = device.observe();
+            (full, full.features())
+        });
         lap(&mut clock, Phase::Observe);
 
         // USTA's 3-second prediction loop rides on the sensor stream;
         // the per-cluster die temperatures ride along so the cap
         // splitter can break power-share ties toward the hotter die.
-        if let (Governor::Usta(usta), Some(features)) = (&mut *governor, &features) {
+        if let Governor::Usta(usta) = &mut *governor {
             usta.observe_die_temperatures(obs.die_temps().as_slice());
             // Each new prediction scores the previous one against the
             // skin temperature it was predicting — the residual stream
             // the flight recorder and `DecisionRecord` surface.
             let previous = usta.last_prediction();
-            if usta.tick(features, dt).is_some() {
+            let features = || {
+                sensed
+                    .expect("sensors are read whenever a prediction is due")
+                    .1
+            };
+            if usta.tick_with(dt, features).is_some() {
                 if let Some(previous) = previous {
                     usta.score_prediction(previous, obs.skin_true);
                 }
@@ -508,7 +526,7 @@ pub fn run_workload_recorded(
             *peak = peak.max(state.die_temp);
         }
 
-        if step_no.is_multiple_of(steps_per_log) {
+        if let Some((full, features)) = sensed.filter(|_| log_step) {
             work.log_windows += 1;
             skin_trace.push((t, obs.skin_true));
             screen_trace.push((t, obs.screen_true));
@@ -531,9 +549,9 @@ pub fn run_workload_recorded(
             }
             training_log.push(LoggedSample {
                 t,
-                features: obs.features(),
-                skin: obs.skin_thermistor,
-                screen: obs.screen_thermistor,
+                features,
+                skin: full.skin_thermistor,
+                screen: full.screen_thermistor,
             });
         }
         t += dt;

@@ -1,18 +1,23 @@
 //! Cross-commit golden digests of the fleet's byte-level outputs.
 //!
 //! Every digest below is an FNV-1a hash of bytes the sweep produces:
-//! the `--smoke` report of each built-in device, and the `triples.csv`,
+//! the `--smoke` report of each built-in device, under USTA and as the
+//! bare baseline (`--no-usta`), and the `triples.csv`,
 //! `steps-*.csv` and `flight-*.json` files of a flagship-octa smoke
 //! sweep with a trace directory. They pin the simulator's output across
 //! refactors of the step loop, the thermal integrator and the fleet
 //! runner: a change that moves any simulated bit moves a digest.
 //!
-//! All digests were last recaptured when the thermal step became an
+//! The USTA and trace digests were last recaptured when the thermal step became an
 //! exact zero-order hold instead of sub-stepped forward Euler. Only
 //! temperatures moved, by at most 5e-3 K on a die node and 3e-4 K on
 //! the skin: every level, cap, band, prediction, QoS and time-over
 //! value kept its bits, and the smoke reports changed only in the
 //! fourth decimal of peak-skin and die-temperature rows.
+//!
+//! The baseline digests joined when the step loop began to read sensors
+//! only on log and prediction steps. They were captured on the commit
+//! before that change, so they pin it as byte-neutral.
 //!
 //! The USTA-retraining item on the ROADMAP changes what the fleet
 //! reports on purpose; it re-baselines these digests once, with the
@@ -64,6 +69,17 @@ const SMOKE_SUMMARIES: &[(&str, u64)] = &[
     ("budget-quad", 0xcb0c_ecba_bbae_af5a),
 ];
 
+/// `FleetReport::summary()` of `SweepConfig::smoke()` with
+/// `usta = false` (`fleet_sweep --smoke --no-usta`) per built-in
+/// device: the bare-baseline branch of the step loop.
+const BASELINE_SMOKE_SUMMARIES: &[(&str, u64)] = &[
+    ("nexus4", 0x218e_801a_cff6_71b5),
+    ("flagship-octa", 0x6dc9_dfde_bf1e_c327),
+    ("prime-flagship", 0x1cb5_1c7a_caa5_4127),
+    ("tablet-10in", 0x8962_753f_a983_53ef),
+    ("budget-quad", 0xc423_a371_5a05_c5a6),
+];
+
 /// Every file a flagship-octa smoke sweep writes with a trace
 /// directory and `trace_steps = 4`, by file name.
 const FLAGSHIP_TRACE_FILES: &[(&str, u64)] = &[
@@ -103,21 +119,36 @@ const FLAGSHIP_TRACE_FILES: &[(&str, u64)] = &[
     ("triples.csv", 0x7172_0723_a56f_ecfe),
 ];
 
-#[test]
-fn smoke_reports_match_their_golden_digests() {
-    let got: Vec<(String, u64)> = usta_device::NAMES
+/// `FleetReport::summary()` of `SweepConfig::smoke()` per built-in
+/// device, with or without the USTA wrap.
+fn smoke_summaries(usta: bool) -> Vec<(String, u64)> {
+    usta_device::NAMES
         .iter()
         .map(|&device| {
             let config = SweepConfig {
                 devices: vec![device.to_owned()],
                 threads: 2,
+                usta,
                 ..SweepConfig::smoke()
             };
             let report = run_sweep(&config).expect("smoke sweep runs");
             (device.to_owned(), fnv1a(report.summary().as_bytes()))
         })
-        .collect();
-    assert_digests("smoke report", &got, SMOKE_SUMMARIES);
+        .collect()
+}
+
+#[test]
+fn smoke_reports_match_their_golden_digests() {
+    assert_digests("smoke report", &smoke_summaries(true), SMOKE_SUMMARIES);
+}
+
+#[test]
+fn baseline_smoke_reports_match_their_golden_digests() {
+    assert_digests(
+        "baseline smoke report",
+        &smoke_summaries(false),
+        BASELINE_SMOKE_SUMMARIES,
+    );
 }
 
 #[test]
