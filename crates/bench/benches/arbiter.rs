@@ -8,7 +8,9 @@
 //!
 //! The governor prices a device's ladders once ([`PriceTable`]) and
 //! keeps the table for the run, so each row times one decision on a
-//! table built outside the timed loop.
+//! table built outside the timed loop. The governor also returns its
+//! last allocation when a decision's weighted demands repeat; each row
+//! here times the full greedy that such a reuse skips.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

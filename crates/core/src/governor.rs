@@ -20,18 +20,31 @@
 
 use std::cmp::Ordering;
 
-use crate::arbiter::PriceTable;
+use crate::arbiter::{BudgetAllocation, PriceTable};
 use crate::decision::{ArbiterShare, DecisionRecord};
 use crate::features::FeatureVector;
 use crate::policy::{FrequencyCap, UstaPolicy};
 use crate::predictor::TemperaturePredictor;
 use usta_governors::{CpuGovernor, DvfsDecision, GovernorInput};
 use usta_ml::ResidualStats;
-use usta_soc::{DomainKind, PerDomain};
+use usta_soc::{DomainKind, PerDomain, MAX_FREQ_DOMAINS};
 use usta_thermal::Celsius;
 
 /// Default prediction cadence, seconds (§3.B).
 pub const DEFAULT_PREDICTION_PERIOD_S: f64 = 3.0;
+
+/// The arbiter state kept across decisions. The prices are a pure
+/// function of the domain set, which is fixed for a run, so they are
+/// built once and rebuilt only when the domains differ. `last` is the
+/// most recent allocation with the exact inputs the greedy read for
+/// it, the band and the weighted demands' bits (see
+/// [`crate::arbiter`]); it belongs to these prices and is dropped with
+/// them.
+#[derive(Debug)]
+struct PricedArbiter {
+    prices: PriceTable,
+    last: Option<(FrequencyCap, [u64; MAX_FREQ_DOMAINS], BudgetAllocation)>,
+}
 
 /// The USTA governor: baseline DVFS + predictor-driven frequency cap.
 #[derive(Debug)]
@@ -46,11 +59,11 @@ pub struct UstaGovernor {
     predictions_made: u64,
     capped_decisions: u64,
     arbiter_invocations: u64,
+    arbiter_reuses: u64,
     die_temps: Option<PerDomain<f64>>,
-    /// The arbiter's prices for the device last decided on: a pure
-    /// function of the domain set, which is fixed for a run, so it is
-    /// built once and rebuilt only when the domains differ.
-    prices: Option<Box<PriceTable>>,
+    /// The arbiter's prices for the device last decided on, with the
+    /// last allocation made from them.
+    arbiter: Option<Box<PricedArbiter>>,
     /// Provenance of the most recent `decide` call — the flight
     /// recorder's source. Inline `Copy` data, refreshed in place.
     last_record: Option<DecisionRecord>,
@@ -78,8 +91,9 @@ impl UstaGovernor {
             predictions_made: 0,
             capped_decisions: 0,
             arbiter_invocations: 0,
+            arbiter_reuses: 0,
             die_temps: None,
-            prices: None,
+            arbiter: None,
             last_record: None,
             residuals: ResidualStats::new(),
         }
@@ -192,6 +206,13 @@ impl UstaGovernor {
         self.arbiter_invocations
     }
 
+    /// How many of those decisions returned the previous allocation
+    /// because the band and the weighted demands repeated bit for bit
+    /// (at most [`UstaGovernor::arbiter_invocations`]).
+    pub fn arbiter_reuses(&self) -> u64 {
+        self.arbiter_reuses
+    }
+
     /// The user policy in force.
     pub fn policy(&self) -> &UstaPolicy {
         &self.policy
@@ -209,22 +230,41 @@ impl UstaGovernor {
 
     /// The system-level branch of [`CpuGovernor::decide`]: the band
     /// re-spent as watts across every domain, priced from the cached
-    /// table. Kept out of line so the CPU-only path stays small.
+    /// table, and the previous allocation returned when the band and
+    /// the weighted demands repeat exactly. Kept out of line so the
+    /// CPU-only path stays small.
     #[inline(never)]
     fn arbitrate(&mut self, input: &GovernorInput<'_>) -> (PerDomain<usize>, ArbiterShare) {
-        let demand: PerDomain<f64> =
-            PerDomain::from_fn(input.domains.len(), |d| input.samples[d].max_utilization);
+        let n = input.domains.len();
+        let mut demand = [0.0; MAX_FREQ_DOMAINS];
+        for (d, sample) in demand.iter_mut().zip(&input.samples[..n]) {
+            *d = sample.max_utilization;
+        }
         let hottest = input.die_temp_c.or_else(|| {
             self.die_temps
                 .as_ref()
                 .and_then(|t| t.iter().copied().reduce(f64::max))
         });
-        let prices = match &mut self.prices {
-            Some(prices) if prices.is_for(input.domains) => prices,
-            slot => slot.insert(Box::new(PriceTable::new(input.domains))),
+        let arbiter = match &mut self.arbiter {
+            Some(arbiter) if arbiter.prices.is_for(input.domains) => arbiter,
+            slot => slot.insert(Box::new(PricedArbiter {
+                prices: PriceTable::new(input.domains),
+                last: None,
+            })),
         };
         self.arbiter_invocations += 1;
-        let allocation = prices.arbitrate(self.cap, demand.as_slice(), hottest);
+        let weighted = arbiter.prices.weighted_demands(&demand[..n], hottest);
+        let key = weighted.map(f64::to_bits);
+        let allocation = match &arbiter.last {
+            Some((band, bits, allocation)) if *band == self.cap && *bits == key => {
+                self.arbiter_reuses += 1;
+                allocation
+            }
+            _ => {
+                let allocation = arbiter.prices.allocate(self.cap, &weighted[..n]);
+                &arbiter.last.insert((self.cap, key, allocation)).2
+            }
+        };
         let share = ArbiterShare {
             budget_w: allocation.budget_w,
             allocated_w: allocation.allocated_w,
@@ -277,11 +317,17 @@ impl CpuGovernor for UstaGovernor {
             predicted_skin: self.last_prediction,
             residual_c: (!self.residuals.is_empty()).then(|| self.residuals.last()),
         });
-        let effective: PerDomain<usize> = PerDomain::from_fn(input.domains.len(), |d| {
-            input.max_allowed_levels[d].min(usta_caps[d])
-        });
+        let n = input.domains.len();
+        let mut effective = [0; MAX_FREQ_DOMAINS];
+        for ((e, &allowed), &cap) in effective
+            .iter_mut()
+            .zip(&input.max_allowed_levels[..n])
+            .zip(usta_caps.as_slice())
+        {
+            *e = allowed.min(cap);
+        }
         let clamped = GovernorInput {
-            max_allowed_levels: effective.as_slice(),
+            max_allowed_levels: &effective[..n],
             ..*input
         };
         self.baseline
@@ -297,8 +343,9 @@ impl CpuGovernor for UstaGovernor {
         self.predictions_made = 0;
         self.capped_decisions = 0;
         self.arbiter_invocations = 0;
+        self.arbiter_reuses = 0;
         self.die_temps = None;
-        self.prices = None;
+        self.arbiter = None;
         self.last_record = None;
         self.residuals = ResidualStats::new();
     }

@@ -668,8 +668,10 @@ impl Device {
 
     /// The control-plane descriptors of every frequency domain —
     /// big-first CPU clusters, then the governed GPU, then the display
-    /// (owned copies — hand them to
-    /// [`usta_governors::GovernorInput`]).
+    /// — to hand to [`usta_governors::GovernorInput`]. Each descriptor
+    /// is owned, but its OPP table shares the device's levels: a call
+    /// allocates only the returned `Vec`, and the tables compare equal
+    /// to the device's by pointer.
     pub fn freq_domains(&self) -> Vec<FreqDomain> {
         let mut domains: Vec<FreqDomain> = self
             .clusters

@@ -5,6 +5,8 @@
 //! index. The paper's Nexus 4 exposes twelve levels between 384 MHz and
 //! 1.512 GHz (§3.B); [`crate::nexus4::opp_table`] reproduces them.
 
+use std::sync::Arc;
+
 use crate::error::SocError;
 
 /// One operating point: a frequency and the voltage the PLL/PMIC pair
@@ -55,9 +57,23 @@ impl FrequencyLevel {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A table is immutable once built, so its levels are shared: a clone
+/// is a reference-count bump, and every clone of one table compares
+/// equal without reading its levels.
+#[derive(Debug, Clone)]
 pub struct OppTable {
-    levels: Vec<FrequencyLevel>,
+    levels: Arc<[FrequencyLevel]>,
+}
+
+impl PartialEq for OppTable {
+    /// Level-by-level equality, short-cut for clones of one table.
+    /// The short cut agrees with the full comparison because
+    /// [`OppTable::new`] rejects non-finite volts, so every table
+    /// equals itself.
+    fn eq(&self, other: &OppTable) -> bool {
+        Arc::ptr_eq(&self.levels, &other.levels) || self.levels == other.levels
+    }
 }
 
 impl OppTable {
@@ -81,7 +97,9 @@ impl OppTable {
                 return Err(SocError::UnsortedOppTable { index: i });
             }
         }
-        Ok(OppTable { levels })
+        Ok(OppTable {
+            levels: levels.into(),
+        })
     }
 
     /// Number of levels.

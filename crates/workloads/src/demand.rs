@@ -48,7 +48,10 @@ impl DeviceDemand {
         DeviceDemand {
             cpu_threads_khz: self.cpu_threads_khz.iter().map(|d| d * f).collect(),
             gpu_load: (self.gpu_load * f).clamp(0.0, 1.0),
-            ..self.clone()
+            display_on: self.display_on,
+            brightness: self.brightness,
+            board_w: self.board_w,
+            charging: self.charging,
         }
     }
 }

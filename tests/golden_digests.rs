@@ -2,9 +2,10 @@
 //!
 //! Every digest below is an FNV-1a hash of bytes the sweep produces:
 //! the `--smoke` report of each built-in device, under USTA and as the
-//! bare baseline (`--no-usta`), and the `triples.csv`,
-//! `steps-*.csv` and `flight-*.json` files of a flagship-octa smoke
-//! sweep with a trace directory. They pin the simulator's output across
+//! bare baseline (`--no-usta`), the report of a sweep over every
+//! catalog device (`--catalog catalog/ --device all`), and the
+//! `triples.csv`, `steps-*.csv` and `flight-*.json` files of a
+//! flagship-octa smoke sweep with a trace directory. They pin the simulator's output across
 //! refactors of the step loop, the thermal integrator and the fleet
 //! runner: a change that moves any simulated bit moves a digest.
 //!
@@ -19,6 +20,11 @@
 //! only on log and prediction steps. They were captured on the commit
 //! before that change, so they pin it as byte-neutral.
 //!
+//! The every-device digest joined when the arbiter began to reuse its
+//! last allocation and OPP tables became shared. It was captured on the
+//! commit before that change, so it pins it as byte-neutral on the
+//! three devices that engage the arbiter.
+//!
 //! The USTA-retraining item on the ROADMAP changes what the fleet
 //! reports on purpose; it re-baselines these digests once, with the
 //! report diff explained. On a deliberate change, copy the `got` table
@@ -26,6 +32,7 @@
 
 use std::path::Path;
 
+use usta_catalog::Catalog;
 use usta_fleet::{run_sweep, SweepConfig};
 
 /// 64-bit FNV-1a.
@@ -79,6 +86,12 @@ const BASELINE_SMOKE_SUMMARIES: &[(&str, u64)] = &[
     ("tablet-10in", 0x8962_753f_a983_53ef),
     ("budget-quad", 0xc423_a371_5a05_c5a6),
 ];
+
+/// `FleetReport::summary()` of `fleet_sweep --catalog catalog/
+/// --device all --users 4 --scenarios 16 --seed 42`. Each scenario
+/// draws its device: at this seed 16 scenarios run all six, the three
+/// arbiter devices among them, where the default 4 run only three.
+const ALL_DEVICES_SUMMARY: u64 = 0xefbb_2873_af0b_2ff9;
 
 /// Every file a flagship-octa smoke sweep writes with a trace
 /// directory and `trace_steps = 4`, by file name.
@@ -148,6 +161,42 @@ fn baseline_smoke_reports_match_their_golden_digests() {
         "baseline smoke report",
         &smoke_summaries(false),
         BASELINE_SMOKE_SUMMARIES,
+    );
+}
+
+#[test]
+fn all_device_report_matches_its_golden_digest() {
+    // What `--catalog catalog/` does: install the committed files into
+    // the process-wide registry, which then lists sd8s-gen3 too. The
+    // built-ins' files are the sources they are parsed from, so the
+    // other tests here see the same specs either way.
+    Catalog::load_dir(Path::new(env!("CARGO_MANIFEST_DIR")).join("../../catalog"))
+        .expect("committed catalog loads")
+        .install()
+        .expect("catalog installs");
+    let config = SweepConfig {
+        devices: usta_device::merged_ids()
+            .iter()
+            .map(|&id| id.to_owned())
+            .collect(),
+        users: 4,
+        scenarios: 16,
+        seed: 42,
+        threads: 2,
+        ..SweepConfig::default()
+    };
+    let report = run_sweep(&config).expect("every-device sweep runs");
+    let summary = report.summary();
+    for arbiter_device in ["flagship-octa", "prime-flagship", "sd8s-gen3"] {
+        assert!(
+            summary.contains(&format!("freq [GHz] {arbiter_device}/gpu")),
+            "{arbiter_device} ran"
+        );
+    }
+    assert_digests(
+        "every-device report",
+        &[("all".to_owned(), fnv1a(summary.as_bytes()))],
+        &[("all", ALL_DEVICES_SUMMARY)],
     );
 }
 

@@ -15,17 +15,31 @@
 //! 4. **The priced arbiter is the per-call arbiter:** a
 //!    [`PriceTable`] allocates exactly what the reference greedy, which
 //!    re-prices every step it considers, allocates — to the bit.
+//! 5. **The governor's reused allocation is a fresh one:** every
+//!    decision of a [`UstaGovernor`], whether it ran the greedy or
+//!    returned its last allocation, records what a fresh
+//!    [`arbitrate`] allocates — to the bit.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use std::path::Path;
 use std::sync::OnceLock;
 use usta_catalog::Catalog;
 use usta_core::arbiter::{power_at_level, PriceTable};
+use usta_core::governor::DEFAULT_PREDICTION_PERIOD_S;
 use usta_core::policy::FrequencyCap;
-use usta_core::{arbitrate, BudgetAllocation};
-use usta_governors::{by_name, DomainSample, FreqDomain, GovernorInput, OnDemand, NAMES};
+use usta_core::{
+    arbitrate, BudgetAllocation, FeatureVector, PredictionTarget, TemperaturePredictor,
+    UstaGovernor, UstaPolicy,
+};
+use usta_governors::{
+    by_name, CpuGovernor, DomainKind, DomainSample, FreqDomain, GovernorInput, OnDemand, NAMES,
+};
+use usta_ml::Regressor;
 use usta_sim::runner::DvfsLoop;
 use usta_sim::{run_workload, Device, DeviceConfig, Governor, RunConfig};
+use usta_soc::{FrequencyLevel, OppTable};
+use usta_thermal::Celsius;
 use usta_workloads::{Benchmark, ConstantLoad, Workload};
 
 /// The arbiter as it ran before the price table, shared with
@@ -224,6 +238,210 @@ proptest! {
         prop_assert_eq!(priced.budget_w.to_bits(), oracle.budget_w.to_bits(), "{}", id);
         prop_assert_eq!(priced.allocated_w.to_bits(), oracle.allocated_w.to_bits(), "{}", id);
     }
+}
+
+/// The devices with a GPU or display domain: the ones whose USTA
+/// decisions run the arbiter.
+fn system_level_devices() -> Vec<&'static (&'static str, Vec<FreqDomain>)> {
+    arbiter_devices()
+        .iter()
+        .filter(|(_, domains)| domains.iter().any(|d| d.kind != DomainKind::CpuCluster))
+        .collect()
+}
+
+/// The skin temperature [`ConstantSkin`] predicts.
+const PREDICTED_SKIN_C: f64 = 30.0;
+
+/// A model that predicts [`PREDICTED_SKIN_C`] whatever it reads, so a
+/// governor's band follows its comfort limit alone.
+#[derive(Debug, Clone)]
+struct ConstantSkin;
+
+impl Regressor for ConstantSkin {
+    fn predict(&self, _features: &[f64]) -> f64 {
+        PREDICTED_SKIN_C
+    }
+
+    fn name(&self) -> &'static str {
+        "constant"
+    }
+
+    fn boxed_clone(&self) -> Box<dyn Regressor> {
+        Box::new(ConstantSkin)
+    }
+}
+
+/// USTA over ondemand, steered between bands by [`set_band`].
+fn steerable_usta() -> UstaGovernor {
+    UstaGovernor::new(
+        Box::new(OnDemand::default()),
+        TemperaturePredictor::from_model(Box::new(ConstantSkin), PredictionTarget::Skin),
+        UstaPolicy::new(Celsius(PREDICTED_SKIN_C + 3.0)),
+    )
+}
+
+/// Moves `g` into `band`: a comfort limit whose margin over the
+/// constant prediction lies inside the band, then a tick long enough
+/// to run a prediction.
+fn set_band(g: &mut UstaGovernor, band: FrequencyCap) {
+    let margin = match band {
+        FrequencyCap::Unrestricted => 3.0,
+        FrequencyCap::OneLevelBelowMax => 1.5,
+        FrequencyCap::TwoLevelsBelowMax => 0.75,
+        FrequencyCap::MinimumFrequency => 0.25,
+    };
+    g.set_limit(Celsius(PREDICTED_SKIN_C + margin));
+    let features = FeatureVector::single(Celsius(40.0), Celsius(30.0), 0.5, 1_000_000.0);
+    g.tick(&features, DEFAULT_PREDICTION_PERIOD_S);
+    assert_eq!(g.cap(), band);
+}
+
+/// One decision of `g` on `domains` with every domain's utilization
+/// from `demand`; asserts the recorded caps and budget arithmetic
+/// equal a fresh [`arbitrate`] of the same inputs, bit for bit.
+fn decide_and_check(
+    g: &mut UstaGovernor,
+    id: &str,
+    domains: &[FreqDomain],
+    demand: &[f64],
+    die_c: Option<f64>,
+) -> Result<(), TestCaseError> {
+    let samples: Vec<DomainSample> = demand
+        .iter()
+        .map(|&u| DomainSample {
+            avg_utilization: u,
+            max_utilization: u,
+            current_level: 0,
+        })
+        .collect();
+    let caps: Vec<usize> = domains.iter().map(FreqDomain::max_index).collect();
+    g.decide(&GovernorInput {
+        domains,
+        samples: &samples,
+        max_allowed_levels: &caps,
+        die_temp_c: die_c,
+    });
+    let record = *g.last_decision_record().expect("the decision ran");
+    let fresh = arbitrate(g.cap(), domains, demand, die_c);
+    let share = record
+        .arbiter
+        .expect("a system-level decision runs the arbiter");
+    prop_assert_eq!(record.band, g.cap(), "{}", id);
+    prop_assert_eq!(
+        record.usta_caps,
+        fresh.caps,
+        "{}/{:?} {:?} {:?}",
+        id,
+        g.cap(),
+        demand,
+        die_c
+    );
+    prop_assert_eq!(share.budget_w.to_bits(), fresh.budget_w.to_bits(), "{}", id);
+    prop_assert_eq!(
+        share.allocated_w.to_bits(),
+        fresh.allocated_w.to_bits(),
+        "{}",
+        id
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The governor's one-entry allocation memo is exact: on every
+    /// arbiter device (sd8s-gen3 from the catalog included), across
+    /// decision sequences that revisit three sample vectors (two of
+    /// them one domain away from the first, and demand beyond 1 folds
+    /// onto 1, so raw inputs differ where weighted ones repeat), change
+    /// band now and then, and move the hottest die across the 40 °C
+    /// derate knee, every decision records what a fresh arbitration of
+    /// its inputs allocates.
+    #[test]
+    fn memoized_decisions_equal_a_fresh_arbitration(
+        device_index in 0usize..3,
+        base in proptest::collection::vec(0.0f64..1.3, 8),
+        moved in proptest::collection::vec(0usize..8, 2),
+        moved_to in proptest::collection::vec(0.0f64..1.3, 2),
+        die_pool in proptest::collection::vec(25.0f64..55.0, 2),
+        len in 1usize..48,
+        sample_picks in proptest::collection::vec(0usize..3, 48),
+        die_picks in proptest::collection::vec(0usize..4, 48),
+        band_picks in proptest::collection::vec(0usize..12, 48),
+    ) {
+        let devices = system_level_devices();
+        prop_assert_eq!(devices.len(), 3, "flagship-octa, prime-flagship and sd8s-gen3");
+        let (id, domains) = devices[device_index];
+        let n = domains.len();
+        let mut pool = vec![base[..n].to_vec(); 3];
+        for v in 0..2 {
+            pool[v + 1][moved[v] % n] = moved_to[v];
+        }
+        let mut g = steerable_usta();
+        for step in 0..len {
+            let (sample, die, band) = (sample_picks[step], die_picks[step], band_picks[step]);
+            if band < 4 {
+                set_band(&mut g, band_of(band));
+            }
+            // The knee itself, both sides of it, and no temperature.
+            let die_c = match die {
+                0 => Some(40.0),
+                1 | 2 => Some(die_pool[die - 1]),
+                _ => None,
+            };
+            decide_and_check(&mut g, id, domains, &pool[sample], die_c)?;
+        }
+        prop_assert_eq!(g.arbiter_invocations(), len as u64, "{}", id);
+        prop_assert!(g.arbiter_reuses() <= g.arbiter_invocations(), "{}", id);
+    }
+}
+
+#[test]
+fn reset_and_band_changes_clear_the_arbiter_memo() {
+    let domains = freq_domains_of("flagship-octa");
+    let demand = [0.9, 0.2, 0.6, 0.8];
+    let mut g = steerable_usta();
+    set_band(&mut g, FrequencyCap::OneLevelBelowMax);
+    for _ in 0..3 {
+        decide_and_check(&mut g, "flagship-octa", &domains, &demand, Some(45.0)).unwrap();
+    }
+    assert_eq!((g.arbiter_invocations(), g.arbiter_reuses()), (3, 2));
+    // A hotter die derates the CPU clusters: new weighted demands.
+    decide_and_check(&mut g, "flagship-octa", &domains, &demand, Some(46.0)).unwrap();
+    assert_eq!((g.arbiter_invocations(), g.arbiter_reuses()), (4, 2));
+    // Another band is another budget, whatever the demands.
+    set_band(&mut g, FrequencyCap::TwoLevelsBelowMax);
+    decide_and_check(&mut g, "flagship-octa", &domains, &demand, Some(46.0)).unwrap();
+    assert_eq!((g.arbiter_invocations(), g.arbiter_reuses()), (5, 2));
+
+    // After a reset the same band and inputs run the greedy again.
+    g.reset();
+    assert_eq!((g.arbiter_invocations(), g.arbiter_reuses()), (0, 0));
+    set_band(&mut g, FrequencyCap::TwoLevelsBelowMax);
+    decide_and_check(&mut g, "flagship-octa", &domains, &demand, Some(46.0)).unwrap();
+    assert_eq!((g.arbiter_invocations(), g.arbiter_reuses()), (1, 0));
+    decide_and_check(&mut g, "flagship-octa", &domains, &demand, Some(46.0)).unwrap();
+    assert_eq!((g.arbiter_invocations(), g.arbiter_reuses()), (2, 1));
+}
+
+#[test]
+fn opp_tables_compare_by_levels_whether_shared_or_not() {
+    let first = freq_domains_of("flagship-octa");
+    let second = freq_domains_of("flagship-octa");
+    for (a, b) in first.iter().zip(&second) {
+        // A table and its clone share levels; two devices built from
+        // one spec hold separately built, equal tables.
+        assert_eq!(a.opp, a.opp.clone(), "{}", a.name);
+        assert_eq!(a.opp, b.opp, "{}", a.name);
+    }
+    assert_eq!(first, second);
+    // Different ladders, and one volt apart on the same frequencies.
+    assert_ne!(first[0].opp, first[1].opp);
+    let mut levels: Vec<FrequencyLevel> = first[0].opp.iter().copied().collect();
+    levels.last_mut().expect("non-empty").volts += 0.01;
+    let nudged = OppTable::new(levels).expect("still valid");
+    assert_ne!(nudged, first[0].opp);
+    assert_ne!(first[0].opp, nudged);
 }
 
 /// Satellite: the nexus4 single-domain path is bit-identical to the
