@@ -25,8 +25,8 @@ impl Workload for Slice {
     fn duration(&self) -> f64 {
         120.0
     }
-    fn demand_at(&mut self, t: f64, dt: f64) -> usta_workloads::DeviceDemand {
-        self.0.demand_at(t, dt)
+    fn demand_into(&mut self, t: f64, dt: f64, out: &mut usta_workloads::DeviceDemand) {
+        self.0.demand_into(t, dt, out)
     }
 }
 

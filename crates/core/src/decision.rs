@@ -25,7 +25,7 @@ pub struct ArbiterShare {
 
 /// Everything one [`crate::UstaGovernor`] `decide` call derived on its
 /// way to a level vector.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DecisionRecord {
     /// The banding cap in force when the decision ran.
     pub band: FrequencyCap,

@@ -103,23 +103,21 @@ impl FeatureVector {
     /// similar numeric range (tree learners don't care, but the MLP and
     /// ridge regression appreciate it).
     pub fn to_vec(&self) -> Vec<f64> {
-        let mut v = Vec::with_capacity(6 + self.domain_freqs_khz.len());
-        v.push(self.cpu_temp.value());
-        v.push(self.battery_temp.value());
-        v.push(self.utilization);
-        for &khz in &self.domain_freqs_khz {
-            v.push(khz / 1000.0);
-        }
-        if let Some(hottest) = self.hottest_die {
-            v.push(hottest.value());
-        }
-        if let Some(khz) = self.gpu_freq_khz {
-            v.push(khz / 1000.0);
-        }
-        if let Some(brightness) = self.brightness {
-            v.push(brightness);
-        }
-        v
+        self.values().collect()
+    }
+
+    /// [`FeatureVector::to_vec`]'s values in order, without allocating.
+    pub(crate) fn values(&self) -> impl Iterator<Item = f64> + '_ {
+        [
+            self.cpu_temp.value(),
+            self.battery_temp.value(),
+            self.utilization,
+        ]
+        .into_iter()
+        .chain(self.domain_freqs_khz.iter().map(|khz| khz / 1000.0))
+        .chain(self.hottest_die.map(Celsius::value))
+        .chain(self.gpu_freq_khz.map(|khz| khz / 1000.0))
+        .chain(self.brightness)
     }
 
     /// Schema for [`usta_ml::Dataset`] construction: the historical

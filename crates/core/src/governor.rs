@@ -105,7 +105,9 @@ impl UstaGovernor {
     /// count) ties break toward the lower domain id, and single-domain
     /// devices are unaffected either way.
     pub fn observe_die_temperatures(&mut self, temps: &[Celsius]) {
-        self.die_temps = Some(temps.iter().map(|t| t.value()).collect());
+        self.die_temps
+            .get_or_insert_with(PerDomain::new)
+            .refill(temps.len(), |d| temps[d].value());
     }
 
     /// Overrides the 3-second prediction cadence (for the cadence
@@ -291,33 +293,40 @@ impl CpuGovernor for UstaGovernor {
             .domains
             .iter()
             .any(|d| d.kind != DomainKind::CpuCluster);
-        let mut arbiter_share = None;
-        let usta_caps = if system_level {
-            let (caps, share) = self.arbitrate(input);
-            arbiter_share = Some(share);
-            caps
-        } else {
-            match &self.die_temps {
-                Some(temps) => self
-                    .cap
-                    .max_allowed_levels_with_die_temps(input.domains, temps.as_slice()),
-                None => self.cap.max_allowed_levels(input.domains),
+        let arbitrated = system_level.then(|| self.arbitrate(input));
+        let n = input.domains.len();
+        // The record is kept and rewritten in place, its cap vector
+        // included: the unrestricted and minimum bands' vectors depend
+        // on the domains alone, so they are written straight into it.
+        let record = self.last_record.get_or_insert_with(DecisionRecord::default);
+        record.arbiter = None;
+        match (arbitrated, self.cap) {
+            (Some((caps, share)), _) => {
+                record.usta_caps = caps;
+                record.arbiter = Some(share);
             }
-        };
-        let tightened =
-            (0..input.domains.len()).any(|d| usta_caps[d] < input.max_allowed_levels[d]);
+            (None, FrequencyCap::Unrestricted) => {
+                record.usta_caps.refill(n, |d| input.domains[d].max_index())
+            }
+            (None, FrequencyCap::MinimumFrequency) => record.usta_caps.refill(n, |_| 0),
+            (None, band) => {
+                record.usta_caps = match &self.die_temps {
+                    Some(temps) => {
+                        band.max_allowed_levels_with_die_temps(input.domains, temps.as_slice())
+                    }
+                    None => band.max_allowed_levels(input.domains),
+                }
+            }
+        }
+        let usta_caps = &record.usta_caps;
+        let tightened = (0..n).any(|d| usta_caps[d] < input.max_allowed_levels[d]);
         if tightened {
             self.capped_decisions += 1;
         }
-        self.last_record = Some(DecisionRecord {
-            band: self.cap,
-            usta_caps,
-            tightened,
-            arbiter: arbiter_share,
-            predicted_skin: self.last_prediction,
-            residual_c: (!self.residuals.is_empty()).then(|| self.residuals.last()),
-        });
-        let n = input.domains.len();
+        record.band = self.cap;
+        record.tightened = tightened;
+        record.predicted_skin = self.last_prediction;
+        record.residual_c = (!self.residuals.is_empty()).then(|| self.residuals.last());
         let mut effective = [0; MAX_FREQ_DOMAINS];
         for ((e, &allowed), &cap) in effective
             .iter_mut()

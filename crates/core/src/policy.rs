@@ -16,10 +16,11 @@ use usta_soc::{OppTable, PerDomain, MAX_FREQ_DOMAINS};
 use usta_thermal::Celsius;
 
 /// The cap USTA imposes on the governor's frequency choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FrequencyCap {
     /// Predicted skin temperature is more than 2 °C below the limit:
     /// the baseline governor runs unrestricted.
+    #[default]
     Unrestricted,
     /// Within (1, 2] °C of the limit: cap one OPP level below maximum.
     OneLevelBelowMax,

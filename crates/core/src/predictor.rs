@@ -63,7 +63,15 @@ impl TemperaturePredictor {
 
     /// Predicts the surface temperature for the given observation.
     pub fn predict(&self, features: &FeatureVector) -> Celsius {
-        Celsius(self.model.predict(&features.to_vec()))
+        // The flattened row on the stack: three signals, one frequency
+        // per domain and three optional columns at most.
+        let mut row = [0.0; 6 + usta_soc::MAX_FREQ_DOMAINS];
+        let mut n = 0;
+        for (slot, value) in row.iter_mut().zip(features.values()) {
+            *slot = value;
+            n += 1;
+        }
+        Celsius(self.model.predict(&row[..n]))
     }
 
     /// The surface this predictor estimates.

@@ -247,14 +247,13 @@ impl Workload for ScenarioWorkload {
         self.duration
     }
 
-    fn demand_at(&mut self, t: f64, dt: f64) -> DeviceDemand {
-        let mut demand = if t < self.duration {
-            self.inner.demand_at(t, dt)
+    fn demand_into(&mut self, t: f64, dt: f64, out: &mut DeviceDemand) {
+        if t < self.duration {
+            self.inner.demand_into(t, dt, out);
         } else {
-            DeviceDemand::idle()
-        };
-        demand.charging |= self.charging;
-        demand
+            *out = DeviceDemand::idle();
+        }
+        out.charging |= self.charging;
     }
 }
 

@@ -166,9 +166,12 @@ impl DvfsDecision {
     /// A copy with every level clamped to the matching cap — the
     /// enforcement primitive run loops apply at the call site.
     pub fn clamped_to(&self, caps: &[usize]) -> DvfsDecision {
-        DvfsDecision {
-            levels: PerDomain::from_fn(self.levels.len(), |d| self.levels[d].min(caps[d])),
+        let mut clamped = *self;
+        let caps = &caps[..self.levels.len()];
+        for (level, &cap) in clamped.levels.as_mut_slice().iter_mut().zip(caps) {
+            *level = (*level).min(cap);
         }
+        clamped
     }
 }
 

@@ -95,78 +95,12 @@ pub struct DomainState {
 
 /// The device's true state at one instant, without any sensor reading:
 /// what the run loop consumes on every step (governor samples, peaks,
-/// traces, flight events). The matching fields of [`Observation`] carry
-/// the same bits.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// traces, flight events). The device keeps one and rewrites it in
+/// place at the end of every step (see [`Device::state`]).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DeviceState {
     /// Simulated time, seconds.
     pub t: f64,
-    /// Ground-truth skin temperature.
-    pub skin_true: Celsius,
-    /// Ground-truth screen temperature.
-    pub screen_true: Celsius,
-    /// Mean CPU utilization over the last step, across every core.
-    pub avg_utilization: f64,
-    /// Busiest-core utilization over the last step, across all domains.
-    pub max_utilization: f64,
-    /// Aggregate CPU frequency, kHz (see [`Observation::freq_khz`]).
-    pub freq_khz: f64,
-    /// Per-frequency-domain state, in the device's big-first order.
-    pub domains: PerDomain<DomainState>,
-}
-
-impl DeviceState {
-    /// The hottest per-cluster die temperature (see
-    /// [`Observation::hottest_die`]).
-    pub fn hottest_die(&self) -> Celsius {
-        hottest_die(self.domains.as_slice())
-    }
-
-    /// Per-CPU-cluster die temperatures, big-first (see
-    /// [`Observation::die_temps`]).
-    pub fn die_temps(&self) -> PerDomain<Celsius> {
-        die_temps(self.domains.as_slice())
-    }
-}
-
-/// Number of CPU-cluster domains: the leading entries of `domains`.
-fn cpu_domain_count(domains: &[DomainState]) -> usize {
-    domains
-        .iter()
-        .filter(|s| s.kind == DomainKind::CpuCluster)
-        .count()
-}
-
-/// The hottest CPU-cluster die temperature of `domains`.
-fn hottest_die(domains: &[DomainState]) -> Celsius {
-    let mut best = domains[0].die_temp;
-    for state in domains.iter().skip(1) {
-        if state.kind == DomainKind::CpuCluster {
-            best = best.max(state.die_temp);
-        }
-    }
-    best
-}
-
-/// The CPU-cluster die temperatures of `domains`, big-first.
-fn die_temps(domains: &[DomainState]) -> PerDomain<Celsius> {
-    PerDomain::from_fn(cpu_domain_count(domains), |d| domains[d].die_temp)
-}
-
-/// Everything the software (and the thermistor rig) can observe at one
-/// instant: the [`DeviceState`] plus the four sensor readings.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Observation {
-    /// Simulated time, seconds.
-    pub t: f64,
-    /// On-device CPU thermal zone reading.
-    pub cpu_temp: Celsius,
-    /// On-device battery temperature reading.
-    pub battery_temp: Celsius,
-    /// External thermistor reading, back cover mid (skin).
-    pub skin_thermistor: Celsius,
-    /// External thermistor reading, screen.
-    pub screen_thermistor: Celsius,
     /// Ground-truth skin temperature (what the user's palm feels).
     pub skin_true: Celsius,
     /// Ground-truth screen temperature.
@@ -184,13 +118,124 @@ pub struct Observation {
     pub domains: PerDomain<DomainState>,
 }
 
-impl Observation {
+impl DeviceState {
     /// Number of CPU-cluster domains (the leading entries of
-    /// [`Observation::domains`]; GPU and display domains follow them).
+    /// [`DeviceState::domains`]; GPU and display domains follow them).
     pub fn cpu_domain_count(&self) -> usize {
-        cpu_domain_count(self.domains.as_slice())
+        self.domains
+            .iter()
+            .filter(|s| s.kind == DomainKind::CpuCluster)
+            .count()
     }
 
+    /// The hottest per-cluster die temperature (CPU dies only — the
+    /// GPU's node keys its own domain).
+    pub fn hottest_die(&self) -> Celsius {
+        let mut best = self.domains[0].die_temp;
+        for state in self.domains.iter().skip(1) {
+            if state.kind == DomainKind::CpuCluster {
+                best = best.max(state.die_temp);
+            }
+        }
+        best
+    }
+
+    /// Per-CPU-cluster die temperatures, big-first (for
+    /// [`usta_core::UstaGovernor::observe_die_temperatures`] and the
+    /// splitter's tie-breaks — GPU/display domains are excluded).
+    pub fn die_temps(&self) -> PerDomain<Celsius> {
+        PerDomain::from_fn(self.cpu_domain_count(), |d| self.domains[d].die_temp)
+    }
+}
+
+/// Writes every value of `state`, whose domain layout is already the
+/// device's, from the device's components.
+fn write_state(
+    state: &mut DeviceState,
+    clusters: &[Cpu],
+    gpu: Option<&SystemDomain>,
+    panel: Option<&SystemDomain>,
+    effective_brightness: f64,
+    thermal: &DeviceThermalModel,
+    clock_s: f64,
+) {
+    let (cpu, mut system) = state.domains.as_mut_slice().split_at_mut(clusters.len());
+    let mut total_cores = 0;
+    let mut util_sum = 0.0;
+    let mut max_utilization = 0.0f64;
+    let mut weighted = 0.0;
+    for (d, (slot, cluster)) in cpu.iter_mut().zip(clusters).enumerate() {
+        slot.freq_khz = cluster.frequency().khz as f64;
+        slot.level = cluster.level();
+        slot.avg_utilization = cluster.average_utilization();
+        slot.max_utilization = cluster.max_utilization();
+        slot.die_temp = thermal.die_temperature(d);
+        total_cores += cluster.cores();
+        util_sum += cluster.utilizations().iter().sum::<f64>();
+        max_utilization = max_utilization.max(cluster.max_utilization());
+        weighted += slot.freq_khz * cluster.cores() as f64;
+    }
+    if let Some(gpu) = gpu {
+        let (slot, rest) = system.split_first_mut().expect("a slot per domain");
+        slot.freq_khz = gpu.khz();
+        slot.level = gpu.level;
+        slot.avg_utilization = gpu.utilization;
+        slot.max_utilization = gpu.utilization;
+        slot.die_temp = match thermal.topology().roles.gpu {
+            Some(node) => thermal.node_temperature(node),
+            None => thermal.die_temperature(0),
+        };
+        system = rest;
+    }
+    if let Some(panel) = panel {
+        let slot = &mut system[0];
+        // Effective brightness as permille — the quantity in effect on
+        // the panel, traced like a clock.
+        slot.freq_khz = effective_brightness * 1000.0;
+        slot.level = panel.level;
+        slot.avg_utilization = panel.utilization;
+        slot.max_utilization = panel.utilization;
+        slot.die_temp = thermal.screen_temperature();
+    }
+    state.freq_khz = if clusters.len() == 1 {
+        cpu[0].freq_khz
+    } else {
+        weighted / total_cores as f64
+    };
+    state.t = clock_s;
+    state.skin_true = thermal.skin_temperature();
+    state.screen_true = thermal.screen_temperature();
+    state.avg_utilization = util_sum / total_cores as f64;
+    state.max_utilization = max_utilization;
+}
+
+/// Everything the software (and the thermistor rig) can observe at one
+/// instant: the [`DeviceState`] plus the four sensor readings. It
+/// dereferences to its state, so `obs.skin_true`, `obs.domains` and
+/// `obs.hottest_die()` read the state's.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Observation {
+    /// The device's true state when the sensors were read.
+    pub state: DeviceState,
+    /// On-device CPU thermal zone reading.
+    pub cpu_temp: Celsius,
+    /// On-device battery temperature reading.
+    pub battery_temp: Celsius,
+    /// External thermistor reading, back cover mid (skin).
+    pub skin_thermistor: Celsius,
+    /// External thermistor reading, screen.
+    pub screen_thermistor: Celsius,
+}
+
+impl std::ops::Deref for Observation {
+    type Target = DeviceState;
+
+    fn deref(&self) -> &DeviceState {
+        &self.state
+    }
+}
+
+impl Observation {
     /// The predictor's feature vector for this observation: one
     /// frequency input per *CPU* domain, on multi-die devices the
     /// hottest die temperature, and — on devices with governed GPU or
@@ -216,19 +261,6 @@ impl Observation {
                 .find(|s| s.kind == DomainKind::Display)
                 .map(|s| s.freq_khz / 1000.0),
         }
-    }
-
-    /// The hottest per-cluster die temperature of this observation
-    /// (CPU dies only — the GPU's node keys its own domain).
-    pub fn hottest_die(&self) -> Celsius {
-        hottest_die(self.domains.as_slice())
-    }
-
-    /// Per-CPU-cluster die temperatures, big-first (for
-    /// [`usta_core::UstaGovernor::observe_die_temperatures`] and the
-    /// splitter's tie-breaks — GPU/display domains are excluded).
-    pub fn die_temps(&self) -> PerDomain<Celsius> {
-        die_temps(self.domains.as_slice())
     }
 }
 
@@ -288,8 +320,8 @@ pub struct Device {
     /// Reused per-step buffer for the big-first spill schedule (one
     /// entry per virtual core).
     per_core_scratch: Vec<f64>,
-    /// Reused per-step buffer for per-cluster CPU power.
-    die_w_scratch: Vec<f64>,
+    /// The true state, rewritten in place after every change.
+    state: DeviceState,
 }
 
 impl Device {
@@ -321,7 +353,7 @@ impl Device {
             params.validate()?;
         }
         let [cpu, battery, skin, screen] = sensors.map(ThermalSensor::new);
-        Ok(Device {
+        let mut device = Device {
             clusters: usta_soc::spec::cpus(&config.spec)?,
             cluster_power: usta_soc::spec::cpu_power_models(&config.spec)?,
             gpu_power: usta_soc::spec::gpu_power_model(&config.spec)?,
@@ -346,8 +378,10 @@ impl Device {
             total_demand_khz_s: 0.0,
             unserved_khz_s: 0.0,
             per_core_scratch: Vec::new(),
-            die_w_scratch: Vec::new(),
-        })
+            state: DeviceState::default(),
+        };
+        device.state = device.state_from_scratch();
+        Ok(device)
     }
 
     /// Convenience: a device with default config and the given seed.
@@ -439,14 +473,14 @@ impl Device {
 
         // Each cluster's power is computed against — and routed back
         // into — its *own* die node, so leakage feedback and skin
-        // heating are attributed per cluster.
-        self.die_w_scratch.clear();
+        // heating are attributed per cluster. The heat load keeps one
+        // entry per die node, so it is written in place.
         let mut cpu_w = 0.0;
         for (d, (cluster, power)) in self.clusters.iter().zip(&self.cluster_power).enumerate() {
             let die = self.thermal.die_temperature(d);
             let w = power.cluster_power(cluster.frequency(), cluster.utilizations(), die);
             cpu_w += w;
-            self.die_w_scratch.push(w);
+            self.thermal.heat_mut().die_w[d] = w;
         }
         // A governed GPU draws dynamic power for the work it actually
         // runs at its arbiter-capped operating point; the legacy
@@ -475,8 +509,6 @@ impl Device {
         let battery_w = self.battery.step(load_w, dt);
 
         let heat = self.thermal.heat_mut();
-        heat.die_w.clear();
-        heat.die_w.extend_from_slice(&self.die_w_scratch);
         heat.gpu_w = gpu_w;
         heat.display_w = display_w;
         heat.battery_w = battery_w;
@@ -498,6 +530,7 @@ impl Device {
         }
         self.unserved_khz_s += unserved * dt;
         self.clock_s += dt;
+        self.refresh_state();
     }
 
     /// [`Device::apply`] with every frequency domain (CPU clusters, and
@@ -510,84 +543,82 @@ impl Device {
     }
 
     /// The true state of the device, with no sensor read: the part of
-    /// [`Device::observe`] every step needs. Its fields carry the same
-    /// bits as the observation's.
-    pub fn state(&self) -> DeviceState {
-        let mut domains = PerDomain::from_fn(self.clusters.len(), |d| {
-            let cluster = &self.clusters[d];
-            DomainState {
-                kind: DomainKind::CpuCluster,
-                freq_khz: cluster.frequency().khz as f64,
-                level: cluster.level(),
-                avg_utilization: cluster.average_utilization(),
-                max_utilization: cluster.max_utilization(),
-                die_temp: self.thermal.die_temperature(d),
-            }
-        });
-        if let Some(gpu) = &self.gpu_dom {
-            domains.push(DomainState {
-                kind: DomainKind::Gpu,
-                freq_khz: gpu.khz(),
-                level: gpu.level,
-                avg_utilization: gpu.utilization,
-                max_utilization: gpu.utilization,
-                die_temp: match self.thermal.topology().roles.gpu {
-                    Some(node) => self.thermal.node_temperature(node),
-                    None => self.thermal.die_temperature(0),
-                },
-            });
-        }
-        if let Some(panel) = &self.display_dom {
-            domains.push(DomainState {
-                kind: DomainKind::Display,
-                // Effective brightness as permille — the quantity in
-                // effect on the panel, traced like a clock.
-                freq_khz: self.effective_brightness * 1000.0,
-                level: panel.level,
-                avg_utilization: panel.utilization,
-                max_utilization: panel.utilization,
-                die_temp: self.thermal.screen_temperature(),
-            });
-        }
-        let total_cores: usize = self.clusters.iter().map(Cpu::cores).sum();
-        let mut util_sum = 0.0;
-        let mut max_utilization = 0.0f64;
-        for cluster in &self.clusters {
-            util_sum += cluster.utilizations().iter().sum::<f64>();
-            max_utilization = max_utilization.max(cluster.max_utilization());
-        }
-        let freq_khz = if self.clusters.len() == 1 {
-            domains[0].freq_khz
-        } else {
-            let mut weighted = 0.0;
-            for (d, cluster) in self.clusters.iter().enumerate() {
-                weighted += domains[d].freq_khz * cluster.cores() as f64;
-            }
-            weighted / total_cores as f64
-        };
-        DeviceState {
-            t: self.clock_s,
-            skin_true: self.thermal.skin_temperature(),
-            screen_true: self.thermal.screen_temperature(),
-            avg_utilization: util_sum / total_cores as f64,
-            max_utilization,
-            freq_khz,
-            domains,
-        }
+    /// [`Device::observe`] every step needs. The device keeps this
+    /// record and rewrites it in place as the last act of every
+    /// [`Device::apply`] (and of [`Device::reset_thermals_to`]), so
+    /// reading it costs nothing. Its fields carry the same bits as the
+    /// observation's.
+    pub fn state(&self) -> &DeviceState {
+        &self.state
     }
 
-    /// Takes a full observation: [`Device::state`] plus the four sensor
-    /// readings. It is a pure function of the device's state: the
-    /// sensor noise is keyed by the step index, so observing twice
-    /// between steps, or skipping steps, changes no reading — which is
-    /// what lets the run loop read the sensors only on the steps that
-    /// consume them (log and prediction steps).
+    /// The state written into a fresh record, every value poisoned
+    /// (NaN, `usize::MAX`) until written, rather than refreshed in the
+    /// kept one: a value the in-place refresh leaves stale shows as a
+    /// difference from [`Device::state`].
+    #[doc(hidden)]
+    pub fn state_from_scratch(&self) -> DeviceState {
+        let nan = Celsius(f64::NAN);
+        let blank = |kind| DomainState {
+            kind,
+            freq_khz: f64::NAN,
+            level: usize::MAX,
+            avg_utilization: f64::NAN,
+            max_utilization: f64::NAN,
+            die_temp: nan,
+        };
+        let mut domains = PerDomain::splat(self.clusters.len(), blank(DomainKind::CpuCluster));
+        if self.gpu_dom.is_some() {
+            domains.push(blank(DomainKind::Gpu));
+        }
+        if self.display_dom.is_some() {
+            domains.push(blank(DomainKind::Display));
+        }
+        let mut state = DeviceState {
+            t: f64::NAN,
+            skin_true: nan,
+            screen_true: nan,
+            avg_utilization: f64::NAN,
+            max_utilization: f64::NAN,
+            freq_khz: f64::NAN,
+            domains,
+        };
+        write_state(
+            &mut state,
+            &self.clusters,
+            self.gpu_dom.as_ref(),
+            self.display_dom.as_ref(),
+            self.effective_brightness,
+            &self.thermal,
+            self.clock_s,
+        );
+        state
+    }
+
+    /// Rewrites the kept [`DeviceState`] in place.
+    fn refresh_state(&mut self) {
+        write_state(
+            &mut self.state,
+            &self.clusters,
+            self.gpu_dom.as_ref(),
+            self.display_dom.as_ref(),
+            self.effective_brightness,
+            &self.thermal,
+            self.clock_s,
+        );
+    }
+
+    /// Takes a full observation: a copy of [`Device::state`] plus the
+    /// four sensor readings. It is a pure function of the device's
+    /// state: the sensor noise is keyed by the step index, so observing
+    /// twice between steps, or skipping steps, changes no reading —
+    /// which is what lets the run loop read the sensors only on the
+    /// steps that consume them (log and prediction steps).
     pub fn observe(&self) -> Observation {
-        let state = self.state();
         let [z_cpu, z_battery, z_skin, z_screen] =
             usta_soc::sensors::step_normals(self.sensor_key, self.step);
         Observation {
-            t: state.t,
+            state: self.state,
             // The primary CPU zone sits on the big cluster's die (die
             // node 0) — on the single-die Nexus 4, *the* die.
             cpu_temp: self.cpu_sensor.read(self.thermal.die_temperature(0), z_cpu),
@@ -600,12 +631,6 @@ impl Device {
             screen_thermistor: self
                 .screen_thermistor
                 .read(self.thermal.screen_temperature(), z_screen),
-            skin_true: state.skin_true,
-            screen_true: state.screen_true,
-            avg_utilization: state.avg_utilization,
-            max_utilization: state.max_utilization,
-            freq_khz: state.freq_khz,
-            domains: state.domains,
         }
     }
 
@@ -651,6 +676,7 @@ impl Device {
         self.battery_sensor.reset();
         self.skin_thermistor.reset();
         self.screen_thermistor.reset();
+        self.refresh_state();
     }
 
     /// Number of frequency domains: the CPU clusters plus the governed
@@ -881,9 +907,6 @@ mod tests {
 
     #[test]
     fn lean_state_equals_the_full_observation_every_step() {
-        fn bits<const N: usize>(x: [f64; N]) -> [u64; N] {
-            x.map(f64::to_bits)
-        }
         let sd8s = usta_device::parse_device(include_str!("../../../catalog/sd8s-gen3.toml"))
             .expect("sd8s-gen3 parses");
         let configs = [
@@ -916,49 +939,19 @@ mod tests {
                     .map(|(k, &top)| (i * 3 + k * 5) % (top + 1))
                     .collect();
                 d.apply(&demand, &levels, 0.1);
-                let state = d.state();
-                let obs = d.observe();
+                if i == 200 {
+                    d.reset_thermals_to(Celsius(30.0));
+                }
+                // `Debug` prints every f64 exactly; a value the refresh
+                // never wrote would print the blank record's NaN.
+                let kept = format!("{:?}", d.state());
                 assert_eq!(
-                    bits([
-                        state.t,
-                        state.skin_true.value(),
-                        state.screen_true.value(),
-                        state.avg_utilization,
-                        state.max_utilization,
-                        state.freq_khz,
-                    ]),
-                    bits([
-                        obs.t,
-                        obs.skin_true.value(),
-                        obs.screen_true.value(),
-                        obs.avg_utilization,
-                        obs.max_utilization,
-                        obs.freq_khz,
-                    ]),
+                    kept,
+                    format!("{:?}", d.state_from_scratch()),
                     "{id} step {i}"
                 );
-                assert_eq!(state.domains.len(), obs.domains.len());
-                for (lean, full) in state.domains.iter().zip(obs.domains.iter()) {
-                    assert_eq!(lean.kind, full.kind);
-                    assert_eq!(lean.level, full.level);
-                    assert_eq!(
-                        bits([
-                            lean.freq_khz,
-                            lean.avg_utilization,
-                            lean.max_utilization,
-                            lean.die_temp.value(),
-                        ]),
-                        bits([
-                            full.freq_khz,
-                            full.avg_utilization,
-                            full.max_utilization,
-                            full.die_temp.value(),
-                        ]),
-                        "{id} step {i}"
-                    );
-                }
-                assert_eq!(state.hottest_die(), obs.hottest_die());
-                assert_eq!(state.die_temps(), obs.die_temps());
+                assert!(!kept.contains("NaN"), "{id} step {i}: {kept}");
+                assert_eq!(d.observe().state, *d.state(), "{id} step {i}");
             }
         }
     }

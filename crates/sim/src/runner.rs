@@ -10,7 +10,7 @@ use usta_governors::{CpuGovernor, DomainSample, DvfsDecision, FreqDomain, Govern
 use usta_soc::PerDomain;
 use usta_telemetry::{DecisionEvent, DurationHistogram, FlightRecorder};
 use usta_thermal::Celsius;
-use usta_workloads::Workload;
+use usta_workloads::{DeviceDemand, Workload};
 
 /// The DVFS stack driving the run.
 #[derive(Debug)]
@@ -92,16 +92,18 @@ impl DvfsLoop {
             max_allowed_levels: &self.caps,
             die_temp_c: Some(obs.hottest_die().value()),
         };
-        let decision = governor.decide(&input);
-        PerDomain::from_slice(enforce_caps(decision, &self.caps).levels())
+        let mut next = PerDomain::new();
+        enforce_caps(&governor.decide(&input), &self.caps, &mut next);
+        next
     }
 }
 
-/// The call-site enforcement of the thermal contract: a governor must
-/// never exceed a domain's allowed level. Violations are a bug in the
+/// The call-site enforcement of the thermal contract, writing the
+/// clamped decision into `levels` in place: a governor must never
+/// exceed a domain's allowed level. Violations are a bug in the
 /// governor — loud in debug builds, clamped (fail-safe cold) in
 /// release.
-fn enforce_caps(decision: DvfsDecision, caps: &[usize]) -> DvfsDecision {
+fn enforce_caps(decision: &DvfsDecision, caps: &[usize], levels: &mut PerDomain<usize>) {
     debug_assert!(
         decision
             .levels()
@@ -112,7 +114,7 @@ fn enforce_caps(decision: DvfsDecision, caps: &[usize]) -> DvfsDecision {
         decision.levels(),
         caps
     );
-    decision.clamped_to(caps)
+    levels.refill(decision.domain_count(), |d| decision.level(d).min(caps[d]));
 }
 
 /// Deterministic work counters for one run — integer counts of what
@@ -177,6 +179,15 @@ impl RunWork {
 /// its share of the run's wall time.
 pub const PHASE_STRIDE: u64 = 61;
 
+/// The step of each stride that runs under the phase clock: not step
+/// 0, which pays a run's one-off costs (the thermal discretization,
+/// cold caches).
+pub const PHASE_OFFSET: u64 = 30;
+
+fn phase_sampled(step_no: u64) -> bool {
+    step_no % PHASE_STRIDE == PHASE_OFFSET
+}
+
 /// Registry names of the per-layer phase histograms, in step order.
 /// Every sampled step records one lap into each of them.
 pub const PHASE_NAMES: [&str; PHASES] = [
@@ -194,7 +205,7 @@ const PHASES: usize = 7;
 /// The layers of one step, in loop order (indexes [`PHASE_NAMES`]).
 #[derive(Debug, Clone, Copy)]
 enum Phase {
-    /// `Workload::demand_at`.
+    /// `Workload::demand_into`.
     Demand,
     /// `Device::apply`: scheduling, power, battery, thermal RC.
     Apply,
@@ -213,27 +224,45 @@ enum Phase {
 
 /// The clock of one sampled step. Each lap runs from the previous
 /// layer boundary to the next, so the laps tile the step: no nesting,
-/// and they sum to the step's wall time.
+/// and they sum to the step's wall time less one clock read per lap.
 #[derive(Debug, Clone, Copy)]
 struct StepClock {
     mark: Instant,
+    /// What one lap pays for its own clock read, ns; taken off each lap.
+    clock_ns: u64,
     laps: [u64; PHASES],
 }
 
 impl StepClock {
-    fn start() -> StepClock {
+    fn start(clock_ns: u64) -> StepClock {
         StepClock {
             mark: Instant::now(),
+            clock_ns,
             laps: [0; PHASES],
         }
     }
 
-    /// Charges the time since the last boundary to `phase`.
+    /// Charges the time since the last boundary, less the clock read,
+    /// to `phase` (never below zero).
     fn lap(&mut self, phase: Phase) {
         let now = Instant::now();
-        self.laps[phase as usize] = (now - self.mark).as_nanos() as u64;
+        let ns = (now - self.mark).as_nanos() as u64;
+        self.laps[phase as usize] = ns.saturating_sub(self.clock_ns);
         self.mark = now;
     }
+}
+
+/// The cost of one `Instant::now`, ns: the median gap between
+/// back-to-back reads, measured once per process.
+fn clock_read_ns() -> u64 {
+    static NS: OnceLock<u64> = OnceLock::new();
+    *NS.get_or_init(|| {
+        let mut gaps: Vec<u64> = (0..1001)
+            .map(|_| Instant::now().elapsed().as_nanos() as u64)
+            .collect();
+        gaps.sort_unstable();
+        gaps[gaps.len() / 2]
+    })
 }
 
 /// Ends `phase` on a sampled step; a no-op (no clock read) otherwise.
@@ -395,7 +424,12 @@ pub fn run_workload_recorded(
     let total_steps = (duration / dt).round() as u64;
     let mut phase_laps: Option<Vec<[u64; PHASES]>> =
         sink.map(|_| Vec::with_capacity(total_steps.div_ceil(PHASE_STRIDE) as usize));
+    let clock_ns = sink.map_or(0, |_| clock_read_ns());
     let mut t = 0.0;
+    // Loop-carried buffers, rewritten in place on every step: the
+    // workload's demand, the governor's samples and the levels in force.
+    let mut demand = DeviceDemand::idle();
+    let mut samples = PerDomain::splat(n_domains, DomainSample::default());
     let mut levels: PerDomain<usize> = PerDomain::splat(n_domains, 0);
     let mut skin_trace = Vec::new();
     let mut screen_trace = Vec::new();
@@ -413,9 +447,9 @@ pub fn run_workload_recorded(
 
     for step_no in 0..total_steps {
         let mut clock =
-            (phase_laps.is_some() && step_no.is_multiple_of(PHASE_STRIDE)).then(StepClock::start);
+            (phase_laps.is_some() && phase_sampled(step_no)).then(|| StepClock::start(clock_ns));
         work.steps += 1;
-        let demand = workload.demand_at(t, dt);
+        workload.demand_into(t, dt, &mut demand);
         lap(&mut clock, Phase::Demand);
         device.apply(&demand, levels.as_slice(), dt);
         lap(&mut clock, Phase::Apply);
@@ -442,6 +476,7 @@ pub fn run_workload_recorded(
             let previous = usta.last_prediction();
             let features = || {
                 sensed
+                    .as_ref()
                     .expect("sensors are read whenever a prediction is due")
                     .1
             };
@@ -459,7 +494,7 @@ pub fn run_workload_recorded(
         // Governor reacts to the per-domain utilization it just
         // observed; its output is clamped to the thermal caps here, at
         // the call site.
-        let samples: PerDomain<DomainSample> = PerDomain::from_fn(n_domains, |d| DomainSample {
+        samples.refill(n_domains, |d| DomainSample {
             avg_utilization: obs.domains[d].avg_utilization,
             max_utilization: obs.domains[d].max_utilization,
             current_level: levels[d],
@@ -475,8 +510,7 @@ pub fn run_workload_recorded(
             Governor::Baseline(g) => g.decide(&input),
             Governor::Usta(g) => g.decide(&input),
         };
-        let decision = enforce_caps(decision, caps.as_slice());
-        levels = PerDomain::from_slice(decision.levels());
+        enforce_caps(&decision, caps.as_slice(), &mut levels);
         lap(&mut clock, Phase::Decide);
 
         if let Some(ring) = recorder.as_mut() {
@@ -526,7 +560,7 @@ pub fn run_workload_recorded(
             *peak = peak.max(state.die_temp);
         }
 
-        if let Some((full, features)) = sensed.filter(|_| log_step) {
+        if let Some((full, features)) = sensed.as_ref().filter(|_| log_step) {
             work.log_windows += 1;
             skin_trace.push((t, obs.skin_true));
             screen_trace.push((t, obs.screen_true));
@@ -549,7 +583,7 @@ pub fn run_workload_recorded(
             }
             training_log.push(LoggedSample {
                 t,
-                features,
+                features: *features,
                 skin: full.skin_thermistor,
                 screen: full.screen_thermistor,
             });
@@ -815,7 +849,7 @@ mod tests {
     #[test]
     fn phase_laps_tile_one_sampled_step() {
         let outer = Instant::now();
-        let mut clock = StepClock::start();
+        let mut clock = StepClock::start(0);
         let begin = clock.mark;
         let phases = [
             Phase::Demand,
@@ -847,6 +881,21 @@ mod tests {
     }
 
     #[test]
+    fn laps_pay_one_clock_read_each_never_below_zero() {
+        let clock_ns = clock_read_ns();
+        assert_eq!(clock_ns, clock_read_ns(), "calibrated once per process");
+        let mut clock = StepClock::start(5_000);
+        clock.lap(Phase::Demand);
+        assert_eq!(clock.laps[0], 0, "a lap shorter than the read saturates");
+        let spin = Instant::now();
+        while spin.elapsed() < std::time::Duration::from_micros(20) {}
+        let before = clock.mark;
+        clock.lap(Phase::Apply);
+        let raw = (clock.mark - before).as_nanos() as u64;
+        assert_eq!(clock.laps[1], raw - 5_000);
+    }
+
+    #[test]
     fn phase_stride_samples_log_steps_at_their_true_rate() {
         let steps_per_log = (RunConfig::default().log_period_s / 0.1).round() as u64;
         assert_eq!(steps_per_log, 30);
@@ -860,10 +909,26 @@ mod tests {
     }
 
     #[test]
+    fn the_first_step_is_never_sampled() {
+        // Step 0 carries the run's one-off costs; the sampled steps
+        // still visit every residue of the log cadence equally often.
+        assert!(!phase_sampled(0));
+        let sampled: Vec<u64> = (0..PHASE_STRIDE * 30)
+            .filter(|&s| phase_sampled(s))
+            .collect();
+        assert_eq!(sampled.len(), 30);
+        assert_eq!(sampled[0], PHASE_OFFSET);
+        let mut residues: Vec<u64> = sampled.iter().map(|s| s % 30).collect();
+        residues.sort_unstable();
+        assert_eq!(residues, (0..30).collect::<Vec<u64>>());
+    }
+
+    #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "thermal cap contract")]
     fn cap_violation_is_loud_in_debug_builds() {
-        enforce_caps(DvfsDecision::from_levels(&[5, 2]), &[3, 2]);
+        let mut levels = PerDomain::splat(2, 0);
+        enforce_caps(&DvfsDecision::from_levels(&[5, 2]), &[3, 2], &mut levels);
     }
 
     #[test]

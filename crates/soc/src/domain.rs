@@ -113,6 +113,23 @@ impl<T: Copy + Default> PerDomain<T> {
         v
     }
 
+    /// Rewrites the vector in place to what [`PerDomain::from_fn`]
+    /// would build.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > MAX_FREQ_DOMAINS`.
+    pub fn refill(&mut self, n: usize, mut f: impl FnMut(usize) -> T) {
+        assert!(n <= MAX_FREQ_DOMAINS, "at most {MAX_FREQ_DOMAINS} domains");
+        for (d, item) in self.items[..n].iter_mut().enumerate() {
+            *item = f(d);
+        }
+        for item in self.items.iter_mut().take(self.len as usize).skip(n) {
+            *item = T::default();
+        }
+        self.len = n as u8;
+    }
+
     /// Appends one entry.
     ///
     /// # Panics
@@ -209,6 +226,15 @@ mod tests {
         assert_eq!(v.as_slice(), &[1.5, 2.5]);
         v[1] = 3.0;
         assert_eq!(v[1], 3.0);
+    }
+
+    #[test]
+    fn refill_equals_a_fresh_from_fn() {
+        let mut v = PerDomain::from_fn(5, |d| d * 10);
+        v.refill(2, |d| d + 1);
+        assert_eq!(v, PerDomain::from_fn(2, |d| d + 1));
+        v.refill(4, |d| d * 3);
+        assert_eq!(v, PerDomain::from_fn(4, |d| d * 3));
     }
 
     #[test]

@@ -44,15 +44,23 @@ impl DeviceDemand {
     /// Returns a copy with every CPU/GPU demand scaled by `factor`
     /// (used for jitter). Board power and flags are unchanged.
     pub fn scaled(&self, factor: f64) -> DeviceDemand {
+        let mut out = DeviceDemand::idle();
+        out.set_scaled(self, factor);
+        out
+    }
+
+    /// Overwrites `self` with `base.scaled(factor)`, reusing the thread
+    /// vector's allocation.
+    pub fn set_scaled(&mut self, base: &DeviceDemand, factor: f64) {
         let f = factor.max(0.0);
-        DeviceDemand {
-            cpu_threads_khz: self.cpu_threads_khz.iter().map(|d| d * f).collect(),
-            gpu_load: (self.gpu_load * f).clamp(0.0, 1.0),
-            display_on: self.display_on,
-            brightness: self.brightness,
-            board_w: self.board_w,
-            charging: self.charging,
-        }
+        let mut threads = std::mem::take(&mut self.cpu_threads_khz);
+        threads.clear();
+        threads.extend(base.cpu_threads_khz.iter().map(|d| d * f));
+        *self = DeviceDemand {
+            cpu_threads_khz: threads,
+            gpu_load: (base.gpu_load * f).clamp(0.0, 1.0),
+            ..*base
+        };
     }
 }
 
@@ -90,6 +98,24 @@ mod tests {
         assert!((s.gpu_load - 0.6).abs() < 1e-12);
         assert_eq!(s.board_w, 1.0);
         assert!(s.display_on && s.charging);
+    }
+
+    #[test]
+    fn in_place_setters_match_the_by_value_forms() {
+        let base = DeviceDemand {
+            cpu_threads_khz: vec![100.0, 200.0, 300.0],
+            gpu_load: 0.7,
+            display_on: true,
+            brightness: 0.4,
+            board_w: 0.2,
+            charging: true,
+        };
+        let mut out = DeviceDemand::idle();
+        out.set_scaled(&base, 1.3);
+        assert_eq!(out.cpu_threads_khz, vec![130.0, 260.0, 390.0]);
+        assert_eq!(out, base.scaled(1.3));
+        out.set_scaled(&base, 1.0);
+        assert_eq!(out, base);
     }
 
     #[test]

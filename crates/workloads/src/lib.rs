@@ -52,11 +52,20 @@ pub trait Workload: std::fmt::Debug {
     /// Total duration in seconds.
     fn duration(&self) -> f64;
 
-    /// The demand over the window `[t, t + dt)` seconds into the run.
-    ///
-    /// `t` past [`duration`](Self::duration) must return an idle demand
-    /// (screen off, no load) — runners may overshoot by a window.
-    fn demand_at(&mut self, t: f64, dt: f64) -> DeviceDemand;
+    /// Writes the demand over the window `[t, t + dt)` seconds into the
+    /// run into `out`, overwriting every field. The run loop passes one
+    /// buffer on every step, so implementations reuse its thread vector
+    /// (see [`DeviceDemand::set_scaled`]). `t` past
+    /// [`duration`](Self::duration) must write an idle demand (screen
+    /// off, no load) — runners may overshoot by a window.
+    fn demand_into(&mut self, t: f64, dt: f64, out: &mut DeviceDemand);
+
+    /// [`Workload::demand_into`] into a fresh buffer, by value.
+    fn demand_at(&mut self, t: f64, dt: f64) -> DeviceDemand {
+        let mut out = DeviceDemand::idle();
+        self.demand_into(t, dt, &mut out);
+        out
+    }
 }
 
 #[cfg(test)]

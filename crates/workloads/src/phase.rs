@@ -50,6 +50,9 @@ pub struct PhasedWorkload {
     duration: f64,
     phases: Vec<Phase>,
     cycle_len: f64,
+    /// Thread count of the widest phase: the capacity `demand_into`
+    /// reserves, so a phase change never regrows the caller's buffer.
+    max_threads: usize,
     jitter: f64,
     rng: ChaCha8Rng,
     current_jitter: f64,
@@ -82,11 +85,17 @@ impl PhasedWorkload {
         );
         assert!((0.0..1.0).contains(&jitter), "jitter must be in [0, 1)");
         let cycle_len = phases.iter().map(|p| p.seconds).sum();
+        let max_threads = phases
+            .iter()
+            .map(|p| p.demand.cpu_threads_khz.len())
+            .max()
+            .unwrap_or(0);
         PhasedWorkload {
             name: name.to_owned(),
             duration,
             phases,
             cycle_len,
+            max_threads,
             jitter,
             rng: ChaCha8Rng::seed_from_u64(seed),
             current_jitter: 1.0,
@@ -96,7 +105,13 @@ impl PhasedWorkload {
 
     /// The phase active at time `t` (cycling).
     pub fn phase_at(&self, t: f64) -> &Phase {
-        let mut offset = t.rem_euclid(self.cycle_len);
+        // Inside the first cycle `rem_euclid` returns `t` unchanged, so
+        // its `fmod` is skipped there.
+        let mut offset = if (0.0..self.cycle_len).contains(&t) {
+            t
+        } else {
+            t.rem_euclid(self.cycle_len)
+        };
         for p in &self.phases {
             if offset < p.seconds {
                 return p;
@@ -122,20 +137,19 @@ impl Workload for PhasedWorkload {
         self.duration
     }
 
-    fn demand_at(&mut self, t: f64, _dt: f64) -> DeviceDemand {
+    fn demand_into(&mut self, t: f64, _dt: f64, out: &mut DeviceDemand) {
         if t >= self.duration {
-            return DeviceDemand::idle();
+            *out = DeviceDemand::idle();
+            return;
         }
         if self.jitter > 0.0 && t - self.jitter_drawn_at >= 1.0 {
             self.current_jitter = 1.0 + self.rng.gen_range(-self.jitter..=self.jitter);
             self.jitter_drawn_at = t;
         }
-        let base = &self.phase_at(t).demand;
-        if self.jitter > 0.0 {
-            base.scaled(self.current_jitter)
-        } else {
-            base.clone()
-        }
+        // Zero jitter keeps the factor at exactly 1.
+        out.cpu_threads_khz.clear();
+        out.cpu_threads_khz.reserve(self.max_threads);
+        out.set_scaled(&self.phase_at(t).demand, self.current_jitter);
     }
 }
 
@@ -172,6 +186,48 @@ mod tests {
         assert_eq!(w.phase_at(15.1).demand.cpu_threads_khz[0], 1_000_000.0);
         assert_eq!(w.phase_at(40.0).demand.cpu_threads_khz[0], 100_000.0);
         assert_eq!(w.phase_at(45.1).demand.cpu_threads_khz[0], 1_000_000.0);
+    }
+
+    #[test]
+    fn phase_lookup_matches_the_rem_euclid_form_along_the_run_loop_clock() {
+        // The loop's clock is `t += 0.1` from zero: its rounding drifts,
+        // so every value it reaches in three cycles is checked against
+        // the plain `rem_euclid` lookup, benchmark by benchmark.
+        for benchmark in crate::Benchmark::ALL {
+            let w = benchmark.workload(1);
+            let reference = |t: f64| {
+                let mut offset = t.rem_euclid(w.cycle_len);
+                for p in w.phases() {
+                    if offset < p.seconds {
+                        return p;
+                    }
+                    offset -= p.seconds;
+                }
+                w.phases().last().unwrap()
+            };
+            let mut t = 0.0f64;
+            while t < 3.0 * w.cycle_len {
+                assert!(
+                    std::ptr::eq(w.phase_at(t), reference(t)),
+                    "{} at t = {t:?}",
+                    benchmark.name()
+                );
+                t += 0.1;
+            }
+        }
+    }
+
+    #[test]
+    fn demand_into_reuses_one_buffer_across_phases() {
+        let mut w = two_phase();
+        let mut out = DeviceDemand::idle();
+        for i in 0..300 {
+            let t = i as f64 * 0.1;
+            w.demand_into(t, 0.1, &mut out);
+            assert_eq!(out, two_phase().demand_at(t, 0.1), "t = {t}");
+        }
+        w.demand_into(100.0, 0.1, &mut out);
+        assert_eq!(out, DeviceDemand::idle());
     }
 
     #[test]

@@ -4,6 +4,19 @@
 use crate::demand::DeviceDemand;
 use crate::Workload;
 
+/// Writes `khz` on each of `cores` threads with the panel lit at 80 %
+/// and 0.1 W of board power: the demand shape every synthetic load
+/// shares.
+fn screen_on_load(out: &mut DeviceDemand, khz: f64, cores: usize) {
+    out.cpu_threads_khz.clear();
+    out.cpu_threads_khz.resize(cores, khz);
+    out.gpu_load = 0.0;
+    out.display_on = true;
+    out.brightness = 0.8;
+    out.board_w = 0.1;
+    out.charging = false;
+}
+
 /// Constant CPU demand on every core, screen on.
 #[derive(Debug, Clone)]
 pub struct ConstantLoad {
@@ -35,18 +48,12 @@ impl Workload for ConstantLoad {
         self.duration
     }
 
-    fn demand_at(&mut self, t: f64, _dt: f64) -> DeviceDemand {
+    fn demand_into(&mut self, t: f64, _dt: f64, out: &mut DeviceDemand) {
         if t >= self.duration {
-            return DeviceDemand::idle();
+            *out = DeviceDemand::idle();
+            return;
         }
-        DeviceDemand {
-            cpu_threads_khz: vec![self.per_core_khz; self.cores],
-            gpu_load: 0.0,
-            display_on: true,
-            brightness: 0.8,
-            board_w: 0.1,
-            charging: false,
-        }
+        screen_on_load(out, self.per_core_khz, self.cores);
     }
 }
 
@@ -107,9 +114,10 @@ impl Workload for PeriodicBurst {
         self.duration
     }
 
-    fn demand_at(&mut self, t: f64, _dt: f64) -> DeviceDemand {
+    fn demand_into(&mut self, t: f64, _dt: f64, out: &mut DeviceDemand) {
         if t >= self.duration {
-            return DeviceDemand::idle();
+            *out = DeviceDemand::idle();
+            return;
         }
         let phase = t.rem_euclid(self.busy_s + self.idle_s);
         let khz = if phase < self.busy_s {
@@ -117,14 +125,7 @@ impl Workload for PeriodicBurst {
         } else {
             0.0
         };
-        DeviceDemand {
-            cpu_threads_khz: vec![khz; self.cores],
-            gpu_load: 0.0,
-            display_on: true,
-            brightness: 0.8,
-            board_w: 0.1,
-            charging: false,
-        }
+        screen_on_load(out, khz, self.cores);
     }
 }
 
@@ -158,19 +159,13 @@ impl Workload for RampLoad {
         self.duration
     }
 
-    fn demand_at(&mut self, t: f64, _dt: f64) -> DeviceDemand {
+    fn demand_into(&mut self, t: f64, _dt: f64, out: &mut DeviceDemand) {
         if t >= self.duration {
-            return DeviceDemand::idle();
+            *out = DeviceDemand::idle();
+            return;
         }
         let frac = (t / self.duration).clamp(0.0, 1.0);
-        DeviceDemand {
-            cpu_threads_khz: vec![self.peak_khz * frac; self.cores],
-            gpu_load: 0.0,
-            display_on: true,
-            brightness: 0.8,
-            board_w: 0.1,
-            charging: false,
-        }
+        screen_on_load(out, self.peak_khz * frac, self.cores);
     }
 }
 

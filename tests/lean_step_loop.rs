@@ -1,14 +1,22 @@
 //! The step loop reads the sensors only on the steps that consume them:
 //! log steps (the training log) and USTA's prediction steps (the
 //! predictor's features). Every other step uses the device's true state
-//! alone. These tests hold `run_workload_recorded` to an eager reference
-//! loop that takes the full observation and builds the features on
-//! every step, as the loop did before it went lean: the two must agree
-//! bit for bit, run result, training log and flight events included.
+//! alone, kept in place by the device, and its decision leg works on
+//! loop-carried buffers: samples and levels rewritten in place, and
+//! USTA's decision record refreshed in place. These tests hold
+//! `run_workload_recorded` to an eager reference loop that takes the
+//! full observation and builds the features on every step, samples and
+//! clamps by value, as the loop did before it went lean: the two must
+//! agree bit for bit, run result, training log and flight events
+//! (each step's levels and record-derived caps) included. After every
+//! step the eager loop also checks the device's kept state against one
+//! written from scratch, and USTA's kept decision record against one
+//! rebuilt from the public policy and arbiter.
 
 use usta_core::governor::DEFAULT_PREDICTION_PERIOD_S;
 use usta_core::{
-    LoggedSample, PredictionTarget, TemperaturePredictor, TrainingLog, UstaGovernor, UstaPolicy,
+    ArbiterShare, DecisionRecord, LoggedSample, PredictionTarget, TemperaturePredictor,
+    TrainingLog, UstaGovernor, UstaPolicy,
 };
 use usta_governors::{CpuGovernor, DomainSample, GovernorInput, OnDemand};
 use usta_ml::reptree::RepTreeParams;
@@ -70,6 +78,16 @@ fn run_eager(
         work.steps += 1;
         let demand = workload.demand_at(t, dt);
         device.apply(&demand, levels.as_slice(), dt);
+        // `Debug` prints every f64 exactly. The scratch record starts
+        // poisoned with NaN, so a value the in-place refresh skips on
+        // some step differs, and one it never writes prints NaN.
+        let kept = format!("{:?}", device.state());
+        assert_eq!(
+            kept,
+            format!("{:?}", device.state_from_scratch()),
+            "kept state is stale after step {step_no}"
+        );
+        assert!(!kept.contains("NaN"), "step {step_no}: {kept}");
         let obs = device.observe();
         let features = obs.features();
 
@@ -100,7 +118,16 @@ fn run_eager(
         work.governor_decisions += 1;
         let decision = match governor {
             Governor::Baseline(g) => g.decide(&input),
-            Governor::Usta(g) => g.decide(&input),
+            Governor::Usta(g) => {
+                let decision = g.decide(&input);
+                let die_c: Vec<f64> = obs.die_temps().iter().map(|t| t.value()).collect();
+                assert_eq!(
+                    g.last_decision_record(),
+                    Some(&record_from_scratch(g, &input, &die_c)),
+                    "kept decision record differs at step {step_no}"
+                );
+                decision
+            }
         };
         levels = PerDomain::from_slice(decision.clamped_to(caps.as_slice()).levels());
 
@@ -208,10 +235,72 @@ fn run_eager(
     }
 }
 
+/// The decision record USTA's `decide` must have left for `input`,
+/// built from nothing but the public policy and arbiter: the band's
+/// cap vector (split by power share with the fed die temperatures on
+/// CPU-only devices, a fresh arbiter run on devices with GPU or display
+/// domains), whether it tightened, and the standing prediction and
+/// residual.
+fn record_from_scratch(
+    g: &UstaGovernor,
+    input: &GovernorInput<'_>,
+    die_c: &[f64],
+) -> DecisionRecord {
+    let band = g.cap();
+    let system_level = input
+        .domains
+        .iter()
+        .any(|d| d.kind != DomainKind::CpuCluster);
+    let (usta_caps, arbiter) = if system_level {
+        let demand: Vec<f64> = input.samples.iter().map(|s| s.max_utilization).collect();
+        let allocation = usta_core::arbitrate(band, input.domains, &demand, input.die_temp_c);
+        let share = ArbiterShare {
+            budget_w: allocation.budget_w,
+            allocated_w: allocation.allocated_w,
+        };
+        (allocation.caps, Some(share))
+    } else {
+        (
+            band.max_allowed_levels_with_die_temps(input.domains, die_c),
+            None,
+        )
+    };
+    let tightened = usta_caps
+        .iter()
+        .zip(input.max_allowed_levels)
+        .any(|(usta, allowed)| usta < allowed);
+    let residuals = g.residuals();
+    DecisionRecord {
+        band,
+        usta_caps,
+        tightened,
+        arbiter,
+        predicted_skin: g.last_prediction(),
+        residual_c: (!residuals.is_empty()).then(|| residuals.last()),
+    }
+}
+
+/// Every built-in device, and the catalog's file-only sd8s-gen3.
+const DEVICES: [&str; 6] = [
+    "nexus4",
+    "flagship-octa",
+    "prime-flagship",
+    "tablet-10in",
+    "budget-quad",
+    "sd8s-gen3",
+];
+
 fn device(id: &str, seed: u64) -> Device {
+    let config = if id == "sd8s-gen3" {
+        let spec = usta_device::parse_device(include_str!("../catalog/sd8s-gen3.toml"))
+            .expect("sd8s-gen3 parses");
+        DeviceConfig::for_device(spec)
+    } else {
+        DeviceConfig::for_device_id(id).expect("built-in device")
+    };
     Device::new(DeviceConfig {
         sensor_seed: seed,
-        ..DeviceConfig::for_device_id(id).expect("built-in device")
+        ..config
     })
     .expect("device builds")
 }
@@ -285,7 +374,13 @@ fn assert_lean_equals_eager(
     lean
 }
 
-const DEVICES: [&str; 2] = ["nexus4", "flagship-octa"];
+#[test]
+fn devices_cover_every_builtin_and_the_catalog_file() {
+    for id in usta_device::NAMES {
+        assert!(DEVICES.contains(&id), "{id}");
+    }
+    assert_eq!(DEVICES.len(), usta_device::NAMES.len() + 1);
+}
 
 #[test]
 fn baseline_runs_match_the_eager_loop() {

@@ -12,7 +12,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use proptest::prelude::*;
 use usta_fleet::{run_sweep, SweepConfig};
-use usta_sim::runner::{PHASE_NAMES, PHASE_STRIDE};
+use usta_sim::runner::{PHASE_NAMES, PHASE_OFFSET, PHASE_STRIDE};
 use usta_workloads::Benchmark;
 
 /// Whether `name` may be a registered timing histogram: the sim layer
@@ -195,7 +195,8 @@ fn phase_clock_samples_every_layer_once_per_sampled_step() {
         runs * run_steps,
         "every run reaches the 20 s cap"
     );
-    let sampled = runs * run_steps.div_ceil(PHASE_STRIDE);
+    // Each stride samples its step `PHASE_OFFSET`.
+    let sampled = runs * (run_steps - PHASE_OFFSET).div_ceil(PHASE_STRIDE);
     let mut names = PHASE_NAMES.to_vec();
     names.sort_unstable();
     assert_eq!(after.keys().copied().collect::<Vec<_>>(), names);
