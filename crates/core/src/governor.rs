@@ -295,28 +295,16 @@ impl CpuGovernor for UstaGovernor {
             .any(|d| d.kind != DomainKind::CpuCluster);
         let arbitrated = system_level.then(|| self.arbitrate(input));
         let n = input.domains.len();
-        // The record is kept and rewritten in place, its cap vector
-        // included: the unrestricted and minimum bands' vectors depend
-        // on the domains alone, so they are written straight into it.
+        // The record is kept and rewritten in place.
         let record = self.last_record.get_or_insert_with(DecisionRecord::default);
-        record.arbiter = None;
-        match (arbitrated, self.cap) {
-            (Some((caps, share)), _) => {
-                record.usta_caps = caps;
-                record.arbiter = Some(share);
-            }
-            (None, FrequencyCap::Unrestricted) => {
-                record.usta_caps.refill(n, |d| input.domains[d].max_index())
-            }
-            (None, FrequencyCap::MinimumFrequency) => record.usta_caps.refill(n, |_| 0),
-            (None, band) => {
-                record.usta_caps = match &self.die_temps {
-                    Some(temps) => {
-                        band.max_allowed_levels_with_die_temps(input.domains, temps.as_slice())
-                    }
-                    None => band.max_allowed_levels(input.domains),
-                }
-            }
+        record.arbiter = arbitrated.map(|(_, share)| share);
+        match arbitrated {
+            Some((caps, _)) => record.usta_caps = caps,
+            None => self.cap.max_allowed_levels_into(
+                input.domains,
+                self.die_temps.as_ref().map_or(&[], |t| t.as_slice()),
+                &mut record.usta_caps,
+            ),
         }
         let usta_caps = &record.usta_caps;
         let tightened = (0..n).any(|d| usta_caps[d] < input.max_allowed_levels[d]);

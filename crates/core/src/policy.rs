@@ -71,7 +71,7 @@ impl FrequencyCap {
     ///
     /// Panics if `domains` is empty.
     pub fn max_allowed_levels(self, domains: &[FreqDomain]) -> PerDomain<usize> {
-        self.max_allowed_levels_split(domains, None)
+        self.max_allowed_levels_with_die_temps(domains, &[])
     }
 
     /// [`FrequencyCap::max_allowed_levels`] consulting per-cluster die
@@ -86,23 +86,30 @@ impl FrequencyCap {
         domains: &[FreqDomain],
         die_temp_c: &[f64],
     ) -> PerDomain<usize> {
-        let temps = (die_temp_c.len() == domains.len()).then_some(die_temp_c);
-        self.max_allowed_levels_split(domains, temps)
+        let mut levels = PerDomain::new();
+        self.max_allowed_levels_into(domains, die_temp_c, &mut levels);
+        levels
     }
 
-    fn max_allowed_levels_split(
+    /// [`FrequencyCap::max_allowed_levels_with_die_temps`] written into
+    /// `levels` in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `domains` is empty.
+    pub fn max_allowed_levels_into(
         self,
         domains: &[FreqDomain],
-        die_temp_c: Option<&[f64]>,
-    ) -> PerDomain<usize> {
+        die_temp_c: &[f64],
+        levels: &mut PerDomain<usize>,
+    ) {
         assert!(!domains.is_empty(), "a device has at least one domain");
+        let temps = (die_temp_c.len() == domains.len()).then_some(die_temp_c);
         match self {
-            FrequencyCap::Unrestricted => {
-                PerDomain::from_fn(domains.len(), |d| domains[d].max_index())
-            }
-            FrequencyCap::OneLevelBelowMax => shed_by_power_share(domains, 1, die_temp_c),
-            FrequencyCap::TwoLevelsBelowMax => shed_by_power_share(domains, 2, die_temp_c),
-            FrequencyCap::MinimumFrequency => PerDomain::splat(domains.len(), 0),
+            FrequencyCap::Unrestricted => levels.refill(domains.len(), |d| domains[d].max_index()),
+            FrequencyCap::OneLevelBelowMax => shed_by_power_share(domains, 1, temps, levels),
+            FrequencyCap::TwoLevelsBelowMax => shed_by_power_share(domains, 2, temps, levels),
+            FrequencyCap::MinimumFrequency => levels.refill(domains.len(), |_| 0),
         }
     }
 
@@ -117,16 +124,19 @@ impl FrequencyCap {
 /// (deterministic: ties break toward the hotter die when per-cluster
 /// die temperatures are supplied, then toward the lower domain id).
 /// Degenerate weights (zero or non-finite total) fall back to a
-/// uniform `per_domain_steps` cut on every domain.
+/// uniform `per_domain_steps` cut on every domain. The caps are
+/// written into `levels`.
 fn shed_by_power_share(
     domains: &[FreqDomain],
     per_domain_steps: usize,
     die_temp_c: Option<&[f64]>,
-) -> PerDomain<usize> {
+    levels: &mut PerDomain<usize>,
+) {
     let n = domains.len();
     if n == 1 {
         let opp = &domains[0].opp;
-        return PerDomain::splat(1, opp.lower(opp.max_index(), per_domain_steps));
+        levels.refill(1, |_| opp.lower(opp.max_index(), per_domain_steps));
+        return;
     }
     let total_steps = per_domain_steps * n;
     let total_w: f64 = domains.iter().map(|d| d.full_load_w).sum();
@@ -169,7 +179,7 @@ fn shed_by_power_share(
             shed[d] += 1;
         }
     }
-    PerDomain::from_fn(n, |d| domains[d].opp.lower(domains[d].max_index(), shed[d]))
+    levels.refill(n, |d| domains[d].opp.lower(domains[d].max_index(), shed[d]));
 }
 
 /// The per-user USTA policy: a comfort limit plus the paper's bands.
@@ -413,6 +423,21 @@ mod tests {
                 .as_slice(),
             &[0, 0]
         );
+    }
+
+    #[test]
+    fn in_place_caps_overwrite_a_stale_vector_exactly() {
+        let domains = test_domains(3.6, 0.9);
+        for cap in [
+            FrequencyCap::Unrestricted,
+            FrequencyCap::OneLevelBelowMax,
+            FrequencyCap::TwoLevelsBelowMax,
+            FrequencyCap::MinimumFrequency,
+        ] {
+            let mut levels = PerDomain::splat(5, 7);
+            cap.max_allowed_levels_into(&domains, &[], &mut levels);
+            assert_eq!(levels, cap.max_allowed_levels(&domains), "{cap:?}");
+        }
     }
 
     #[test]

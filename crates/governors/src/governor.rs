@@ -163,15 +163,18 @@ impl DvfsDecision {
         self.levels.as_slice()
     }
 
-    /// A copy with every level clamped to the matching cap — the
-    /// enforcement primitive run loops apply at the call site.
+    /// A copy with every level clamped to the matching cap.
     pub fn clamped_to(&self, caps: &[usize]) -> DvfsDecision {
-        let mut clamped = *self;
-        let caps = &caps[..self.levels.len()];
-        for (level, &cap) in clamped.levels.as_mut_slice().iter_mut().zip(caps) {
-            *level = (*level).min(cap);
-        }
+        let mut clamped = DvfsDecision::default();
+        self.clamp_into(caps, &mut clamped.levels);
         clamped
+    }
+
+    /// Writes every level, clamped to the matching cap, into `levels`
+    /// in place — the enforcement primitive run loops apply at the
+    /// call site.
+    pub fn clamp_into(&self, caps: &[usize], levels: &mut PerDomain<usize>) {
+        levels.refill(self.levels.len(), |d| self.levels[d].min(caps[d]));
     }
 }
 
@@ -304,6 +307,12 @@ mod tests {
         let d = DvfsDecision::from_levels(&[11, 5]);
         assert_eq!(d.clamped_to(&[9, 9]).levels(), &[9, 5]);
         assert_eq!(DvfsDecision::single(4).levels(), &[4]);
+        let mut levels = PerDomain::from_slice(&[1, 2, 3]);
+        d.clamp_into(&[9, 9], &mut levels);
+        assert_eq!(
+            levels,
+            PerDomain::from_slice(d.clamped_to(&[9, 9]).levels())
+        );
     }
 
     #[test]

@@ -114,7 +114,7 @@ fn enforce_caps(decision: &DvfsDecision, caps: &[usize], levels: &mut PerDomain<
         decision.levels(),
         caps
     );
-    levels.refill(decision.domain_count(), |d| decision.level(d).min(caps[d]));
+    decision.clamp_into(caps, levels);
 }
 
 /// Deterministic work counters for one run — integer counts of what
@@ -263,6 +263,19 @@ fn clock_read_ns() -> u64 {
         gaps.sort_unstable();
         gaps[gaps.len() / 2]
     })
+}
+
+/// The factor that makes a run's sampled laps, extrapolated over all
+/// `steps`, add up to the loop's measured wall time `loop_ns`. A clock
+/// read inside a busy step costs more than the back-to-back read
+/// [`clock_read_ns`] measures, so the raw laps overstate the step; the
+/// scaled laps keep their split and tile the loop.
+fn lap_scale(laps: &[[u64; PHASES]], loop_ns: u64, steps: u64) -> f64 {
+    let sampled_ns: u64 = laps.iter().flatten().sum();
+    if sampled_ns == 0 {
+        return 1.0;
+    }
+    loop_ns as f64 * laps.len() as f64 / (steps as f64 * sampled_ns as f64)
 }
 
 /// Ends `phase` on a sampled step; a no-op (no clock read) otherwise.
@@ -445,6 +458,7 @@ pub fn run_workload_recorded(
     let mut max_screen = Celsius(f64::NEG_INFINITY);
     let mut max_die = vec![Celsius(f64::NEG_INFINITY); n_dies];
 
+    let loop_start = sink.map(|_| Instant::now());
     for step_no in 0..total_steps {
         let mut clock =
             (phase_laps.is_some() && phase_sampled(step_no)).then(|| StepClock::start(clock_ns));
@@ -594,6 +608,7 @@ pub fn run_workload_recorded(
             laps.push(clock.laps);
         }
     }
+    let loop_ns = loop_start.map_or(0, |start| start.elapsed().as_nanos() as u64);
 
     // USTA's own counters are cumulative across runs (governors can be
     // reused); the per-run delta is what belongs to this result.
@@ -605,9 +620,11 @@ pub fn run_workload_recorded(
     if let Some(registry) = sink {
         work.flush_to(registry);
         let histograms = phase_histograms();
-        for laps in phase_laps.iter().flatten() {
+        let phase_laps = phase_laps.unwrap_or_default();
+        let scale = lap_scale(&phase_laps, loop_ns, total_steps);
+        for laps in &phase_laps {
             for (histogram, &ns) in histograms.iter().zip(laps) {
-                histogram.record_nanos(ns);
+                histogram.record_nanos((ns as f64 * scale).round() as u64);
             }
         }
     }
@@ -893,6 +910,17 @@ mod tests {
         clock.lap(Phase::Apply);
         let raw = (clock.mark - before).as_nanos() as u64;
         assert_eq!(clock.laps[1], raw - 5_000);
+    }
+
+    #[test]
+    fn scaled_laps_tile_the_loop_wall_time() {
+        // Two sampled steps of 700 ns each, 122 steps run in 61 µs: the
+        // mean step took 500 ns, so every lap shrinks by 5/7.
+        let laps = [[100; PHASES], [100; PHASES]];
+        let scale = lap_scale(&laps, 61_000, 122);
+        assert!((scale - 5.0 / 7.0).abs() < 1e-12, "{scale}");
+        assert_eq!(lap_scale(&[], 61_000, 122), 1.0);
+        assert_eq!(lap_scale(&[[0; PHASES]], 61_000, 122), 1.0);
     }
 
     #[test]

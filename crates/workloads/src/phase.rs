@@ -146,9 +146,10 @@ impl Workload for PhasedWorkload {
             self.current_jitter = 1.0 + self.rng.gen_range(-self.jitter..=self.jitter);
             self.jitter_drawn_at = t;
         }
-        // Zero jitter keeps the factor at exactly 1.
-        out.cpu_threads_khz.clear();
-        out.cpu_threads_khz.reserve(self.max_threads);
+        // Room for the widest phase, so a phase change never regrows
+        // the buffer. Zero jitter keeps the factor at exactly 1.
+        let threads = &mut out.cpu_threads_khz;
+        threads.reserve(self.max_threads.saturating_sub(threads.len()));
         out.set_scaled(&self.phase_at(t).demand, self.current_jitter);
     }
 }
