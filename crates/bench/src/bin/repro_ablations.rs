@@ -1,42 +1,6 @@
-//! Ablations of USTA's design choices (DESIGN.md §6): prediction
-//! cadence, banding policy, and predictor feature set.
-
-use usta_sim::experiments::{cadence_sweep, feature_ablation, policy_sweep};
+//! Ablations of USTA's design choices: prediction cadence, banding
+//! policy, and predictor feature set.
 
 fn main() {
-    println!("=== Ablation: prediction cadence (30-min USTA Skype @ 37°C) ===\n");
-    println!("period s | predictions | % over limit | peak skin °C");
-    println!("{}", "-".repeat(58));
-    for row in cadence_sweep(3, &[1.0, 3.0, 10.0, 30.0]) {
-        println!(
-            "{:>8.0} | {:>11} | {:>12.1} | {:>6.1}",
-            row.period_s,
-            row.predictions,
-            row.percent_over,
-            row.peak_skin.value()
-        );
-    }
-
-    println!("\n=== Ablation: banding policy (30-min USTA Skype @ 37°C) ===\n");
-    println!("{:<28} | % over | peak °C | avg GHz", "policy");
-    println!("{}", "-".repeat(62));
-    for row in policy_sweep(3) {
-        println!(
-            "{:<28} | {:>6.1} | {:>7.1} | {:>7.2}",
-            row.name,
-            row.percent_over,
-            row.peak_skin.value(),
-            row.avg_freq_ghz
-        );
-    }
-
-    println!("\n=== Ablation: predictor feature set (REPTree, 10-fold CV, skin) ===\n");
-    println!("{:<22} | err % | MAE K", "features");
-    println!("{}", "-".repeat(42));
-    for row in feature_ablation(3) {
-        println!(
-            "{:<22} | {:>5.2} | {:>5.3}",
-            row.features, row.error_rate, row.mae
-        );
-    }
+    usta_bench::print_ablations();
 }

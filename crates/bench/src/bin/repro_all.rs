@@ -1,39 +1,6 @@
 //! Runs every repro experiment in sequence — the one-shot regeneration
 //! of the paper's whole evaluation section.
 
-use usta_core::predictor::PredictionTarget;
-use usta_sim::experiments::{fig1, fig2, fig3, fig4, fig5, table1, touch};
-
 fn main() {
-    println!("############ USTA (DATE 2015) — full evaluation reproduction ############\n");
-
-    let t1 = table1::table1(42);
-    println!("=== Table 1 ===\n\n{}", t1.to_display_string());
-    println!("headline claim holds: {}\n", t1.headline_claim_holds());
-
-    let f1 = fig1::fig1(7);
-    println!("=== Figure 1 ===\n\n{}", f1.to_display_string());
-
-    let f2 = fig2::fig2(5);
-    println!("=== Figure 2 ===\n\n{}", f2.to_display_string());
-    println!(
-        "default user: {:.1} % over (paper: 15.6 %)\n",
-        f2.default_user_percent()
-    );
-
-    let f3 = fig3::fig3(11);
-    println!("=== Figure 3 ===\n\n{}", f3.to_display_string());
-    println!(
-        "best skin learner: {}\n",
-        f3.best_learner(PredictionTarget::Skin).learner
-    );
-
-    let f4 = fig4::fig4(13);
-    println!("=== Figure 4 ===\n\n{}", f4.to_display_string());
-
-    let f5 = fig5::fig5(17);
-    println!("=== Figure 5 ===\n\n{}", f5.to_display_string());
-
-    let t = touch::touch(3);
-    println!("=== §3.A touch study ===\n\n{}", t.to_display_string());
+    usta_bench::print_all();
 }

@@ -1,16 +1,6 @@
 //! Regenerates Figure 1: the user study's per-participant comfort limits
 //! (skin and screen temperature at the discomfort instant).
 
-use usta_sim::experiments::fig1;
-
 fn main() {
-    let r = fig1::fig1(7);
-    println!("=== Figure 1: per-user comfort limits (AnTuTu Tester hold study) ===\n");
-    println!("{}", r.to_display_string());
-    println!(
-        "quit-skin range: {:.1}–{:.1} °C (paper: 34.0–42.8 °C); longest session {:.0} s (paper: ~7 min)",
-        r.min_quit_skin().value(),
-        r.max_quit_skin().value(),
-        r.longest_session_s(),
-    );
+    usta_bench::print_fig1();
 }

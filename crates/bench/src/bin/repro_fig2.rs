@@ -1,14 +1,6 @@
 //! Regenerates Figure 2: percent of a 30-minute USTA-controlled Skype
 //! call spent above each of eleven comfort-limit settings.
 
-use usta_sim::experiments::fig2;
-
 fn main() {
-    let r = fig2::fig2(5);
-    println!("=== Figure 2: % of 30-min Skype above threshold (USTA) ===\n");
-    println!("{}", r.to_display_string());
-    println!(
-        "default user (37 °C): {:.1} % of the call above the limit (paper: 15.6 %)",
-        r.default_user_percent()
-    );
+    usta_bench::print_fig2();
 }

@@ -1,21 +1,7 @@
 //! Regenerates Figure 3: 10-fold cross-validated error rates of the four
-//! learners on the pooled 13-benchmark dataset, skin and screen.
-
-use usta_core::predictor::PredictionTarget;
-use usta_sim::experiments::fig3;
+//! learners on the pooled 13-benchmark dataset, skin and screen, and
+//! §4.A's fit-time and prediction-cost claims.
 
 fn main() {
-    let r = fig3::fig3(11);
-    println!("=== Figure 3: predictor error rates (10-fold CV) ===\n");
-    println!("{}", r.to_display_string());
-    println!(
-        "best on skin: {} at {:.2} % (paper: REPTree 0.95 %, M5P 0.96 %, LR/MLP worse)",
-        r.best_learner(PredictionTarget::Skin).learner,
-        r.best_learner(PredictionTarget::Skin).error_rate,
-    );
-    let m5p = r.entry("M5P", PredictionTarget::Skin);
-    println!(
-        "M5P skin with 1 °C dead band: {:.2} % (paper: 0.26 %)",
-        m5p.error_rate_deadband
-    );
+    usta_bench::print_fig3();
 }

@@ -1,10 +1,6 @@
 //! Regenerates Figure 4: the half-hour Skype temperature traces under
 //! baseline DVFS and under USTA at the default 37 °C limit.
 
-use usta_sim::experiments::fig4;
-
 fn main() {
-    let r = fig4::fig4(13);
-    println!("=== Figure 4: Skype video call traces, baseline vs USTA ===\n");
-    println!("{}", r.to_display_string());
+    usta_bench::print_fig4();
 }

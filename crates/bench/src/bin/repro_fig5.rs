@@ -1,10 +1,6 @@
 //! Regenerates Figure 5: per-participant 1–5 ratings of the baseline and
 //! USTA sessions, plus stated preferences.
 
-use usta_sim::experiments::fig5;
-
 fn main() {
-    let r = fig5::fig5(17);
-    println!("=== Figure 5: blind satisfaction study ===\n");
-    println!("{}", r.to_display_string());
+    usta_bench::print_fig5();
 }

@@ -2,27 +2,6 @@
 //! frequency for all 13 benchmarks, baseline ondemand vs USTA @ 37 °C,
 //! with the paper's skin numbers printed alongside.
 
-use usta_sim::experiments::table1::table1;
-
 fn main() {
-    let t = table1(42);
-    println!("=== Table 1: 13 benchmarks x {{baseline, USTA@37°C}} ===\n");
-    println!("{}", t.to_display_string());
-    println!(
-        "headline claim (USTA reduces the peak wherever baseline comes within 2°C of 37°C): {}",
-        if t.headline_claim_holds() {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
-    );
-    let ours: Vec<f64> = t.rows.iter().map(|r| r.baseline.max_skin.value()).collect();
-    let paper: Vec<f64> = usta_sim::experiments::PAPER_TABLE1
-        .iter()
-        .map(|p| p.1)
-        .collect();
-    println!(
-        "baseline peak-skin correlation vs paper: {:.3}",
-        usta_ml::metrics::correlation(&paper, &ours)
-    );
+    usta_bench::print_table1();
 }

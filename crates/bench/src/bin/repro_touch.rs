@@ -1,10 +1,6 @@
 //! Regenerates the §3.A touch study: exterior temperatures with and
 //! without a palm on the back cover, device off and under load.
 
-use usta_sim::experiments::touch;
-
 fn main() {
-    let r = touch::touch(3);
-    println!("=== §3.A touch study ===\n");
-    println!("{}", r.to_display_string());
+    usta_bench::print_touch();
 }

@@ -5,10 +5,23 @@
 //! 0.96 % / 0.89 %; linear regression and the multilayer perceptron
 //! "relatively poor in accuracy". Ignoring errors below 1 °C, M5P drops
 //! to 0.26 % / 0.17 % and becomes the best.
+//!
+//! §4.A also makes two cost claims, which [`fit_time`] and
+//! [`prediction_cost`] measure in wall-clock time: REPTree "builds
+//! faster" than M5P, and one prediction per 3 s window (5.603 ms skin,
+//! 6.708 ms screen on the phone) is negligible against the window.
 
 use crate::experiments::common::collect_global_training_log;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 use usta_core::predictor::PredictionTarget;
+use usta_core::{TemperaturePredictor, TrainingLog};
 use usta_ml::{k_fold, Dataset, Learner};
+
+/// The paper's measured cost of one skin prediction on the phone, ms.
+pub const PAPER_SKIN_PREDICTION_MS: f64 = 5.603;
+/// The paper's measured cost of one screen prediction on the phone, ms.
+pub const PAPER_SCREEN_PREDICTION_MS: f64 = 6.708;
 
 /// One learner × target outcome.
 #[derive(Debug, Clone)]
@@ -88,7 +101,12 @@ impl Fig3Result {
 /// Runs the full Figure 3 protocol: data collection, 10-fold CV of all
 /// four learners on both targets.
 pub fn fig3(seed: u64) -> Fig3Result {
-    let log = collect_global_training_log(seed);
+    fig3_on(&collect_global_training_log(seed), seed)
+}
+
+/// [`fig3`] on an already-collected campaign log, so a caller that
+/// also times the learners on it runs the campaign once.
+pub fn fig3_on(log: &TrainingLog, seed: u64) -> Fig3Result {
     let mut entries = Vec::new();
     let mut rows = 0;
     for target in [PredictionTarget::Skin, PredictionTarget::Screen] {
@@ -111,6 +129,54 @@ pub fn fig3(seed: u64) -> Fig3Result {
         entries,
         dataset_rows: rows,
     }
+}
+
+/// The median wall-clock time of `fits` fits of `learner` on `data`.
+///
+/// # Panics
+///
+/// Panics if `fits` is 0 or a fit fails.
+pub fn fit_time(learner: &Learner, data: &Dataset, fits: usize, seed: u64) -> Duration {
+    median(
+        (0..fits)
+            .map(|_| {
+                let start = Instant::now();
+                black_box(learner.fit(black_box(data), seed).expect("fit succeeds"));
+                start.elapsed()
+            })
+            .collect(),
+    )
+}
+
+/// The wall-clock cost of one prediction: the median, over `passes`
+/// passes, of the mean cost per sample of predicting every sample of
+/// `log`.
+///
+/// # Panics
+///
+/// Panics if `passes` is 0 or `log` is empty.
+pub fn prediction_cost(
+    predictor: &TemperaturePredictor,
+    log: &TrainingLog,
+    passes: usize,
+) -> Duration {
+    let samples = u32::try_from(log.len()).expect("a campaign log has fewer than 2^32 samples");
+    median(
+        (0..passes)
+            .map(|_| {
+                let start = Instant::now();
+                for sample in log.samples() {
+                    black_box(predictor.predict(black_box(&sample.features)));
+                }
+                start.elapsed() / samples
+            })
+            .collect(),
+    )
+}
+
+fn median(mut times: Vec<Duration>) -> Duration {
+    times.sort_unstable();
+    times[times.len() / 2]
 }
 
 #[cfg(test)]

@@ -39,7 +39,7 @@ pub struct Table1Row {
 }
 
 impl Table1Row {
-    /// The paper's intervention criterion for this row: baseline peak
+    /// The paper's intervention rule for this row: baseline peak
     /// skin within 2 °C of (or over) the 37 °C limit.
     pub fn usta_should_act(&self) -> bool {
         self.baseline.max_skin > TABLE1_LIMIT - 2.0
@@ -59,7 +59,7 @@ pub struct Table1 {
 }
 
 impl Table1 {
-    /// The rows where the paper's criterion says USTA must act.
+    /// The rows where the paper's rule says USTA must act.
     pub fn rows_requiring_action(&self) -> impl Iterator<Item = &Table1Row> {
         self.rows.iter().filter(|r| r.usta_should_act())
     }

@@ -30,10 +30,12 @@
 //! Telemetry is off until [`enable`] is called (once, by a CLI).
 //! Hot loops check [`Sink::active`] once per run and keep their timing
 //! state in an `Option` — when disabled there are no atomics, no
-//! `Instant::now` calls, and no registry traffic, which the
-//! `telemetry_overhead` criterion bench in `usta-bench` pins. When
-//! enabled, the sim step loop reads the clock only on sampled steps and
-//! flushes its laps into the `sim.phase.*` histograms once per run.
+//! `Instant::now` calls, and no registry traffic. The fleet benchmark
+//! (`fleetbench/`) times this disabled path, and its
+//! `telemetry.overhead_frac` reports what turning observation on costs
+//! a sweep. When enabled, the sim step loop reads the clock only on
+//! sampled steps and flushes its laps into the `sim.phase.*` histograms
+//! once per run.
 //!
 //! ```
 //! use usta_telemetry::{Registry, Sink};
