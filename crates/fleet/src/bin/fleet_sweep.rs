@@ -49,7 +49,11 @@ OPTIONS:
     --trace-steps N    also write the first N triples' full step traces
                        (steps-<index>.csv, per-domain freq columns) to DIR
     --flight-windows N flight-recorder ring capacity per triple (governor
-                       windows kept for triage; 0 disables) [default: 512]
+                       windows kept for triage; 0 disables) [default: 512];
+                       only the last N windows of a triple are built (the
+                       earlier ones are counted as dropped), and the ring
+                       allocates what it holds, so a large N costs no
+                       more than a triple's own length
     --triage-over F    dump a triple's recording when its time-over-limit
                        fraction reaches F                  [default: 0.02]
     --metrics-json PATH  write the telemetry registry (deterministic

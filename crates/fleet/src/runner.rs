@@ -649,18 +649,17 @@ fn flight_json(
     outcome: &TripleOutcome,
     ring: &FlightRecorder,
 ) -> String {
-    use std::fmt::Write as _;
-    use usta_telemetry::json::{write_json_number, write_json_string};
+    use usta_telemetry::json::{write_json_number, write_json_string, write_u64};
     let user_index = index / catalog.len();
     let user = &population.users()[user_index];
     let scenario = &catalog.scenarios()[index % catalog.len()];
     let mut out =
         String::with_capacity(1024 + ring.len() * usta_telemetry::flight::EVENT_JSON_BYTES);
-    let _ = write!(
-        out,
-        "{{\n  \"schema\": \"usta-flight/v1\",\n  \"triple\": {index},\n  \
-         \"user\": {user_index},\n  \"user_limit_c\": "
-    );
+    out.push_str("{\n  \"schema\": \"usta-flight/v1\",\n  \"triple\": ");
+    write_u64(&mut out, index as u64);
+    out.push_str(",\n  \"user\": ");
+    write_u64(&mut out, user_index as u64);
+    out.push_str(",\n  \"user_limit_c\": ");
     write_json_number(&mut out, user.skin_limit.value());
     out.push_str(",\n  \"scenario\": ");
     write_json_string(&mut out, &scenario.name());
@@ -673,17 +672,18 @@ fn flight_json(
         ("time_over_fraction", outcome.time_over_fraction),
         ("qos", outcome.qos),
     ] {
-        let _ = write!(out, ",\n  \"{key}\": ");
+        out.push_str(",\n  \"");
+        out.push_str(key);
+        out.push_str("\": ");
         write_json_number(&mut out, value);
     }
-    let _ = write!(
-        out,
-        ",\n  \"windows\": {{\"recorded\": {}, \"kept\": {}, \"capacity\": {}}},\n  \
-         \"domains\": [",
-        ring.recorded(),
-        ring.len(),
-        ring.capacity()
-    );
+    out.push_str(",\n  \"windows\": {\"recorded\": ");
+    write_u64(&mut out, ring.recorded());
+    out.push_str(", \"kept\": ");
+    write_u64(&mut out, ring.len() as u64);
+    out.push_str(", \"capacity\": ");
+    write_u64(&mut out, ring.capacity() as u64);
+    out.push_str("},\n  \"domains\": [");
     for (i, name) in outcome.domain_names.as_slice().iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
@@ -828,6 +828,13 @@ impl FleetTelemetry {
         self.queue_depth.set(remaining as f64);
     }
 
+    /// A `fleet.sink_write` span: wall-clock seconds the coordinator
+    /// spends writing one merged chunk's `triples.csv` rows, step files
+    /// and flight files.
+    fn sink_write_span(&self) -> usta_telemetry::Span {
+        self.registry.span_with("fleet.sink_write", 0.0, 10.0, 1000)
+    }
+
     /// A `fleet.triple` span: wall-clock seconds per triple, and one
     /// trace event per triple on the worker's own timeline.
     fn triple_span(&self) -> usta_telemetry::Span {
@@ -852,20 +859,29 @@ impl FleetTelemetry {
 /// Header of the per-triple trace CSV.
 const TRACE_HEADER: &str = "triple,user,scenario,device,peak_skin_c,time_over_fraction,qos\n";
 
-/// One trace row. Floats use Rust's shortest round-trip `Display`, so
-/// the file is byte-stable and loses no precision.
-fn trace_row(index: usize, catalog: &ScenarioCatalog, outcome: &TripleOutcome) -> String {
+/// Appends one trace row to `out`. Floats are written in Rust's
+/// shortest round-trip `Display` form, so the file is byte-stable and
+/// loses no precision.
+fn write_trace_row(
+    out: &mut String,
+    index: usize,
+    catalog: &ScenarioCatalog,
+    outcome: &TripleOutcome,
+) {
+    use usta_telemetry::json::{write_f64, write_u64};
     let scenario = &catalog.scenarios()[index % catalog.len()];
-    format!(
-        "{},{},{},{},{},{},{}\n",
-        index,
-        index / catalog.len(),
-        scenario.name(),
-        scenario.device,
-        outcome.peak_skin_c,
-        outcome.time_over_fraction,
-        outcome.qos,
-    )
+    write_u64(out, index as u64);
+    out.push(',');
+    write_u64(out, (index / catalog.len()) as u64);
+    out.push(',');
+    out.push_str(&scenario.name());
+    out.push(',');
+    out.push_str(scenario.device);
+    for value in [outcome.peak_skin_c, outcome.time_over_fraction, outcome.qos] {
+        out.push(',');
+        write_f64(out, value);
+    }
+    out.push('\n');
 }
 
 /// Runs the sweep and returns the merged report.
@@ -926,7 +942,8 @@ fn run_sweep_trained(
     struct ChunkMsg {
         chunk: usize,
         partial: FleetAggregate,
-        rows: Vec<String>,
+        /// The chunk's `triples.csv` rows, in triple order.
+        rows: String,
         step_csvs: Vec<StepCsv>,
         /// Triaged flight recordings, `(triple index, file contents)`.
         flights: Vec<(usize, String)>,
@@ -955,8 +972,9 @@ fn run_sweep_trained(
             let abort = &abort;
             let telemetry = telemetry.as_ref();
             scope.spawn(move || {
-                // One preallocated ring per worker, cleared between
-                // triples — recording never allocates on the hot path.
+                // One ring per worker, cleared between triples: its
+                // storage grows to the windows a triple keeps, then
+                // recording no longer allocates.
                 let mut ring = (flight_windows > 0).then(|| FlightRecorder::new(flight_windows));
                 let started = std::time::Instant::now();
                 let mut busy = std::time::Duration::ZERO;
@@ -973,7 +991,7 @@ fn run_sweep_trained(
                     let lo = chunk * chunk_size;
                     let hi = (lo + chunk_size).min(total);
                     let mut partial = FleetAggregate::new();
-                    let mut rows = Vec::new();
+                    let mut rows = String::new();
                     let mut step_csvs: Vec<StepCsv> = Vec::new();
                     let mut flights: Vec<(usize, String)> = Vec::new();
                     let mut worst: Vec<WorstTriple> = Vec::new();
@@ -1004,7 +1022,7 @@ fn run_sweep_trained(
                         drop(triple_span);
 
                         if tracing {
-                            rows.push(trace_row(index, catalog, &outcome));
+                            write_trace_row(&mut rows, index, catalog, &outcome);
                         }
                         if let Some(csv) = steps_csv {
                             step_csvs.push((index, csv));
@@ -1092,14 +1110,18 @@ fn run_sweep_trained(
                 // thread count.
                 worst.extend(msg.worst);
                 keep_worst(&mut worst, config.worst_k);
+                // The sink's writes for this chunk: `fleet.sink_write`
+                // times them on the coordinator, so the metrics show
+                // whether the sink or the workers set the sweep's pace.
+                let sink_span = telemetry
+                    .as_ref()
+                    .filter(|_| tracing)
+                    .map(|t| t.sink_write_span());
                 if let Some(writer) = trace.as_mut() {
                     if trace_error.is_none() {
-                        for row in &msg.rows {
-                            if let Err(e) = writer.write_all(row.as_bytes()) {
-                                trace_error = Some(e.to_string());
-                                abort.store(true, Ordering::Relaxed);
-                                break;
-                            }
+                        if let Err(e) = writer.write_all(msg.rows.as_bytes()) {
+                            trace_error = Some(e.to_string());
+                            abort.store(true, Ordering::Relaxed);
                         }
                     }
                 }
@@ -1124,8 +1146,9 @@ fn run_sweep_trained(
                 if trace_error.is_none() {
                     // Triaged flight recordings follow the same
                     // contract: written in chunk-merge order, each
-                    // file a pure function of its triple.
-                    for (index, json) in &msg.flights {
+                    // file a pure function of its triple. Each dump is
+                    // freed once written, not with the whole chunk.
+                    for (index, json) in msg.flights {
                         let dir = config.trace_dir.as_ref().expect("triage needs trace_dir");
                         if let Err(e) =
                             std::fs::write(dir.join(format!("flight-{index:06}.json")), json)
@@ -1139,6 +1162,7 @@ fn run_sweep_trained(
                         }
                     }
                 }
+                drop(sink_span);
                 next_to_merge += 1;
             }
         }
@@ -1612,6 +1636,12 @@ mod tests {
             assert_eq!(fields[3], DEFAULT_DEVICE);
             let peak: f64 = fields[4].parse().unwrap();
             assert!(peak.is_finite());
+            // Each float is spelled exactly as `{}` spells it.
+            for field in &fields[4..] {
+                let value: f64 = field.parse().unwrap();
+                assert_eq!(*field, format!("{value}"), "row {i}");
+            }
+            assert_eq!(fields[1], (i / config.scenarios).to_string());
         }
         std::fs::remove_dir_all(&dir).ok();
     }

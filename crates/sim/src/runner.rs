@@ -388,13 +388,17 @@ pub fn run_workload(
 
 /// [`run_workload`] with an optional flight recorder.
 ///
-/// When `recorder` is `Some`, one [`DecisionEvent`] is written per
-/// governor period: the per-domain utilization/frequency/levels the
+/// When `recorder` is `Some`, the ring receives one [`DecisionEvent`]
+/// per governor period: the per-domain utilization/frequency/levels the
 /// decision saw and emitted, the true skin and die temperatures, and —
 /// under USTA — the band, the effective per-domain caps, the standing
 /// prediction with its latest residual, and the arbiter's budget
-/// arithmetic. Recording is `Copy`-only into the ring's preallocated
-/// storage; the `None` path costs one `Option` check per step.
+/// arithmetic. The run's length is known up front, so the windows the
+/// ring would overwrite are never built: they are counted through
+/// [`FlightRecorder::skip`], and only the last `capacity` windows are
+/// recorded, `Copy`-only into the ring's storage. The ring ends exactly
+/// as if every window had been recorded. The `None` path costs one
+/// `Option` check per step.
 pub fn run_workload_recorded(
     device: &mut Device,
     workload: &mut dyn Workload,
@@ -438,6 +442,12 @@ pub fn run_workload_recorded(
     let mut phase_laps: Option<Vec<[u64; PHASES]>> =
         sink.map(|_| Vec::with_capacity(total_steps.div_ceil(PHASE_STRIDE) as usize));
     let clock_ns = sink.map_or(0, |_| clock_read_ns());
+    // The first window the ring keeps; earlier ones would be overwritten.
+    let first_recorded = recorder.as_mut().map_or(u64::MAX, |ring| {
+        let skipped = total_steps.saturating_sub(ring.capacity() as u64);
+        ring.skip(skipped);
+        skipped
+    });
     let mut t = 0.0;
     // Loop-carried buffers, rewritten in place on every step: the
     // workload's demand, the governor's samples and the levels in force.
@@ -527,7 +537,7 @@ pub fn run_workload_recorded(
         enforce_caps(&decision, caps.as_slice(), &mut levels);
         lap(&mut clock, Phase::Decide);
 
-        if let Some(ring) = recorder.as_mut() {
+        if let Some(ring) = recorder.as_mut().filter(|_| step_no >= first_recorded) {
             let mut event = DecisionEvent::new(step_no, t, n_domains);
             event.skin_c = obs.skin_true.value();
             event.dies = n_dies as u8;

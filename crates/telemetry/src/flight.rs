@@ -6,19 +6,19 @@
 //! band in force, the predicted vs. actual skin temperature, the
 //! predictor residual, the arbiter's watt budget, and every domain's
 //! utilization / frequency / cap / chosen level. Events are plain
-//! `Copy` data over fixed-size per-domain arrays, so the hot loop
-//! neither allocates nor touches atomics; the ring itself is owned by
-//! one run (the sim runner takes `Option<&mut FlightRecorder>` — the
-//! disabled path is a single `Option` check per step, mirroring the
-//! [`crate::Sink::active`] convention).
+//! `Copy` data over fixed-size per-domain arrays, so recording touches
+//! no atomics, and a reused ring stops allocating once it has held a
+//! run's windows; the ring itself is owned by one run (the sim runner
+//! takes `Option<&mut FlightRecorder>` — the disabled path is a single
+//! `Option` check per step, mirroring the [`crate::Sink::active`]
+//! convention). A run builds only the windows its ring keeps
+//! ([`FlightRecorder::skip`]).
 //!
 //! A recording is a **deterministic** function of the run that produced
 //! it: no timestamps, no thread identity. The fleet layer leans on that
 //! to dump bit-identical `flight-*.json` files at any `--threads`.
 
-use std::fmt::Write as _;
-
-use crate::registry::{write_json_number, write_json_string};
+use crate::json::{write_json_number, write_json_string, write_u64};
 
 /// Per-domain array capacity. Matches the workspace's
 /// `MAX_FREQ_DOMAINS` (up to four CPU clusters plus the GPU and
@@ -146,38 +146,41 @@ impl DecisionEvent {
     /// truncated to the real domain/die counts).
     pub fn write_json(&self, out: &mut String) {
         let n = self.domains as usize;
-        let _ = write!(out, "{{\"w\": {}, \"t_s\": ", self.window);
+        out.push_str("{\"w\": ");
+        write_u64(out, self.window);
+        out.push_str(", \"t_s\": ");
         write_json_number(out, self.t_s);
         out.push_str(", \"band\": ");
         write_json_string(out, band_name(self.band));
+        // Each key comes with its separators, as one literal.
         for (key, value) in [
-            ("skin_c", self.skin_c),
-            ("predicted_skin_c", self.predicted_skin_c),
-            ("residual_c", self.residual_c),
-            ("budget_w", self.budget_w),
-            ("allocated_w", self.allocated_w),
+            (", \"skin_c\": ", self.skin_c),
+            (", \"predicted_skin_c\": ", self.predicted_skin_c),
+            (", \"residual_c\": ", self.residual_c),
+            (", \"budget_w\": ", self.budget_w),
+            (", \"allocated_w\": ", self.allocated_w),
         ] {
-            let _ = write!(out, ", \"{key}\": ");
+            out.push_str(key);
             write_json_number(out, value);
         }
-        write_array(out, "util", &self.util[..n], |out, &v| {
-            write_json_number(out, v)
-        });
-        write_array(out, "freq_khz", &self.freq_khz[..n], |out, &v| {
-            write_json_number(out, v)
-        });
         for (key, values) in [
-            ("cap", &self.cap),
-            ("level", &self.level),
-            ("max_level", &self.max_level),
+            (", \"util\": [", &self.util[..n]),
+            (", \"freq_khz\": [", &self.freq_khz[..n]),
         ] {
-            write_array(out, key, &values[..n], |out, v| {
-                let _ = write!(out, "{v}");
+            write_array(out, key, values, |out, &v| write_json_number(out, v));
+        }
+        for (key, values) in [
+            (", \"cap\": [", &self.cap),
+            (", \"level\": [", &self.level),
+            (", \"max_level\": [", &self.max_level),
+        ] {
+            write_array(out, key, &values[..n], |out, &v| {
+                write_u64(out, u64::from(v))
             });
         }
         write_array(
             out,
-            "die_c",
+            ", \"die_c\": [",
             &self.die_c[..self.dies as usize],
             |out, &v| write_json_number(out, v),
         );
@@ -191,14 +194,14 @@ impl DecisionEvent {
 /// [`FlightRecorder::write_events_json`].
 pub const EVENT_JSON_BYTES: usize = 460;
 
-/// Appends `, "key": [v0, v1, …]` to `out`.
+/// Appends `opening` (`, "key": [`), the values and `]` to `out`.
 fn write_array<T>(
     out: &mut String,
-    key: &str,
+    opening: &str,
     values: &[T],
     mut write_value: impl FnMut(&mut String, &T),
 ) {
-    let _ = write!(out, ", \"{key}\": [");
+    out.push_str(opening);
     for (i, value) in values.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
@@ -208,8 +211,19 @@ fn write_array<T>(
     out.push(']');
 }
 
-/// A bounded drop-oldest ring of [`DecisionEvent`]s, preallocated up
-/// front so recording never reallocates.
+/// A bounded drop-oldest ring of [`DecisionEvent`]s.
+///
+/// The storage grows to what the ring holds, never past `capacity`, and
+/// [`FlightRecorder::clear`] keeps it: a ring reused across runs
+/// allocates only until it first holds a full run's windows (or
+/// `capacity` of them), and a large `capacity` costs nothing a run does
+/// not fill.
+///
+/// A run that knows its length up front need not build the events the
+/// ring would overwrite: [`FlightRecorder::skip`] counts them as
+/// recorded and dropped, and the run records only the last `capacity`
+/// windows. `recorded()`, `len()`, `events()` and the JSON are then the
+/// same as if every window had been recorded.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     events: Vec<DecisionEvent>,
@@ -220,7 +234,8 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// An empty ring keeping the newest `capacity` events.
+    /// An empty ring keeping the newest `capacity` events. Allocates
+    /// nothing until the first event.
     ///
     /// # Panics
     ///
@@ -228,7 +243,7 @@ impl FlightRecorder {
     pub fn new(capacity: usize) -> FlightRecorder {
         assert!(capacity > 0, "flight recorder needs capacity");
         FlightRecorder {
-            events: Vec::with_capacity(capacity),
+            events: Vec::new(),
             head: 0,
             recorded: 0,
             capacity,
@@ -260,17 +275,39 @@ impl FlightRecorder {
         self.recorded - self.events.len() as u64
     }
 
-    /// Appends one event, overwriting the oldest at capacity. No heap
-    /// traffic: the backing storage was allocated in
-    /// [`FlightRecorder::new`].
+    /// Appends one event, overwriting the oldest at capacity. Storage
+    /// grows by doubling, capped at the capacity; once a reused ring
+    /// has held this many events, recording no longer allocates.
     pub fn record(&mut self, event: DecisionEvent) {
         if self.events.len() < self.capacity {
+            if self.events.len() == self.events.capacity() {
+                let grow = self.events.len().max(8);
+                self.events
+                    .reserve_exact(grow.min(self.capacity - self.events.len()));
+            }
             self.events.push(event);
         } else {
             self.events[self.head] = event;
             self.head = (self.head + 1) % self.capacity;
         }
         self.recorded += 1;
+    }
+
+    /// Counts `n` windows as recorded and dropped without building
+    /// them, and drops the events held now, which those windows
+    /// overwrite.
+    ///
+    /// A run of `total` windows calls `skip(total - capacity)` (when
+    /// positive) and then records its last `capacity` windows: every
+    /// skipped window would have been overwritten, so the ring ends
+    /// exactly as if all `total` had been recorded. Reading it before
+    /// `capacity` events follow a skip shows fewer events than that.
+    pub fn skip(&mut self, n: u64) {
+        if n > 0 {
+            self.events.clear();
+            self.head = 0;
+            self.recorded += n;
+        }
     }
 
     /// Empties the ring for reuse, keeping its allocation.
@@ -361,6 +398,44 @@ mod tests {
     }
 
     #[test]
+    fn skipping_the_overwritten_windows_matches_recording_them_all() {
+        for (total, capacity) in [(10u64, 4usize), (4, 4), (3, 8), (1800, 64)] {
+            let mut eager = FlightRecorder::new(capacity);
+            (0..total).for_each(|w| eager.record(event(w)));
+            let mut lazy = FlightRecorder::new(capacity);
+            // Leftovers from an earlier run are dropped with the skip.
+            lazy.record(event(99));
+            lazy.clear();
+            let skipped = total.saturating_sub(capacity as u64);
+            lazy.skip(skipped);
+            (skipped..total).for_each(|w| lazy.record(event(w)));
+            assert_eq!(lazy.recorded(), eager.recorded());
+            assert_eq!(lazy.len(), eager.len());
+            assert_eq!(lazy.dropped(), eager.dropped());
+            assert_eq!(
+                lazy.events_json(),
+                eager.events_json(),
+                "{total}/{capacity}"
+            );
+        }
+    }
+
+    #[test]
+    fn storage_grows_to_what_the_ring_holds() {
+        let mut rec = FlightRecorder::new(usize::MAX);
+        assert_eq!(rec.events.capacity(), 0, "nothing reserved up front");
+        for w in 0..3 {
+            rec.record(event(w));
+        }
+        assert!(rec.events.capacity() <= 8, "{}", rec.events.capacity());
+        let mut rec = FlightRecorder::new(20);
+        for w in 0..100 {
+            rec.record(event(w));
+        }
+        assert_eq!(rec.events.capacity(), 20, "growth stops at the capacity");
+    }
+
+    #[test]
     fn binding_detection_requires_an_active_cap_at_the_chosen_level() {
         let mut e = DecisionEvent::new(0, 0.0, 2);
         e.max_level[..2].copy_from_slice(&[5, 5]);
@@ -395,7 +470,7 @@ mod tests {
     /// The serializer as it was before it wrote into one buffer: one
     /// `String` per number, joined. Kept as the byte-for-byte oracle.
     fn reference_json(e: &DecisionEvent) -> String {
-        use crate::registry::{json_number, json_string};
+        use crate::json::{json_number, json_string};
         let floats = |values: &[f64]| -> String {
             let inner: Vec<String> = values.iter().map(|&v| json_number(v)).collect();
             format!("[{}]", inner.join(", "))

@@ -1,14 +1,70 @@
-//! A minimal validating JSON parser.
+//! JSON: the exporters' literal writers and a minimal validating
+//! parser.
 //!
-//! Exists so the test suite (and CI helpers written in Rust) can check
-//! the crate's own exporters without an external JSON dependency. It
-//! accepts exactly RFC 8259 JSON — no comments, no trailing commas —
-//! and parses all numbers as `f64`.
+//! The writers append to a `String`: [`write_json_number`] (shortest
+//! round-trip digits, `null` for non-finite values) and
+//! [`write_json_string`], over the `core::fmt`-free number writers
+//! [`write_f64`] and [`write_u64`], which the CSV exporters share.
+//!
+//! The parser exists so the test suite (and CI helpers written in Rust)
+//! can check the crate's own exporters without an external JSON
+//! dependency. It accepts exactly RFC 8259 JSON — no comments, no
+//! trailing commas — and parses all numbers as `f64`.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::str::Chars;
 
-pub use crate::registry::{json_number, json_string, write_json_number, write_json_string};
+mod number;
+
+pub use number::{write_f64, write_u64};
+
+/// A JSON string literal (quotes and escapes included).
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_json_string(&mut out, s);
+    out
+}
+
+/// Appends [`json_string`]'s literal to `out`.
+pub fn write_json_string(out: &mut String, s: &str) {
+    out.push('"');
+    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// A JSON number literal; non-finite values become `null`.
+pub fn json_number(v: f64) -> String {
+    let mut out = String::new();
+    write_json_number(&mut out, v);
+    out
+}
+
+/// Appends [`json_number`]'s literal to `out`.
+pub fn write_json_number(out: &mut String, v: f64) {
+    if v.is_finite() {
+        write_f64(out, v);
+    } else {
+        out.push_str("null");
+    }
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -325,6 +381,30 @@ mod tests {
             r#""\ud800x""#,
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn strings_escape_quotes_backslashes_and_controls() {
+        assert_eq!(json_string("minimum"), "\"minimum\"");
+        assert_eq!(json_string("é/😀"), "\"é/😀\"");
+        assert_eq!(
+            json_string("a\"b\\c\nd\u{1}e\u{1f}"),
+            "\"a\\\"b\\\\c\\nd\\u0001e\\u001f\""
+        );
+        assert_eq!(
+            parse(&json_string("x\"\\\t\u{7}")).unwrap().as_str(),
+            Some("x\"\\\t\u{7}")
+        );
+    }
+
+    #[test]
+    fn numbers_are_null_when_not_finite() {
+        for (v, text) in [(1.5, "1.5"), (-0.0, "-0"), (1e21, "1000000000000000000000")] {
+            assert_eq!(json_number(v), text);
+        }
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(json_number(v), "null");
         }
     }
 

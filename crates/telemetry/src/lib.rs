@@ -13,8 +13,10 @@
 //!   structured per-window [`DecisionEvent`]s (band, predicted vs.
 //!   actual skin temperature, arbiter budget, per-domain caps) with a
 //!   deterministic JSON export;
-//! * [`json`] — a minimal validating JSON parser used by the test
-//!   suite to check the exporters' output.
+//! * [`json`] — the exporters' literal writers, including
+//!   `core::fmt`-free `u64` and shortest round-trip `f64` writers
+//!   (`{}`'s exact bytes, via Ryū), and a minimal validating JSON
+//!   parser used by the test suite to check the exporters' output.
 //!
 //! ## Deterministic counters vs wall-clock timings
 //!

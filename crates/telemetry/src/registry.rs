@@ -7,10 +7,11 @@
 //! updates and merges are exactly order-independent.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+use crate::json::{write_f64, write_json_number, write_json_string, write_u64};
 
 /// Relaxed everywhere: telemetry cells carry no synchronization duty.
 const ORDER: Ordering = Ordering::Relaxed;
@@ -326,8 +327,10 @@ impl Registry {
         out.push_str("  \"deterministic\": {");
         let counters = self.counters();
         for (i, (name, value)) in counters.iter().enumerate() {
-            let sep = if i == 0 { "\n" } else { ",\n" };
-            out.push_str(&format!("{sep}    {}: {value}", json_string(name)));
+            out.push_str(if i == 0 { "\n    " } else { ",\n    " });
+            write_json_string(&mut out, name);
+            out.push_str(": ");
+            write_u64(&mut out, *value);
         }
         out.push_str(if counters.is_empty() {
             "},\n"
@@ -337,12 +340,10 @@ impl Registry {
         out.push_str("  \"gauges\": {");
         let gauges = self.gauges();
         for (i, (name, value)) in gauges.iter().enumerate() {
-            let sep = if i == 0 { "\n" } else { ",\n" };
-            out.push_str(&format!(
-                "{sep}    {}: {}",
-                json_string(name),
-                json_number(*value)
-            ));
+            out.push_str(if i == 0 { "\n    " } else { ",\n    " });
+            write_json_string(&mut out, name);
+            out.push_str(": ");
+            write_json_number(&mut out, *value);
         }
         out.push_str(if gauges.is_empty() {
             "},\n"
@@ -352,20 +353,25 @@ impl Registry {
         out.push_str("  \"wallclock\": {");
         let snapshots = self.histogram_snapshots();
         for (i, (name, s)) in snapshots.iter().enumerate() {
-            let sep = if i == 0 { "\n" } else { ",\n" };
-            out.push_str(&format!(
-                "{sep}    {}: {{\"count\": {}, \"total_s\": {}, \"mean_s\": {}, \
-                 \"min_s\": {}, \"p50_s\": {}, \"p90_s\": {}, \"p99_s\": {}, \"max_s\": {}}}",
-                json_string(name),
-                s.count,
-                json_number(s.total_s),
-                json_number(s.mean_s),
-                json_number(s.min_s),
-                json_number(s.p50_s),
-                json_number(s.p90_s),
-                json_number(s.p99_s),
-                json_number(s.max_s),
-            ));
+            out.push_str(if i == 0 { "\n    " } else { ",\n    " });
+            write_json_string(&mut out, name);
+            out.push_str(": {\"count\": ");
+            write_u64(&mut out, s.count);
+            for (key, value) in [
+                ("total_s", s.total_s),
+                ("mean_s", s.mean_s),
+                ("min_s", s.min_s),
+                ("p50_s", s.p50_s),
+                ("p90_s", s.p90_s),
+                ("p99_s", s.p99_s),
+                ("max_s", s.max_s),
+            ] {
+                out.push_str(", \"");
+                out.push_str(key);
+                out.push_str("\": ");
+                write_json_number(&mut out, value);
+            }
+            out.push('}');
         }
         out.push_str(if snapshots.is_empty() {
             "}\n"
@@ -455,49 +461,9 @@ fn prom_number(v: f64) -> String {
     } else if v == f64::NEG_INFINITY {
         "-Inf".to_owned()
     } else {
-        format!("{v}")
-    }
-}
-
-/// A JSON string literal (quotes and escapes included).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    write_json_string(&mut out, s);
-    out
-}
-
-/// Appends [`json_string`]'s literal to `out`.
-pub fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// A JSON number literal; non-finite values become `null`.
-pub fn json_number(v: f64) -> String {
-    let mut out = String::new();
-    write_json_number(&mut out, v);
-    out
-}
-
-/// Appends [`json_number`]'s literal to `out`.
-pub fn write_json_number(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
+        let mut out = String::new();
+        write_f64(&mut out, v);
+        out
     }
 }
 
@@ -607,6 +573,67 @@ mod tests {
             .expect("histogram object");
         assert_eq!(h["count"].as_f64(), Some(1.0));
         assert!((h["total_s"].as_f64().unwrap() - 0.25).abs() < 1e-9);
+    }
+
+    /// The export as `format!` wrote it: the byte-for-byte oracle for
+    /// the `core::fmt`-free writer.
+    fn reference_json(r: &Registry) -> String {
+        use crate::json::{json_number, json_string};
+        let mut out = String::from("{\n  \"schema\": \"usta-telemetry/v1\",\n");
+        let entries = |out: &mut String, rows: Vec<String>, last: bool| {
+            let close = if last { "}\n" } else { "},\n" };
+            if rows.is_empty() {
+                out.push_str(close);
+            } else {
+                out.push('\n');
+                out.push_str(&rows.join(",\n"));
+                out.push_str("\n  ");
+                out.push_str(close);
+            }
+        };
+        out.push_str("  \"deterministic\": {");
+        let counters = r.counters().into_iter();
+        let rows = counters.map(|(n, v)| format!("    {}: {v}", json_string(n)));
+        entries(&mut out, rows.collect(), false);
+        out.push_str("  \"gauges\": {");
+        let gauges = r.gauges().into_iter();
+        let rows = gauges.map(|(n, v)| format!("    {}: {}", json_string(n), json_number(v)));
+        entries(&mut out, rows.collect(), false);
+        out.push_str("  \"wallclock\": {");
+        let rows = r.histogram_snapshots().into_iter().map(|(n, s)| {
+            format!(
+                "    {}: {{\"count\": {}, \"total_s\": {}, \"mean_s\": {}, \"min_s\": {}, \
+                 \"p50_s\": {}, \"p90_s\": {}, \"p99_s\": {}, \"max_s\": {}}}",
+                json_string(n),
+                s.count,
+                json_number(s.total_s),
+                json_number(s.mean_s),
+                json_number(s.min_s),
+                json_number(s.p50_s),
+                json_number(s.p90_s),
+                json_number(s.p99_s),
+                json_number(s.max_s),
+            )
+        });
+        entries(&mut out, rows.collect(), true);
+        out.push_str("}\n");
+        out
+    }
+
+    #[test]
+    fn to_json_matches_the_formatted_reference_bytes() {
+        let r = Registry::new();
+        assert_eq!(r.to_json(), reference_json(&r));
+        r.counter("b.second").add(u64::MAX);
+        r.counter("a.first").add(0);
+        r.gauge("g").set(1.5);
+        r.gauge("nan").set(f64::NAN);
+        r.gauge("tiny").set(-1e-300);
+        r.histogram_with("empty", 0.0, 1.0, 10);
+        let h = r.histogram_with("h", 0.0, 1.0, 10);
+        h.record(Duration::from_nanos(123_456_789));
+        h.record(Duration::from_millis(250));
+        assert_eq!(r.to_json(), reference_json(&r));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::registry::json_string;
+use crate::json::json_string;
 
 /// Events kept per thread; beyond this the oldest are dropped.
 pub const RING_CAPACITY: usize = 65_536;

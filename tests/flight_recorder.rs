@@ -177,3 +177,52 @@ fn explain_reproduces_the_sweeps_recorded_outcome_exactly() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A ring capacity far past any run's length allocates only what the
+/// run records: the sweep exits cleanly and dumps the same windows as
+/// a capacity that merely covers the run. (Rings used to reserve their
+/// full capacity up front: 10^11 windows aborted on the allocation and
+/// `u64::MAX` panicked on capacity overflow.)
+#[test]
+fn huge_flight_window_counts_record_what_a_covering_ring_records() {
+    let dump = |windows: &str| -> (String, usta_telemetry::json::Value) {
+        let dir = std::env::temp_dir().join(format!(
+            "usta_flight_windows_{windows}_{}",
+            std::process::id()
+        ));
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_fleet_sweep"))
+            .args(["--smoke", "--users", "1", "--scenarios", "1"])
+            .args(["--sim-seconds", "20", "--triage-over", "0", "--quiet"])
+            .args(["--flight-windows", windows, "--trace-dir"])
+            .arg(&dir)
+            .output()
+            .expect("fleet_sweep starts");
+        assert!(
+            output.status.success(),
+            "--flight-windows {windows}: {:?}\n{}",
+            output.status,
+            String::from_utf8_lossy(&output.stderr)
+        );
+        let text = std::fs::read_to_string(dir.join("flight-000000.json")).expect("dump written");
+        std::fs::remove_dir_all(&dir).ok();
+        let value = usta_telemetry::json::parse(&text).expect("dump is valid JSON");
+        (
+            String::from_utf8(output.stdout).expect("UTF-8 report"),
+            value,
+        )
+    };
+    let (report, reference) = dump("4096");
+    let reference = reference.as_object().expect("flight root");
+    let windows = reference["windows"].as_object().expect("windows object");
+    assert_eq!(windows["recorded"].as_f64(), Some(200.0));
+    assert_eq!(windows["kept"].as_f64(), Some(200.0));
+    for huge in ["100000000000", "18446744073709551615"] {
+        let (huge_report, value) = dump(huge);
+        assert_eq!(huge_report, report, "--flight-windows {huge}");
+        let root = value.as_object().expect("flight root");
+        let huge_windows = root["windows"].as_object().expect("windows object");
+        assert_eq!(huge_windows["recorded"], windows["recorded"], "{huge}");
+        assert_eq!(huge_windows["kept"], windows["kept"], "{huge}");
+        assert_eq!(root["events"], reference["events"], "{huge}");
+    }
+}

@@ -385,7 +385,7 @@ fn devices_cover_every_builtin_and_the_catalog_file() {
 #[test]
 fn baseline_runs_match_the_eager_loop() {
     for id in DEVICES {
-        for ring in [None, Some(4096)] {
+        for ring in [None, Some(64), Some(4096)] {
             let make = || Governor::Baseline(Box::new(OnDemand::default()));
             let r = assert_lean_equals_eager(id, make, ring);
             assert_eq!(r.work.predictions, 0);
@@ -397,7 +397,7 @@ fn baseline_runs_match_the_eager_loop() {
 fn usta_runs_match_the_eager_loop() {
     for id in DEVICES {
         let make = usta(id, DEFAULT_PREDICTION_PERIOD_S);
-        for ring in [None, Some(4096)] {
+        for ring in [None, Some(64), Some(4096)] {
             let r = assert_lean_equals_eager(id, &make, ring);
             assert!(r.work.predictions > 50, "{id}: {:?}", r.work);
             assert!(r.work.capped_decisions > 0, "{id}: the limit must bite");
