@@ -11,7 +11,8 @@
 
 use std::process::ExitCode;
 
-use usta_fleet::{explain_triple, GridAxes, SweepConfig};
+use usta_fleet::cli::{parse_sweep_args, parse_value};
+use usta_fleet::{explain_triple, SweepConfig};
 
 fn usage() -> String {
     format!(
@@ -44,80 +45,17 @@ OPTIONS:
     )
 }
 
-fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("{flag}: cannot parse {value:?}"))
-}
-
 fn parse_args() -> Result<(SweepConfig, usize), String> {
-    let mut args = std::env::args();
-    let _argv0 = args.next();
-    let mut smoke = false;
-    let mut overrides: Vec<(String, String)> = Vec::new();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--no-usta" => overrides.push(("no-usta".into(), String::new())),
-            "--help" | "-h" => return Err(String::new()),
-            "--triple" | "--users" | "--scenarios" | "--seed" | "--governor" | "--sim-seconds"
-            | "--device" | "--catalog" | "--grid" => {
-                let value = args.next().ok_or_else(|| format!("{arg} needs a value"))?;
-                overrides.push((arg, value));
-            }
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-
-    // Catalogs install before other flags resolve, exactly like
-    // fleet_sweep, so `--device all` and `--grid` see the merged set.
-    let mut catalog = usta_catalog::Catalog::default();
-    for (flag, value) in &overrides {
-        if flag == "--catalog" {
-            catalog = usta_catalog::Catalog::load_dir(value).map_err(|e| e.to_string())?;
-            catalog.install().map_err(|e| e.to_string())?;
-        }
-    }
-
-    let mut config = if smoke {
-        SweepConfig::smoke()
-    } else {
-        SweepConfig::default()
-    };
     let mut triple: Option<usize> = None;
-    for (flag, value) in overrides {
-        match flag.as_str() {
-            "--triple" => triple = Some(parse_value(&flag, &value)?),
-            "--users" => config.users = parse_value(&flag, &value)?,
-            "--scenarios" => {
-                config.scenarios = parse_value(&flag, &value)?;
-                config.smoke = false;
-            }
-            "--seed" => config.seed = parse_value(&flag, &value)?,
-            "--governor" => config.governor = value,
-            "--device" => {
-                config.devices = if value.eq_ignore_ascii_case("all") {
-                    usta_device::merged_ids()
-                        .iter()
-                        .map(|&n| n.to_owned())
-                        .collect()
-                } else {
-                    value.split(',').map(|s| s.trim().to_owned()).collect()
-                };
-            }
-            "--catalog" => {} // handled in the install pass above
-            "--grid" => {
-                let spec = catalog.grid(&value).ok_or_else(|| {
-                    format!("--grid: unknown grid {value:?} (pass --catalog DIR first)")
-                })?;
-                config.grid = Some(GridAxes::from_spec(spec)?);
-                config.smoke = false;
-            }
-            "--sim-seconds" => config.max_sim_seconds = parse_value(&flag, &value)?,
-            "no-usta" => config.usta = false,
-            _ => unreachable!("collected flags are known"),
-        }
-    }
+    let (config, _) = parse_sweep_args(
+        std::env::args().skip(1),
+        &["--triple"],
+        &[],
+        |_, flag, value| {
+            triple = Some(parse_value(flag, &value)?);
+            Ok(())
+        },
+    )?;
     let triple = triple.ok_or_else(|| "--triple is required".to_owned())?;
     Ok((config, triple))
 }

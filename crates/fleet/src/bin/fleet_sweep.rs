@@ -15,6 +15,7 @@
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use usta_fleet::cli::{parse_sweep_args, parse_value};
 use usta_fleet::{run_sweep, target_percentile, GridAxes, ScenarioCatalog, SweepConfig};
 
 /// The help text, with the device list taken from the live *merged*
@@ -78,22 +79,17 @@ OPTIONS:
     )
 }
 
-fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("{flag}: cannot parse {value:?}"))
-}
-
 /// Everything parsed from argv: the sweep itself plus the CLI-only
 /// telemetry/export knobs.
+#[derive(Default)]
 struct CliOptions {
     config: SweepConfig,
     quiet: bool,
     list_devices: bool,
     list_scenarios: bool,
-    /// The last `--catalog` directory's parse, kept for `--grid`
-    /// resolution and the `--list-scenarios` grid listing (its devices
-    /// are already installed into the process-wide registry).
+    /// The last `--catalog` directory's parse, kept for the
+    /// `--list-scenarios` grid listing (its devices are already
+    /// installed into the process-wide registry).
     catalog: usta_catalog::Catalog,
     metrics_json: Option<std::path::PathBuf>,
     metrics_prom: Option<std::path::PathBuf>,
@@ -106,126 +102,57 @@ struct CliOptions {
 }
 
 fn parse_args() -> Result<CliOptions, String> {
-    let mut args = std::env::args();
-    let _argv0 = args.next();
-    // First pass collects flags; --smoke swaps the base preset, and any
-    // explicit flag overrides it regardless of order.
-    let mut smoke = false;
-    let mut overrides: Vec<(String, String)> = Vec::new();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--no-usta" => overrides.push(("no-usta".into(), String::new())),
-            "--quiet" => overrides.push(("quiet".into(), String::new())),
-            "--list-devices" => overrides.push(("list-devices".into(), String::new())),
-            "--list-scenarios" => overrides.push(("list-scenarios".into(), String::new())),
-            "--help" | "-h" => return Err(String::new()),
-            "--users" | "--scenarios" | "--threads" | "--seed" | "--governor" | "--sim-seconds"
-            | "--device" | "--catalog" | "--grid" | "--trace-dir" | "--trace-steps"
-            | "--flight-windows" | "--triage-over" | "--metrics-json" | "--metrics-prom"
-            | "--chrome-trace" | "--target-p99-over" | "--target-iters" => {
-                let value = args.next().ok_or_else(|| format!("{arg} needs a value"))?;
-                overrides.push((arg, value));
-            }
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-
-    // Catalogs install into the process-wide merged registry before any
-    // other flag resolves, so `--device all` expansion, unknown-device
-    // listings, and the help text see the merged set regardless of
-    // where `--catalog` sits on the command line.
-    let mut catalog = usta_catalog::Catalog::default();
-    for (flag, value) in &overrides {
-        if flag == "--catalog" {
-            catalog = usta_catalog::Catalog::load_dir(value).map_err(|e| e.to_string())?;
-            catalog.install().map_err(|e| e.to_string())?;
-        }
-    }
-
-    let mut config = if smoke {
-        SweepConfig::smoke()
-    } else {
-        SweepConfig::default()
+    let mut options = CliOptions {
+        target_iters: 7,
+        ..CliOptions::default()
     };
-    let mut quiet = false;
-    let mut list_devices = false;
-    let mut list_scenarios = false;
-    let mut metrics_json = None;
-    let mut metrics_prom = None;
-    let mut chrome_trace = None;
-    let mut target_p99_over = None;
-    let mut target_iters = 7usize;
-    for (flag, value) in overrides {
-        match flag.as_str() {
-            "--users" => config.users = parse_value(&flag, &value)?,
-            "--scenarios" => {
-                config.scenarios = parse_value(&flag, &value)?;
-                config.smoke = false;
+    let (config, catalog) = parse_sweep_args(
+        std::env::args().skip(1),
+        &[
+            "--threads",
+            "--trace-dir",
+            "--trace-steps",
+            "--flight-windows",
+            "--triage-over",
+            "--metrics-json",
+            "--metrics-prom",
+            "--chrome-trace",
+            "--target-p99-over",
+            "--target-iters",
+        ],
+        &["--quiet", "--list-devices", "--list-scenarios"],
+        |config, flag, value| {
+            match flag {
+                "--threads" => config.threads = parse_value(flag, &value)?,
+                "--trace-dir" => config.trace_dir = Some(value.into()),
+                "--trace-steps" => config.trace_steps = parse_value(flag, &value)?,
+                "--flight-windows" => config.flight_windows = parse_value(flag, &value)?,
+                "--triage-over" => config.triage_over_fraction = parse_value(flag, &value)?,
+                "--metrics-json" => options.metrics_json = Some(value.into()),
+                "--metrics-prom" => options.metrics_prom = Some(value.into()),
+                "--chrome-trace" => options.chrome_trace = Some(value.into()),
+                "--target-p99-over" => options.target_p99_over = Some(parse_value(flag, &value)?),
+                "--target-iters" => options.target_iters = parse_value(flag, &value)?,
+                "--quiet" => options.quiet = true,
+                "--list-devices" => options.list_devices = true,
+                "--list-scenarios" => options.list_scenarios = true,
+                _ => unreachable!("collected flags are known"),
             }
-            "--threads" => config.threads = parse_value(&flag, &value)?,
-            "--seed" => config.seed = parse_value(&flag, &value)?,
-            "--governor" => config.governor = value,
-            "--device" => {
-                config.devices = if value.eq_ignore_ascii_case("all") {
-                    usta_device::merged_ids()
-                        .iter()
-                        .map(|&n| n.to_owned())
-                        .collect()
-                } else {
-                    value.split(',').map(|s| s.trim().to_owned()).collect()
-                };
-            }
-            "--catalog" => {} // handled in the install pass above
-            "--grid" => {
-                let spec = catalog.grid(&value).ok_or_else(|| {
-                    let known: Vec<&str> =
-                        catalog.grids.iter().map(|g| g.name.as_str()).collect();
-                    if known.is_empty() {
-                        format!("--grid: unknown grid {value:?} (no grids loaded — pass --catalog DIR first)")
-                    } else {
-                        format!("--grid: unknown grid {value:?} (known: {})", known.join(", "))
-                    }
-                })?;
-                config.grid = Some(GridAxes::from_spec(spec)?);
-                config.smoke = false;
-            }
-            "--trace-dir" => config.trace_dir = Some(value.into()),
-            "--trace-steps" => config.trace_steps = parse_value(&flag, &value)?,
-            "--flight-windows" => config.flight_windows = parse_value(&flag, &value)?,
-            "--triage-over" => config.triage_over_fraction = parse_value(&flag, &value)?,
-            "--metrics-json" => metrics_json = Some(value.into()),
-            "--metrics-prom" => metrics_prom = Some(value.into()),
-            "--chrome-trace" => chrome_trace = Some(value.into()),
-            "--target-p99-over" => target_p99_over = Some(parse_value(&flag, &value)?),
-            "--target-iters" => target_iters = parse_value(&flag, &value)?,
-            "--sim-seconds" => config.max_sim_seconds = parse_value(&flag, &value)?,
-            "no-usta" => config.usta = false,
-            "quiet" => quiet = true,
-            "list-devices" => list_devices = true,
-            "list-scenarios" => list_scenarios = true,
-            _ => unreachable!("collected flags are known"),
-        }
-    }
+            Ok(())
+        },
+    )?;
     if config.threads == 0 {
         return Err("--threads must be at least 1".into());
     }
-    if let Some(budget) = target_p99_over {
+    if let Some(budget) = options.target_p99_over {
         if !(0.0..=1.0).contains(&budget) {
             return Err("--target-p99-over must be a fraction in [0, 1]".into());
         }
     }
     Ok(CliOptions {
         config,
-        quiet,
-        list_devices,
-        list_scenarios,
         catalog,
-        metrics_json,
-        metrics_prom,
-        chrome_trace,
-        target_p99_over,
-        target_iters,
+        ..options
     })
 }
 

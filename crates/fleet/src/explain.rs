@@ -17,7 +17,9 @@ use usta_telemetry::flight::{band_name, BAND_NONE};
 use usta_telemetry::{DecisionEvent, FlightRecorder};
 
 use crate::aggregate::TripleOutcome;
-use crate::runner::{run_triple, sweep_inputs, train_predictor_pool, FleetError, SweepConfig};
+use crate::runner::{
+    governor_label, run_triple, sweep_inputs, train_pools, FleetError, Sweep, SweepConfig,
+};
 use usta_sim::RunConfig;
 
 /// A replayed triple: its coordinates, its outcome (identical to what
@@ -56,47 +58,28 @@ pub struct Explanation {
 /// [`FleetError::TripleOutOfRange`] when `index` does not name a
 /// triple of this sweep.
 pub fn explain_triple(config: &SweepConfig, index: usize) -> Result<Explanation, FleetError> {
-    let (_devices, catalog, population) = sweep_inputs(config)?;
-    let total = population.len() * catalog.len();
+    let inputs = sweep_inputs(config)?;
+    let total = inputs.total();
     if index >= total {
         return Err(FleetError::TripleOutOfRange { index, total });
     }
-    let scenario = &catalog.scenarios()[index % catalog.len()];
-    let pools = if config.usta {
-        vec![(
-            scenario.device,
-            train_predictor_pool(config, scenario.device)?,
-        )]
-    } else {
-        Vec::new()
-    };
+    let (user, profile, scenario) = inputs.triple(index);
+    let pools = train_pools(config, &[scenario.device])?;
     // Capacity for every window of the longest possible run: the
     // workload duration is capped at `max_sim_seconds`.
     let period = RunConfig::default().governor_period_s;
     let capacity = ((config.max_sim_seconds / period).ceil() as usize).max(1);
     let mut ring = FlightRecorder::new(capacity);
-    let (outcome, _) = run_triple(
-        config,
-        &population,
-        &catalog,
-        &pools,
-        index,
-        false,
-        Some(&mut ring),
-    );
-    let user_index = index / catalog.len();
+    let sweep = Sweep::new(config, &inputs, &pools, None);
+    let (outcome, _) = run_triple(&sweep, index, false, Some(&mut ring));
     Ok(Explanation {
         index,
         total,
-        user: user_index,
-        limit_c: population.users()[user_index].skin_limit.value(),
+        user,
+        limit_c: profile.skin_limit.value(),
         scenario: scenario.name(),
         device: scenario.device,
-        governor: if config.usta {
-            format!("usta({})", config.governor)
-        } else {
-            config.governor.clone()
-        },
+        governor: governor_label(config),
         outcome,
         events: ring.events().copied().collect(),
     })

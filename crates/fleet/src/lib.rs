@@ -25,7 +25,8 @@
 //!   merge buffer holds only chunks finished ahead of the oldest one
 //!   still running.
 //!
-//! The `fleet_sweep` binary fronts it all:
+//! The `fleet_sweep` binary fronts it all, and the `explain` binary
+//! replays one triple; both read the same sweep flags ([`cli`]):
 //!
 //! ```text
 //! cargo run --release -p usta-fleet --bin fleet_sweep -- \
@@ -46,6 +47,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod aggregate;
+pub mod cli;
 pub mod explain;
 pub mod runner;
 pub mod scenario;

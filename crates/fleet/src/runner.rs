@@ -19,21 +19,29 @@
 //! 3. partials are merged on the coordinating thread in chunk-index
 //!    order, so floating-point sums see one canonical association.
 //!
-//! The optional `trace_dir` sink inherits the same contract: per-triple
-//! summary rows are written in chunk-index order, so the CSV is
-//! byte-identical at every thread count.
+//! The sweep is two parts. `run_chunk` is the pure kernel: it runs
+//! one chunk's triples and returns a `ChunkResult` holding the
+//! partial aggregate, the `triples.csv` rows, the step traces, the
+//! flight dumps and the chunk's worst-table candidates. `ChunkSink`
+//! folds results in chunk-index order into the aggregate, the worst
+//! table and the `trace_dir` files, so the files are byte-identical at
+//! every thread count too. `run_sweep_trained` only schedules: workers
+//! claim chunks, run them and send the results to the sink.
 
-use std::io::Write;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::BTreeMap;
+use std::fs::File;
+use std::io::{BufWriter, Write};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
+use std::time::{Duration, Instant};
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use usta_core::comfort::ComfortStats;
 use usta_core::predictor::PredictionTarget;
 use usta_core::training::TrainingLog;
-use usta_core::{TemperaturePredictor, UserPopulation, UstaGovernor, UstaPolicy};
+use usta_core::{TemperaturePredictor, UserPopulation, UserProfile, UstaGovernor, UstaPolicy};
 use usta_governors::by_name;
 use usta_ml::reptree::RepTreeParams;
 use usta_ml::Learner;
@@ -43,7 +51,7 @@ use usta_thermal::Celsius;
 use usta_workloads::{Benchmark, Workload};
 
 use crate::aggregate::{FleetAggregate, TripleOutcome};
-use crate::scenario::{GridAxes, ScenarioCatalog, DEFAULT_DEVICE};
+use crate::scenario::{GridAxes, Scenario, ScenarioCatalog, DEFAULT_DEVICE};
 
 /// Everything that defines a sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -325,32 +333,15 @@ pub struct WorstTriple {
     pub dumped: bool,
 }
 
-impl WorstTriple {
-    /// Strict "worse than" ordering: more time over the limit, then a
-    /// higher peak, then (for a total deterministic order) the lower
-    /// triple index. Exact f64 comparisons — both sides come from the
-    /// same deterministic computation.
-    fn worse_than(&self, other: &WorstTriple) -> bool {
-        match self
-            .time_over_fraction
-            .total_cmp(&other.time_over_fraction)
-            .then(self.peak_skin_c.total_cmp(&other.peak_skin_c))
-        {
-            std::cmp::Ordering::Greater => true,
-            std::cmp::Ordering::Less => false,
-            std::cmp::Ordering::Equal => self.index < other.index,
-        }
-    }
-}
-
-/// Sorts worst-first and keeps the top `k`.
+/// Sorts worst-first and keeps the top `k`: more time over the limit,
+/// then a higher peak, then (for a total deterministic order) the lower
+/// triple index. Exact f64 comparisons — both sides come from the same
+/// deterministic computation.
 fn keep_worst(rows: &mut Vec<WorstTriple>, k: usize) {
     rows.sort_by(|a, b| {
-        if a.worse_than(b) {
-            std::cmp::Ordering::Less
-        } else {
-            std::cmp::Ordering::Greater
-        }
+        (b.time_over_fraction.total_cmp(&a.time_over_fraction))
+            .then(b.peak_skin_c.total_cmp(&a.peak_skin_c))
+            .then(a.index.cmp(&b.index))
     });
     rows.truncate(k);
 }
@@ -407,7 +398,7 @@ fn triple_stream(run_seed: u64, index: u64) -> ChaCha8Rng {
 /// sampled subset of the per-benchmark logs — modelling users whose
 /// phones logged different app histories. Campaign seeds are shared
 /// across devices; the device itself is what differs.
-pub(crate) fn train_predictor_pool(
+fn train_predictor_pool(
     config: &SweepConfig,
     device: &'static str,
 ) -> Result<Vec<TemperaturePredictor>, FleetError> {
@@ -467,7 +458,7 @@ pub(crate) fn train_predictor_pool(
 /// independent, so up to `config.threads` workers claim device indices
 /// from one shared cursor; results land in per-device slots, so the
 /// pools are the same at any thread count.
-fn train_pools(
+pub(crate) fn train_pools(
     config: &SweepConfig,
     devices: &[&'static str],
 ) -> Result<Vec<(&'static str, Vec<TemperaturePredictor>)>, FleetError> {
@@ -503,86 +494,110 @@ fn train_pools(
         .collect()
 }
 
-/// The policy limit a triple's USTA stack targets: the user's own
-/// comfort limit, or — under [`SweepConfig::policy_limit_percentile`]
-/// — the population-wide percentile limit. The percentile uses the
-/// deterministic nearest-rank rule over the sorted limits
+/// The one policy limit every USTA triple shares under
+/// [`SweepConfig::policy_limit_percentile`], or `None` when each
+/// triple targets its own user's comfort limit. The percentile uses
+/// the deterministic nearest-rank rule over the sorted limits
 /// (`round(p/100 × (n−1))`), so the value is a pure function of the
 /// config at any thread count.
-pub(crate) fn policy_limit(
-    config: &SweepConfig,
-    population: &UserPopulation,
-    user: &usta_core::UserProfile,
-) -> Celsius {
-    match config.policy_limit_percentile {
-        None => user.skin_limit,
-        Some(p) => {
-            let mut limits: Vec<f64> = population
-                .users()
-                .iter()
-                .map(|u| u.skin_limit.value())
-                .collect();
-            limits.sort_by(f64::total_cmp);
-            let p = p.clamp(0.0, 100.0);
-            let rank = ((p / 100.0) * (limits.len() - 1) as f64).round() as usize;
-            Celsius(limits[rank])
+pub(crate) fn policy_limit(config: &SweepConfig, population: &UserPopulation) -> Option<Celsius> {
+    let p = config.policy_limit_percentile?;
+    let mut limits: Vec<f64> = population
+        .users()
+        .iter()
+        .map(|u| u.skin_limit.value())
+        .collect();
+    limits.sort_by(f64::total_cmp);
+    let p = p.clamp(0.0, 100.0);
+    let rank = ((p / 100.0) * (limits.len() - 1) as f64).round() as usize;
+    Some(Celsius(limits[rank]))
+}
+
+/// One sweep run's read-only state: the config, its inputs, the
+/// trained pools (one per swept device, none for baseline-only
+/// sweeps), and what is resolved once per run rather than per triple.
+pub(crate) struct Sweep<'a> {
+    config: &'a SweepConfig,
+    inputs: &'a SweepInputs,
+    pools: &'a [(&'static str, Vec<TemperaturePredictor>)],
+    /// [`policy_limit`], resolved once.
+    shared_limit: Option<Celsius>,
+    telemetry: Option<FleetTelemetry>,
+}
+
+impl<'a> Sweep<'a> {
+    pub(crate) fn new(
+        config: &'a SweepConfig,
+        inputs: &'a SweepInputs,
+        pools: &'a [(&'static str, Vec<TemperaturePredictor>)],
+        telemetry: Option<FleetTelemetry>,
+    ) -> Sweep<'a> {
+        Sweep {
+            config,
+            inputs,
+            pools,
+            shared_limit: policy_limit(config, &inputs.population),
+            telemetry,
         }
+    }
+
+    fn chunk_size(&self) -> usize {
+        self.config.chunk_size.max(1)
+    }
+
+    fn chunks(&self) -> usize {
+        self.inputs.total().div_ceil(self.chunk_size())
+    }
+
+    /// A worker's flight ring. Triage (flight dumps and the worst
+    /// table) rides on the trace sink: without a directory to dump
+    /// into there is nothing to record, and the flag-less report stays
+    /// byte-identical to the pre-flight-recorder format.
+    fn flight_ring(&self) -> Option<FlightRecorder> {
+        let windows = self.config.flight_windows;
+        (self.config.trace_dir.is_some() && windows > 0).then(|| FlightRecorder::new(windows))
     }
 }
 
-/// Runs one (user, device, scenario) triple to completion. `pools`
-/// holds one trained predictor pool per swept device (empty for
-/// baseline-only sweeps). When `capture_steps` is set the full
-/// per-step trace CSV rides along for the `--trace-steps` sink; a
-/// `recorder` captures per-window decision provenance for the triage
-/// sink and the `explain` CLI.
+/// Runs one (user, device, scenario) triple to completion. When
+/// `capture_steps` is set the full per-step trace CSV rides along for
+/// the `--trace-steps` sink; a `recorder` captures per-window decision
+/// provenance for the triage sink and the `explain` CLI.
 ///
 /// Every per-triple RNG draw is made in the seed stream's canonical
 /// order (sensor seed, jitter seed, predictor pick). Comfort is always
 /// judged against the triple's own user's limit (the percentile knob
 /// moves only the *policy*, never the judge).
 pub(crate) fn run_triple(
-    config: &SweepConfig,
-    population: &UserPopulation,
-    catalog: &ScenarioCatalog,
-    pools: &[(&'static str, Vec<TemperaturePredictor>)],
+    sweep: &Sweep,
     index: usize,
     capture_steps: bool,
     recorder: Option<&mut FlightRecorder>,
 ) -> (TripleOutcome, Option<Result<String, String>>) {
-    let user = &population.users()[index / catalog.len()];
-    let scenario = &catalog.scenarios()[index % catalog.len()];
+    let config = sweep.config;
+    let (_, user, scenario) = sweep.inputs.triple(index);
     let mut rng = triple_stream(config.seed, index as u64);
     let sensor_seed: u64 = rng.gen();
     let jitter_seed: u64 = rng.gen();
-    let predictors: &[TemperaturePredictor] = if config.usta {
-        &pools
-            .iter()
+    let predictor = config.usta.then(|| {
+        let (_, pool) = (sweep.pools.iter())
             .find(|(device, _)| *device == scenario.device)
-            .expect("one pool per swept device")
-            .1
-    } else {
-        &[]
-    };
-    let predictor_pick = if config.usta {
-        rng.gen_range(0..predictors.len())
-    } else {
-        0
-    };
+            .expect("one pool per swept device");
+        pool[rng.gen_range(0..pool.len())].clone()
+    });
 
     let mut device =
         Device::new(scenario.device_config(sensor_seed)).expect("scenario devices build");
     let mut workload = scenario.workload(jitter_seed, config.max_sim_seconds);
     let sim_seconds = workload.duration();
     let baseline = by_name(&config.governor).expect("governor validated up front");
-    let mut governor = if config.usta {
-        Governor::Usta(Box::new(UstaGovernor::new(
+    let mut governor = match predictor {
+        Some(predictor) => Governor::Usta(Box::new(UstaGovernor::new(
             baseline,
-            predictors[predictor_pick].clone(),
-            UstaPolicy::new(policy_limit(config, population, user)),
-        )))
-    } else {
-        Governor::Baseline(baseline)
+            predictor,
+            UstaPolicy::new(sweep.shared_limit.unwrap_or(user.skin_limit)),
+        ))),
+        None => Governor::Baseline(baseline),
     };
     let result = run_workload_recorded(
         &mut device,
@@ -622,7 +637,7 @@ pub(crate) fn run_triple(
 
 /// The report's governor-stack label (`"usta(<baseline>)"` or the bare
 /// baseline name).
-fn governor_label(config: &SweepConfig) -> String {
+pub(crate) fn governor_label(config: &SweepConfig) -> String {
     if config.usta {
         format!("usta({})", config.governor)
     } else {
@@ -642,17 +657,13 @@ fn triage_hit(config: &SweepConfig, limit_c: f64, outcome: &TripleOutcome) -> bo
 /// — no timestamps, no thread identity — so the file's bytes are
 /// identical at any `--threads`.
 fn flight_json(
-    config: &SweepConfig,
-    population: &UserPopulation,
-    catalog: &ScenarioCatalog,
+    sweep: &Sweep,
     index: usize,
     outcome: &TripleOutcome,
     ring: &FlightRecorder,
 ) -> String {
     use usta_telemetry::json::{write_json_number, write_json_string, write_u64};
-    let user_index = index / catalog.len();
-    let user = &population.users()[user_index];
-    let scenario = &catalog.scenarios()[index % catalog.len()];
+    let (user_index, user, scenario) = sweep.inputs.triple(index);
     let mut out =
         String::with_capacity(1024 + ring.len() * usta_telemetry::flight::EVENT_JSON_BYTES);
     out.push_str("{\n  \"schema\": \"usta-flight/v1\",\n  \"triple\": ");
@@ -666,7 +677,7 @@ fn flight_json(
     out.push_str(",\n  \"device\": ");
     write_json_string(&mut out, scenario.device);
     out.push_str(",\n  \"governor\": ");
-    write_json_string(&mut out, &governor_label(config));
+    write_json_string(&mut out, &governor_label(sweep.config));
     for (key, value) in [
         ("peak_skin_c", outcome.peak_skin_c),
         ("time_over_fraction", outcome.time_over_fraction),
@@ -696,12 +707,33 @@ fn flight_json(
     out
 }
 
+/// A sweep's static inputs: the resolved device ids, the scenario
+/// catalog and the sampled user population.
+pub(crate) struct SweepInputs {
+    devices: Vec<&'static str>,
+    catalog: ScenarioCatalog,
+    population: UserPopulation,
+}
+
+impl SweepInputs {
+    /// Triples in the sweep.
+    pub(crate) fn total(&self) -> usize {
+        self.population.len() * self.catalog.len()
+    }
+
+    /// The one mapping from a triple index to its coordinates: the
+    /// user's index, the user, and the scenario (which names the
+    /// device). Users are the outer axis.
+    pub(crate) fn triple(&self, index: usize) -> (usize, &UserProfile, &Scenario) {
+        let user = index / self.catalog.len();
+        let scenario = &self.catalog.scenarios()[index % self.catalog.len()];
+        (user, &self.population.users()[user], scenario)
+    }
+}
+
 /// Validates the sweep's static inputs and builds the grid shared by
-/// [`run_sweep`] and [`crate::explain`]: resolved device ids, the
-/// scenario catalog, and the sampled user population.
-pub(crate) fn sweep_inputs(
-    config: &SweepConfig,
-) -> Result<(Vec<&'static str>, ScenarioCatalog, UserPopulation), FleetError> {
+/// [`run_sweep`] and [`crate::explain`].
+pub(crate) fn sweep_inputs(config: &SweepConfig) -> Result<SweepInputs, FleetError> {
     usta_governors::try_by_name(&config.governor)
         .map_err(|e| FleetError::UnknownGovernor(e.name().to_owned()))?;
     let cap_valid = |seconds: f64| seconds > 0.0 && seconds.is_finite();
@@ -743,11 +775,15 @@ pub(crate) fn sweep_inputs(
             &devices,
         )
     };
-    let population = UserPopulation::sampled(config.seed, config.users);
-    if population.len() * catalog.len() == 0 {
+    let inputs = SweepInputs {
+        devices,
+        catalog,
+        population: UserPopulation::sampled(config.seed, config.users),
+    };
+    if inputs.total() == 0 {
         return Err(FleetError::EmptySweep);
     }
-    Ok((devices, catalog, population))
+    Ok(inputs)
 }
 
 /// The fleet layer's registered instruments, resolved once per sweep so
@@ -796,10 +832,6 @@ fn worker_busy_gauge_name(worker: usize) -> &'static str {
 }
 
 impl FleetTelemetry {
-    fn from_sink() -> Option<FleetTelemetry> {
-        usta_telemetry::Sink::active().map(FleetTelemetry::with_registry)
-    }
-
     /// Wires the instruments against an explicit registry (the sweep
     /// uses the global sink; tests pass their own).
     pub(crate) fn with_registry(registry: &'static usta_telemetry::Registry) -> FleetTelemetry {
@@ -862,17 +894,12 @@ const TRACE_HEADER: &str = "triple,user,scenario,device,peak_skin_c,time_over_fr
 /// Appends one trace row to `out`. Floats are written in Rust's
 /// shortest round-trip `Display` form, so the file is byte-stable and
 /// loses no precision.
-fn write_trace_row(
-    out: &mut String,
-    index: usize,
-    catalog: &ScenarioCatalog,
-    outcome: &TripleOutcome,
-) {
+fn write_trace_row(out: &mut String, inputs: &SweepInputs, index: usize, outcome: &TripleOutcome) {
     use usta_telemetry::json::{write_f64, write_u64};
-    let scenario = &catalog.scenarios()[index % catalog.len()];
+    let (user, _, scenario) = inputs.triple(index);
     write_u64(out, index as u64);
     out.push(',');
-    write_u64(out, (index / catalog.len()) as u64);
+    write_u64(out, user as u64);
     out.push(',');
     out.push_str(&scenario.name());
     out.push(',');
@@ -882,6 +909,212 @@ fn write_trace_row(
         write_f64(out, value);
     }
     out.push('\n');
+}
+
+/// What one chunk of triples produced.
+#[derive(Debug, Default, PartialEq)]
+struct ChunkResult {
+    chunk: usize,
+    /// The chunk's triples folded in index order.
+    partial: FleetAggregate,
+    /// The chunk's `triples.csv` rows, in triple order.
+    rows: String,
+    /// `--trace-steps` traces, `(triple index, CSV or render error)`.
+    step_csvs: Vec<(usize, Result<String, String>)>,
+    /// Triaged flight recordings, `(triple index, file contents)`.
+    flights: Vec<(usize, String)>,
+    /// The chunk's worst-triples candidates, already top-K'd.
+    worst: Vec<WorstTriple>,
+}
+
+/// Runs chunk `chunk` of the sweep: its triples strictly in index
+/// order (the canonical association the determinism contract
+/// promises). The result is a pure function of the sweep and the chunk
+/// index: `ring` is scratch storage, cleared before every triple, and
+/// telemetry only observes.
+fn run_chunk(sweep: &Sweep, chunk: usize, mut ring: Option<&mut FlightRecorder>) -> ChunkResult {
+    let (config, telemetry) = (sweep.config, sweep.telemetry.as_ref());
+    if let Some(telemetry) = telemetry {
+        telemetry.chunk_claimed(sweep.chunks() - chunk - 1);
+    }
+    let tracing = config.trace_dir.is_some();
+    let lo = chunk * sweep.chunk_size();
+    let hi = (lo + sweep.chunk_size()).min(sweep.inputs.total());
+    let mut result = ChunkResult {
+        chunk,
+        ..ChunkResult::default()
+    };
+    for index in lo..hi {
+        if let Some(ring) = ring.as_deref_mut() {
+            ring.clear();
+        }
+        let triple_span = telemetry.map(FleetTelemetry::triple_span);
+        if let Some(telemetry) = telemetry {
+            telemetry.triple_started();
+        }
+        let capture_steps = tracing && index < config.trace_steps;
+        let (outcome, steps_csv) = run_triple(sweep, index, capture_steps, ring.as_deref_mut());
+        if let Some(telemetry) = telemetry {
+            telemetry.triple_finished();
+        }
+        drop(triple_span);
+
+        if tracing {
+            write_trace_row(&mut result.rows, sweep.inputs, index, &outcome);
+        }
+        if let Some(csv) = steps_csv {
+            result.step_csvs.push((index, csv));
+        }
+        if let Some(ring) = ring.as_deref() {
+            let (user, profile, scenario) = sweep.inputs.triple(index);
+            let limit_c = profile.skin_limit.value();
+            let dumped = triage_hit(config, limit_c, &outcome);
+            if dumped {
+                let json = flight_json(sweep, index, &outcome, ring);
+                result.flights.push((index, json));
+            }
+            if config.worst_k > 0 {
+                result.worst.push(WorstTriple {
+                    index,
+                    user,
+                    limit_c,
+                    scenario: scenario.name(),
+                    device: scenario.device,
+                    peak_skin_c: outcome.peak_skin_c,
+                    time_over_fraction: outcome.time_over_fraction,
+                    dumped,
+                });
+            }
+        }
+        result.partial.record(&outcome);
+    }
+    keep_worst(&mut result.worst, config.worst_k);
+    if let Some(telemetry) = telemetry {
+        telemetry.chunks.increment();
+    }
+    result
+}
+
+/// A [`FleetError::TraceSink`] that names the file it failed on.
+fn sink_error(path: &Path, error: impl std::fmt::Display) -> FleetError {
+    FleetError::TraceSink(format!("{}: {error}", path.display()))
+}
+
+/// Folds chunk results in chunk-index order into the aggregate, the
+/// worst table and the trace directory's files, parking chunks that
+/// arrive early. That order is what makes the f64 sums and every file
+/// bit-identical at any thread count. Chunks are claimed in index
+/// order, so a parked chunk only waits on chunks that were already
+/// running when it was claimed: the buffer holds what the other
+/// workers finish while the oldest chunk runs, a few chunks per worker
+/// when chunk costs are alike, however long the sweep.
+struct ChunkSink<'s> {
+    sweep: &'s Sweep<'s>,
+    /// The trace directory and its open `triples.csv`.
+    trace: Option<(&'s Path, BufWriter<File>)>,
+    aggregate: FleetAggregate,
+    worst: Vec<WorstTriple>,
+    /// Results that arrived ahead of `next`, with their send times.
+    parked: BTreeMap<usize, ChunkMsg>,
+    /// The chunk index to fold next.
+    next: usize,
+}
+
+impl<'s> ChunkSink<'s> {
+    /// Opens the sink: creates the trace directory, if the sweep has
+    /// one, and `triples.csv` with its header.
+    fn open(sweep: &'s Sweep<'s>) -> Result<ChunkSink<'s>, FleetError> {
+        let trace = match sweep.config.trace_dir.as_deref() {
+            Some(dir) => {
+                let path = dir.join("triples.csv");
+                let open = || -> std::io::Result<BufWriter<File>> {
+                    std::fs::create_dir_all(dir)?;
+                    let mut writer = BufWriter::new(File::create(&path)?);
+                    writer.write_all(TRACE_HEADER.as_bytes())?;
+                    Ok(writer)
+                };
+                Some((dir, open().map_err(|e| sink_error(&path, e))?))
+            }
+            None => None,
+        };
+        Ok(ChunkSink {
+            sweep,
+            trace,
+            aggregate: FleetAggregate::new(),
+            worst: Vec::new(),
+            parked: BTreeMap::new(),
+            next: 0,
+        })
+    }
+
+    /// Takes one chunk's result, `sent_at` being when its worker sent
+    /// it (telemetry only), and folds every chunk that is now next.
+    fn push(&mut self, result: ChunkResult, sent_at: Option<Instant>) -> Result<(), FleetError> {
+        self.parked.insert(result.chunk, (result, sent_at));
+        while let Some((result, sent_at)) = self.parked.remove(&self.next) {
+            self.fold(result, sent_at)?;
+            self.next += 1;
+        }
+        Ok(())
+    }
+
+    fn fold(&mut self, result: ChunkResult, sent_at: Option<Instant>) -> Result<(), FleetError> {
+        let telemetry = self.sweep.telemetry.as_ref();
+        if let (Some(telemetry), Some(sent)) = (telemetry, sent_at) {
+            telemetry.queue_wait.record(sent.elapsed());
+        }
+        let merge_start = telemetry.map(|_| Instant::now());
+        self.aggregate.merge(&result.partial);
+        if let (Some(telemetry), Some(start)) = (telemetry, merge_start) {
+            telemetry.chunk_merge.record(start.elapsed());
+        }
+        // Candidates append in triple order and the (total, exact) sort
+        // keeps the same K rows at any thread count.
+        self.worst.extend(result.worst);
+        keep_worst(&mut self.worst, self.sweep.config.worst_k);
+        let Some((dir, triples)) = self.trace.as_mut() else {
+            return Ok(());
+        };
+        // `fleet.sink_write` times the writes, so the metrics show
+        // whether the sink or the workers set the sweep's pace.
+        let _span = telemetry.map(FleetTelemetry::sink_write_span);
+        triples
+            .write_all(result.rows.as_bytes())
+            .map_err(|e| sink_error(&dir.join("triples.csv"), e))?;
+        for (index, csv) in result.step_csvs {
+            let path = dir.join(format!("steps-{index:06}.csv"));
+            csv.and_then(|csv| std::fs::write(&path, csv).map_err(|e| e.to_string()))
+                .map_err(|e| sink_error(&path, e))?;
+        }
+        // Each dump is freed once written, not with the whole chunk.
+        for (index, json) in result.flights {
+            let path = dir.join(format!("flight-{index:06}.json"));
+            std::fs::write(&path, json).map_err(|e| sink_error(&path, e))?;
+            if let Some(telemetry) = telemetry {
+                telemetry.flight_dumps.increment();
+            }
+        }
+        Ok(())
+    }
+
+    /// Flushes `triples.csv` and returns the sweep's report.
+    fn finish(mut self) -> Result<FleetReport, FleetError> {
+        if let Some((dir, triples)) = self.trace.as_mut() {
+            triples
+                .flush()
+                .map_err(|e| sink_error(&dir.join("triples.csv"), e))?;
+        }
+        let Sweep { config, inputs, .. } = self.sweep;
+        Ok(FleetReport {
+            users: inputs.population.len(),
+            scenarios: inputs.catalog.len(),
+            seed: config.seed,
+            governor: governor_label(config),
+            devices: inputs.devices.clone(),
+            aggregate: self.aggregate,
+            worst: self.worst,
+        })
+    }
 }
 
 /// Runs the sweep and returns the merged report.
@@ -898,299 +1131,81 @@ pub fn run_sweep(config: &SweepConfig) -> Result<FleetReport, FleetError> {
         ));
     }
     let inputs = sweep_inputs(config)?;
-    let pools = train_pools(config, &inputs.0)?;
+    let pools = train_pools(config, &inputs.devices)?;
     run_sweep_trained(config, &inputs, &pools)
 }
 
+/// The message a worker sends the sink: one chunk's result and when
+/// it was sent (telemetry only).
+type ChunkMsg = (ChunkResult, Option<Instant>);
+
+/// One worker: claims chunks in index order from the shared cursor
+/// until the sweep is done or `abort` is set, runs each, and sends the
+/// result to the sink.
+fn work(
+    sweep: &Sweep,
+    worker: usize,
+    next_chunk: &AtomicUsize,
+    abort: &AtomicBool,
+    tx: mpsc::SyncSender<ChunkMsg>,
+) {
+    let mut ring = sweep.flight_ring();
+    let (started, mut busy) = (Instant::now(), Duration::ZERO);
+    let busy_gauge = sweep.telemetry.as_ref().map(|t| t.worker_busy(worker));
+    loop {
+        let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
+        if chunk >= sweep.chunks() || abort.load(Ordering::Relaxed) {
+            break;
+        }
+        let work_start = Instant::now();
+        let result = run_chunk(sweep, chunk, ring.as_mut());
+        let sent_at = sweep.telemetry.as_ref().map(|_| Instant::now());
+        // Fails only once the sink stopped, and then `abort` is set.
+        let _ = tx.send((result, sent_at));
+        if let Some(gauge) = &busy_gauge {
+            busy += work_start.elapsed();
+            gauge.set(busy.as_secs_f64() / started.elapsed().as_secs_f64().max(1e-9));
+        }
+    }
+}
+
 /// [`run_sweep`] after validation and training: runs every triple of
-/// `inputs` (from [`sweep_inputs`]) against the already-trained
-/// `pools`, so [`target_percentile`] trains once per search.
+/// `inputs` against the already-trained `pools`, so
+/// [`target_percentile`] trains once per search.
 fn run_sweep_trained(
     config: &SweepConfig,
-    (devices, catalog, population): &(Vec<&'static str>, ScenarioCatalog, UserPopulation),
+    inputs: &SweepInputs,
     pools: &[(&'static str, Vec<TemperaturePredictor>)],
 ) -> Result<FleetReport, FleetError> {
-    let total = population.len() * catalog.len();
-    let telemetry = FleetTelemetry::from_sink();
-
-    let mut trace = match &config.trace_dir {
-        Some(dir) => {
-            let open = || -> std::io::Result<std::io::BufWriter<std::fs::File>> {
-                std::fs::create_dir_all(dir)?;
-                let mut writer =
-                    std::io::BufWriter::new(std::fs::File::create(dir.join("triples.csv"))?);
-                writer.write_all(TRACE_HEADER.as_bytes())?;
-                Ok(writer)
-            };
-            Some(open().map_err(|e| FleetError::TraceSink(e.to_string()))?)
-        }
-        None => None,
-    };
-    let mut trace_error: Option<String> = None;
-
-    let chunk_size = config.chunk_size.max(1);
-    let n_chunks = total.div_ceil(chunk_size);
-    let workers = config.threads.clamp(1, n_chunks);
+    let telemetry = usta_telemetry::Sink::active().map(FleetTelemetry::with_registry);
+    let sweep = Sweep::new(config, inputs, pools, telemetry);
+    let mut sink = ChunkSink::open(&sweep)?;
+    let workers = config.threads.clamp(1, sweep.chunks());
     // Workers claim chunks in index order from one shared cursor, so
-    // the oldest unmerged chunk is always already running.
+    // the oldest unfolded chunk is always already running.
     let next_chunk = AtomicUsize::new(0);
-    // Set when the trace sink fails: the sweep's result is already lost
-    // at that point, so workers drain fast instead of simulating the
-    // rest of a (possibly huge) grid just to discard it.
-    let abort = std::sync::atomic::AtomicBool::new(false);
-    type StepCsv = (usize, Result<String, String>);
-    struct ChunkMsg {
-        chunk: usize,
-        partial: FleetAggregate,
-        /// The chunk's `triples.csv` rows, in triple order.
-        rows: String,
-        step_csvs: Vec<StepCsv>,
-        /// Triaged flight recordings, `(triple index, file contents)`.
-        flights: Vec<(usize, String)>,
-        /// The chunk's worst-triples candidates, already top-K'd.
-        worst: Vec<WorstTriple>,
-        sent_at: Option<std::time::Instant>,
-    }
-    // Bounded: a worker that outruns the coordinator's file writes
-    // blocks on `send` instead of piling serialized chunks up in
-    // memory. The coordinator receives whatever arrives and parks
-    // out-of-order chunks itself, so a full channel only ever waits on
-    // a write in progress, never on a particular chunk.
-    let (tx, rx) = mpsc::sync_channel::<ChunkMsg>(workers);
-    let tracing = trace.is_some();
-    let trace_steps = if tracing { config.trace_steps } else { 0 };
-    // Triage (flight dumps + the worst-triples table) rides on the
-    // trace sink: without a directory to dump into there is nothing to
-    // record, and the flag-less report stays byte-identical to the
-    // pre-flight-recorder format.
-    let flight_windows = if tracing { config.flight_windows } else { 0 };
-
-    let (aggregate, worst) = std::thread::scope(|scope| {
-        for worker_id in 0..workers {
-            let tx = tx.clone();
-            let next_chunk = &next_chunk;
-            let abort = &abort;
-            let telemetry = telemetry.as_ref();
-            scope.spawn(move || {
-                // One ring per worker, cleared between triples: its
-                // storage grows to the windows a triple keeps, then
-                // recording no longer allocates.
-                let mut ring = (flight_windows > 0).then(|| FlightRecorder::new(flight_windows));
-                let started = std::time::Instant::now();
-                let mut busy = std::time::Duration::ZERO;
-                let busy_gauge = telemetry.map(|t| t.worker_busy(worker_id));
-                loop {
-                    let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
-                    if chunk >= n_chunks || abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    if let Some(telemetry) = telemetry {
-                        telemetry.chunk_claimed(n_chunks - chunk - 1);
-                    }
-                    let work_start = busy_gauge.as_ref().map(|_| std::time::Instant::now());
-                    let lo = chunk * chunk_size;
-                    let hi = (lo + chunk_size).min(total);
-                    let mut partial = FleetAggregate::new();
-                    let mut rows = String::new();
-                    let mut step_csvs: Vec<StepCsv> = Vec::new();
-                    let mut flights: Vec<(usize, String)> = Vec::new();
-                    let mut worst: Vec<WorstTriple> = Vec::new();
-
-                    // Triples run and fold strictly in index order —
-                    // the canonical association the determinism
-                    // contract promises.
-                    for index in lo..hi {
-                        if let Some(ring) = ring.as_mut() {
-                            ring.clear();
-                        }
-                        let triple_span = telemetry.map(|t| t.triple_span());
-                        if let Some(telemetry) = telemetry {
-                            telemetry.triple_started();
-                        }
-                        let (outcome, steps_csv) = run_triple(
-                            config,
-                            population,
-                            catalog,
-                            pools,
-                            index,
-                            index < trace_steps,
-                            ring.as_mut(),
-                        );
-                        if let Some(telemetry) = telemetry {
-                            telemetry.triple_finished();
-                        }
-                        drop(triple_span);
-
-                        if tracing {
-                            write_trace_row(&mut rows, index, catalog, &outcome);
-                        }
-                        if let Some(csv) = steps_csv {
-                            step_csvs.push((index, csv));
-                        }
-                        if let Some(ring) = ring.as_ref() {
-                            let user_index = index / catalog.len();
-                            let limit_c = population.users()[user_index].skin_limit.value();
-                            let dumped = triage_hit(config, limit_c, &outcome);
-                            if dumped {
-                                flights.push((
-                                    index,
-                                    flight_json(config, population, catalog, index, &outcome, ring),
-                                ));
-                            }
-                            if config.worst_k > 0 {
-                                let scenario = &catalog.scenarios()[index % catalog.len()];
-                                worst.push(WorstTriple {
-                                    index,
-                                    user: user_index,
-                                    limit_c,
-                                    scenario: scenario.name(),
-                                    device: scenario.device,
-                                    peak_skin_c: outcome.peak_skin_c,
-                                    time_over_fraction: outcome.time_over_fraction,
-                                    dumped,
-                                });
-                            }
-                        }
-                        partial.record(&outcome);
-                    }
-                    keep_worst(&mut worst, config.worst_k);
-                    if let Some(telemetry) = telemetry {
-                        telemetry.chunks.increment();
-                    }
-                    // The coordinator drains inside this scope; send
-                    // only fails if it panicked, which propagates
-                    // anyway.
-                    let sent_at = telemetry.map(|_| std::time::Instant::now());
-                    let _ = tx.send(ChunkMsg {
-                        chunk,
-                        partial,
-                        rows,
-                        step_csvs,
-                        flights,
-                        worst,
-                        sent_at,
-                    });
-                    if let (Some(gauge), Some(t0)) = (&busy_gauge, work_start) {
-                        busy += t0.elapsed();
-                        gauge.set(busy.as_secs_f64() / started.elapsed().as_secs_f64().max(1e-9));
-                    }
-                }
-            });
+    // Set when the sink fails: the sweep's result is already lost, so
+    // workers stop instead of simulating the rest of the grid.
+    let abort = AtomicBool::new(false);
+    // Bounded: a worker that outruns the sink's writes blocks on `send`
+    // instead of piling results up in memory.
+    let (tx, rx) = mpsc::sync_channel(workers);
+    std::thread::scope(|scope| {
+        for worker in 0..workers {
+            let (tx, sweep, next_chunk, abort) = (tx.clone(), &sweep, &next_chunk, &abort);
+            scope.spawn(move || work(sweep, worker, next_chunk, abort, tx));
         }
         drop(tx);
-
-        // Merge while workers run: fold each chunk the moment every
-        // lower-indexed chunk has been folded, parking out-of-order
-        // stragglers. The canonical chunk-index merge order is what
-        // makes the f64 sums bit-identical at every thread count — and
-        // the trace rows hit the file in the same order, so the CSV is
-        // too. Chunks are claimed in index order, so a straggler only
-        // waits on chunks that were already running when it was
-        // claimed: the buffer holds what the other workers finish
-        // while the oldest chunk runs, a few chunks per worker when
-        // chunk costs are alike, however long the sweep.
-        let mut aggregate = FleetAggregate::new();
-        let mut worst: Vec<WorstTriple> = Vec::new();
-        let mut stragglers = std::collections::BTreeMap::new();
-        let mut next_to_merge = 0usize;
-        for msg in rx {
-            stragglers.insert(msg.chunk, msg);
-            while let Some(msg) = stragglers.remove(&next_to_merge) {
-                if let (Some(telemetry), Some(sent)) = (telemetry.as_ref(), msg.sent_at) {
-                    telemetry.queue_wait.record(sent.elapsed());
-                }
-                let merge_start = telemetry.as_ref().map(|_| std::time::Instant::now());
-                aggregate.merge(&msg.partial);
-                if let (Some(telemetry), Some(start)) = (telemetry.as_ref(), merge_start) {
-                    telemetry.chunk_merge.record(start.elapsed());
-                }
-                // The worst-triples table folds in chunk-merge order
-                // too: candidates append in triple order and the
-                // (total, exact) sort keeps the same K rows at any
-                // thread count.
-                worst.extend(msg.worst);
-                keep_worst(&mut worst, config.worst_k);
-                // The sink's writes for this chunk: `fleet.sink_write`
-                // times them on the coordinator, so the metrics show
-                // whether the sink or the workers set the sweep's pace.
-                let sink_span = telemetry
-                    .as_ref()
-                    .filter(|_| tracing)
-                    .map(|t| t.sink_write_span());
-                if let Some(writer) = trace.as_mut() {
-                    if trace_error.is_none() {
-                        if let Err(e) = writer.write_all(msg.rows.as_bytes()) {
-                            trace_error = Some(e.to_string());
-                            abort.store(true, Ordering::Relaxed);
-                        }
-                    }
-                }
-                if trace_error.is_none() {
-                    // Step-trace files land in the same chunk-merge
-                    // order as the summary rows; each file's bytes only
-                    // depend on its triple, so the sink is
-                    // thread-count invariant.
-                    for (index, csv) in &msg.step_csvs {
-                        let written = csv.as_ref().map_err(Clone::clone).and_then(|csv| {
-                            let dir = config.trace_dir.as_ref().expect("trace_steps needs dir");
-                            std::fs::write(dir.join(format!("steps-{index:06}.csv")), csv)
-                                .map_err(|e| e.to_string())
-                        });
-                        if let Err(e) = written {
-                            trace_error = Some(e);
-                            abort.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                }
-                if trace_error.is_none() {
-                    // Triaged flight recordings follow the same
-                    // contract: written in chunk-merge order, each
-                    // file a pure function of its triple. Each dump is
-                    // freed once written, not with the whole chunk.
-                    for (index, json) in msg.flights {
-                        let dir = config.trace_dir.as_ref().expect("triage needs trace_dir");
-                        if let Err(e) =
-                            std::fs::write(dir.join(format!("flight-{index:06}.json")), json)
-                        {
-                            trace_error = Some(e.to_string());
-                            abort.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                        if let Some(telemetry) = telemetry.as_ref() {
-                            telemetry.flight_dumps.increment();
-                        }
-                    }
-                }
-                drop(sink_span);
-                next_to_merge += 1;
-            }
-        }
-        debug_assert!(
-            trace_error.is_some() || next_to_merge == n_chunks,
-            "every chunk merged unless the sweep aborted"
-        );
-        (aggregate, worst)
-    });
-
-    if let Some(writer) = trace.as_mut() {
-        if let Err(e) = writer.flush() {
-            trace_error.get_or_insert_with(|| e.to_string());
-        }
-    }
-    if let Some(message) = trace_error {
-        return Err(FleetError::TraceSink(message));
-    }
-
-    Ok(FleetReport {
-        users: population.len(),
-        scenarios: catalog.len(),
-        seed: config.seed,
-        governor: governor_label(config),
-        devices: devices.clone(),
-        aggregate,
-        worst,
-    })
+        // Fold while the workers run. On a sink error `rx` drops, which
+        // wakes any worker blocked on a full channel.
+        let sunk = rx
+            .iter()
+            .try_for_each(|(result, sent_at)| sink.push(result, sent_at));
+        abort.store(sunk.is_err(), Ordering::Relaxed);
+        drop(rx);
+        sunk
+    })?;
+    sink.finish()
 }
 
 /// One probe of the percentile-targeting search: the percentile tried,
@@ -1253,7 +1268,7 @@ pub fn target_percentile(
     probe_config.trace_dir = None;
     probe_config.trace_steps = 0;
     let inputs = sweep_inputs(&probe_config)?;
-    let pools = train_pools(&probe_config, &inputs.0)?;
+    let pools = train_pools(&probe_config, &inputs.devices)?;
     let mut trajectory = Vec::new();
     let mut evaluate = |percentile: f64,
                         trajectory: &mut Vec<PercentileProbe>|
@@ -1535,7 +1550,7 @@ mod tests {
             }),
             ..tiny_config()
         };
-        let (_, catalog, _) = sweep_inputs(&config).unwrap();
+        let catalog = sweep_inputs(&config).unwrap().catalog;
         assert_eq!(catalog.len(), 6);
         assert!(catalog
             .scenarios()
@@ -1555,8 +1570,8 @@ mod tests {
             grid: Some(GridAxes::default()),
             ..flagless.clone()
         };
-        let (_, a, _) = sweep_inputs(&flagless).unwrap();
-        let (_, b, _) = sweep_inputs(&explicit).unwrap();
+        let a = sweep_inputs(&flagless).unwrap().catalog;
+        let b = sweep_inputs(&explicit).unwrap().catalog;
         assert_eq!(a, b, "explicit default axes must not disturb sampling");
     }
 
@@ -1653,6 +1668,105 @@ mod tests {
             ..tiny_config()
         };
         assert!(matches!(run_sweep(&config), Err(FleetError::TraceSink(_))));
+    }
+
+    #[test]
+    fn an_occupied_trace_file_fails_the_sweep_naming_the_file() {
+        let dir = std::env::temp_dir().join(format!("usta_occupied_{}", std::process::id()));
+        // A directory where the sink must write a file, mid-sweep: a
+        // flight dump of chunk 1, and a step trace of chunk 0.
+        for (sub, file, trace_steps) in [
+            ("flight", "flight-000003.json", 0),
+            ("steps", "steps-000001.csv", 4),
+        ] {
+            std::fs::create_dir_all(dir.join(sub).join(file)).unwrap();
+            let config = SweepConfig {
+                trace_dir: Some(dir.join(sub)),
+                trace_steps,
+                triage_over_fraction: 0.0,
+                ..tiny_config()
+            };
+            match run_sweep(&config) {
+                Err(FleetError::TraceSink(message)) => {
+                    assert!(message.contains(file), "{message:?}")
+                }
+                other => panic!("expected TraceSink naming {file}, got {other:?}"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A traced, fully triaged tiny sweep's inputs and trained pools,
+    /// for driving `run_chunk` and `ChunkSink` without threads.
+    fn traced_inputs() -> (
+        SweepConfig,
+        SweepInputs,
+        Vec<(&'static str, Vec<TemperaturePredictor>)>,
+    ) {
+        let config = SweepConfig {
+            trace_dir: Some(std::env::temp_dir()),
+            trace_steps: 4,
+            triage_over_fraction: 0.0,
+            ..tiny_config()
+        };
+        let inputs = sweep_inputs(&config).unwrap();
+        let pools = train_pools(&config, &inputs.devices).unwrap();
+        (config, inputs, pools)
+    }
+
+    #[test]
+    fn run_chunk_is_a_pure_function_of_the_chunk() {
+        let (config, inputs, pools) = traced_inputs();
+        let sweep = Sweep::new(&config, &inputs, &pools, None);
+        let mut ring = sweep.flight_ring();
+        let first = run_chunk(&sweep, 0, ring.as_mut());
+        assert!(!first.rows.is_empty() && !first.flights.is_empty());
+        assert_eq!(first.step_csvs.len(), 3, "chunk 0 holds triples 0..3");
+        // The same chunk again, after the ring recorded another chunk.
+        run_chunk(&sweep, 1, ring.as_mut());
+        assert_eq!(run_chunk(&sweep, 0, ring.as_mut()), first);
+    }
+
+    #[test]
+    fn chunk_sink_folds_reversed_chunks_like_ordered_ones() {
+        let (config, inputs, pools) = traced_inputs();
+        let dir = std::env::temp_dir().join(format!("usta_sink_order_{}", std::process::id()));
+        let fold = |sub: &str, reverse: bool| {
+            let config = SweepConfig {
+                trace_dir: Some(dir.join(sub)),
+                ..config.clone()
+            };
+            let sweep = Sweep::new(&config, &inputs, &pools, None);
+            let mut order: Vec<usize> = (0..sweep.chunks()).collect();
+            if reverse {
+                order.reverse();
+            }
+            let mut sink = ChunkSink::open(&sweep).unwrap();
+            let mut ring = sweep.flight_ring();
+            for chunk in order {
+                sink.push(run_chunk(&sweep, chunk, ring.as_mut()), None)
+                    .unwrap();
+            }
+            let report = sink.finish().unwrap();
+            let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir.join(sub))
+                .unwrap()
+                .map(|entry| {
+                    let entry = entry.unwrap();
+                    let name = entry.file_name().to_string_lossy().into_owned();
+                    (name, std::fs::read(entry.path()).unwrap())
+                })
+                .collect();
+            files.sort();
+            (report, files)
+        };
+        let ordered = fold("ordered", false);
+        let reversed = fold("reversed", true);
+        assert_eq!(ordered.0.aggregate.triples as usize, config.total_triples());
+        assert!(!ordered.0.worst.is_empty());
+        // triples.csv, 4 step traces, and a flight dump per triple.
+        assert_eq!(ordered.1.len(), 1 + 4 + config.total_triples());
+        assert!(ordered == reversed, "fold order must not show");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1792,15 +1906,17 @@ mod tests {
             .collect();
         limits.sort_by(f64::total_cmp);
         let mut config = tiny_config();
+        let policy_limit =
+            |config: &SweepConfig| policy_limit(config, &population).unwrap_or(user.skin_limit);
         assert_eq!(
-            policy_limit(&config, &population, user),
+            policy_limit(&config),
             user.skin_limit,
             "without a percentile the user's own limit applies"
         );
         for (p, rank) in [(0.0, 0), (50.0, 5), (100.0, 10), (1000.0, 10)] {
             config.policy_limit_percentile = Some(p);
             assert_eq!(
-                policy_limit(&config, &population, user),
+                policy_limit(&config),
                 Celsius(limits[rank]),
                 "percentile {p}"
             );
@@ -1808,7 +1924,7 @@ mod tests {
         // Monotone: a laxer percentile never lowers the limit.
         let mut at = |p: f64| {
             config.policy_limit_percentile = Some(p);
-            policy_limit(&config, &population, user).value()
+            policy_limit(&config).value()
         };
         for w in (0..=10)
             .map(|i| i as f64 * 10.0)
