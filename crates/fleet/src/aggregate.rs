@@ -1,17 +1,24 @@
 //! Streaming, mergeable aggregation for fleet sweeps.
 //!
 //! A million-triple sweep cannot keep a million [`usta_sim::RunResult`]s
-//! alive; each worker folds every finished triple into an
-//! O(bins)-memory [`FleetAggregate`] and the sweep merges the per-chunk
-//! partials afterwards. Two kinds of state compose each metric:
+//! alive; each worker folds every finished triple into a small
+//! [`FleetAggregate`] and the sweep merges the per-chunk partials
+//! afterwards. Two kinds of state compose each metric:
 //!
 //! * [`OnlineStats`] — count, sum, min, max. Merging adds sums, so the
 //!   result is bit-identical **as long as partials are merged in a
 //!   fixed order** (the sweep merges chunk 0, 1, 2, … regardless of
 //!   which thread produced each chunk).
-//! * [`Histogram`] — fixed-bin counts over a known range. Integer
-//!   counts make merging exactly order-independent, and quantiles read
-//!   off the cumulative counts at bin resolution.
+//! * [`Sketch`] — integer counts of log-spaced buckets, one per value
+//!   seen to within 2^-10 relative, with no range to choose. Integer
+//!   counts make merging exactly order-independent; quantiles read off
+//!   the cumulative counts by nearest rank and stay within the exact
+//!   `[min, max]`. Memory grows with the distinct buckets a metric
+//!   touches, not with a fixed grid.
+
+use std::collections::BTreeMap;
+
+use usta_telemetry::Sketch;
 
 /// Running count / sum / min / max of one scalar metric.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,114 +83,17 @@ impl Default for OnlineStats {
     }
 }
 
-/// Fixed-bin histogram over `[lo, hi)` with saturating end bins.
-///
-/// Out-of-range observations land in the first/last bin, so quantiles
-/// degrade gracefully rather than silently dropping mass.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    count: u64,
-}
-
-impl Histogram {
-    /// A histogram with `bins` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or the range is empty or non-finite.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Histogram {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(lo.is_finite() && hi.is_finite() && lo < hi, "bad range");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            count: 0,
-        }
-    }
-
-    /// Folds in one observation.
-    pub fn record(&mut self, x: f64) {
-        let n = self.bins.len();
-        let frac = (x - self.lo) / (self.hi - self.lo);
-        // NaN compares false everywhere → lands in bin 0 (clamp keeps
-        // the sketch total consistent with the online count).
-        let idx = if frac.is_nan() || frac <= 0.0 {
-            0
-        } else {
-            ((frac * n as f64) as usize).min(n - 1)
-        };
-        self.bins[idx] += 1;
-        self.count += 1;
-    }
-
-    /// Folds another histogram into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two histograms have different shapes.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.lo, other.lo, "histogram ranges differ");
-        assert_eq!(self.hi, other.hi, "histogram ranges differ");
-        assert_eq!(self.bins.len(), other.bins.len(), "bin counts differ");
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a += b;
-        }
-        self.count += other.count;
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// The `q`-quantile (0 ≤ q ≤ 1) at bin resolution: the **upper
-    /// edge** of the first bin whose cumulative count reaches `q` of
-    /// the total. Returns NaN when empty.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return f64::NAN;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut cum = 0u64;
-        for (i, &b) in self.bins.iter().enumerate() {
-            cum += b;
-            if cum >= target {
-                let width = (self.hi - self.lo) / self.bins.len() as f64;
-                return self.lo + width * (i + 1) as f64;
-            }
-        }
-        self.hi
-    }
-
-    /// The bin counts (for tests and exports).
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-}
-
 /// One metric tracked both exactly (mean/min/max) and as a sketch
 /// (quantiles).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricAggregate {
     /// Exact streaming moments.
     pub stats: OnlineStats,
     /// Quantile sketch.
-    pub sketch: Histogram,
+    pub sketch: Sketch,
 }
 
 impl MetricAggregate {
-    /// A metric over `[lo, hi)` with `bins` sketch bins.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> MetricAggregate {
-        MetricAggregate {
-            stats: OnlineStats::new(),
-            sketch: Histogram::new(lo, hi, bins),
-        }
-    }
-
     /// Folds in one observation.
     pub fn record(&mut self, x: f64) {
         self.stats.record(x);
@@ -213,10 +123,13 @@ impl MetricAggregate {
 /// The full per-sweep aggregate: one [`MetricAggregate`] per reported
 /// fleet metric, plus totals and per-frequency-domain statistics for
 /// multi-domain devices.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetAggregate {
     /// Triples folded in so far.
     pub triples: u64,
+    /// Triples folded in so far per device id (a device that ran none
+    /// has no entry).
+    pub device_triples: BTreeMap<&'static str, u64>,
     /// Total simulated seconds folded in so far.
     pub sim_seconds: f64,
     /// Peak true skin temperature per triple, °C.
@@ -230,19 +143,19 @@ pub struct FleetAggregate {
     /// (a single-domain device's frequency story is its aggregate
     /// metrics; the per-domain rows are what the multi-domain control
     /// plane adds). `BTreeMap` keeps report order deterministic.
-    pub domain_freq_ghz: std::collections::BTreeMap<String, MetricAggregate>,
+    pub domain_freq_ghz: BTreeMap<String, MetricAggregate>,
     /// Session-average effective display brightness (0–1), keyed by
     /// device id — recorded only for devices with a governed display
     /// domain (the arbiter can dim the panel, so the fleet reports how
     /// much light users actually got). `BTreeMap` keeps report order
     /// deterministic.
-    pub brightness: std::collections::BTreeMap<String, MetricAggregate>,
+    pub brightness: BTreeMap<String, MetricAggregate>,
     /// Per-die-node peak temperature (°C), keyed `"<device>/<node>"` —
     /// recorded only for multi-cluster devices (the per-cluster
     /// thermal attribution the data-driven topology adds; single-die
     /// devices' thermal story is `peak skin`). `BTreeMap` keeps report
     /// order deterministic.
-    pub die_temp_c: std::collections::BTreeMap<String, MetricAggregate>,
+    pub die_temp_c: BTreeMap<String, MetricAggregate>,
     /// Summed deterministic work counters across every folded triple.
     /// Integer adds are exactly order-independent, so this joins the
     /// thread-count-invariant golden surface (CI asserts it equal at
@@ -251,47 +164,15 @@ pub struct FleetAggregate {
 }
 
 impl FleetAggregate {
-    /// The sketch shape of one `domain_freq_ghz` entry: 0–4 GHz at
-    /// 5 MHz bins. One constructor for `record` and `merge` — worker
-    /// partials and the coordinator must agree on the shape or
-    /// [`Histogram::merge`] panics.
-    fn domain_freq_metric() -> MetricAggregate {
-        MetricAggregate::new(0.0, 4.0, 800)
-    }
-
-    /// The sketch shape of one `die_temp_c` entry: 0–150 °C at 0.1 °C
-    /// bins (die hotspots run far above the skin sketch's 60 °C).
-    fn die_temp_metric() -> MetricAggregate {
-        MetricAggregate::new(0.0, 150.0, 1500)
-    }
-
-    /// The sketch shape of one `brightness` entry: the 0–1 fraction in
-    /// 500 bins, like the other fraction metrics.
-    fn brightness_metric() -> MetricAggregate {
-        MetricAggregate::new(0.0, 1.0, 500)
-    }
-
-    /// An empty aggregate with the fleet's standard sketch ranges:
-    /// skin 0–60 °C at 0.05 °C bins (winter scenarios peak well below
-    /// room temperature); fractions over [0, 1] in 500 bins; domain
-    /// frequencies 0–4 GHz at 5 MHz bins.
+    /// An empty aggregate.
     pub fn new() -> FleetAggregate {
-        FleetAggregate {
-            triples: 0,
-            sim_seconds: 0.0,
-            peak_skin: MetricAggregate::new(0.0, 60.0, 1200),
-            time_over_limit: MetricAggregate::new(0.0, 1.0, 500),
-            qos: MetricAggregate::new(0.0, 1.0, 500),
-            domain_freq_ghz: std::collections::BTreeMap::new(),
-            brightness: std::collections::BTreeMap::new(),
-            die_temp_c: std::collections::BTreeMap::new(),
-            work: usta_sim::RunWork::default(),
-        }
+        FleetAggregate::default()
     }
 
     /// Folds one finished triple into the aggregate.
     pub fn record(&mut self, outcome: &TripleOutcome) {
         self.triples += 1;
+        *self.device_triples.entry(outcome.device).or_default() += 1;
         self.sim_seconds += outcome.sim_seconds;
         self.work.merge(&outcome.work);
         self.peak_skin.record(outcome.peak_skin_c);
@@ -308,21 +189,21 @@ impl FleetAggregate {
                 let key = format!("{}/{}", outcome.device, outcome.domain_names[d]);
                 self.domain_freq_ghz
                     .entry(key)
-                    .or_insert_with(Self::domain_freq_metric)
+                    .or_default()
                     .record(outcome.domain_freq_ghz[d]);
             }
             for d in 0..outcome.die_node_names.len() {
                 let key = format!("{}/{}", outcome.device, outcome.die_node_names[d]);
                 self.die_temp_c
                     .entry(key)
-                    .or_insert_with(Self::die_temp_metric)
+                    .or_default()
                     .record(outcome.peak_die_c[d]);
             }
         }
         if let Some(b) = outcome.avg_brightness {
             self.brightness
                 .entry(outcome.device.to_owned())
-                .or_insert_with(Self::brightness_metric)
+                .or_default()
                 .record(b);
         }
     }
@@ -331,28 +212,22 @@ impl FleetAggregate {
     /// order (chunk index) for bit-identical sums.
     pub fn merge(&mut self, other: &FleetAggregate) {
         self.triples += other.triples;
+        for (&device, &n) in &other.device_triples {
+            *self.device_triples.entry(device).or_default() += n;
+        }
         self.sim_seconds += other.sim_seconds;
         self.work.merge(&other.work);
         self.peak_skin.merge(&other.peak_skin);
         self.time_over_limit.merge(&other.time_over_limit);
         self.qos.merge(&other.qos);
-        for (key, metric) in &other.domain_freq_ghz {
-            self.domain_freq_ghz
-                .entry(key.clone())
-                .or_insert_with(Self::domain_freq_metric)
-                .merge(metric);
-        }
-        for (key, metric) in &other.brightness {
-            self.brightness
-                .entry(key.clone())
-                .or_insert_with(Self::brightness_metric)
-                .merge(metric);
-        }
-        for (key, metric) in &other.die_temp_c {
-            self.die_temp_c
-                .entry(key.clone())
-                .or_insert_with(Self::die_temp_metric)
-                .merge(metric);
+        for (rows, other_rows) in [
+            (&mut self.domain_freq_ghz, &other.domain_freq_ghz),
+            (&mut self.brightness, &other.brightness),
+            (&mut self.die_temp_c, &other.die_temp_c),
+        ] {
+            for (key, metric) in other_rows {
+                rows.entry(key.clone()).or_default().merge(metric);
+            }
         }
     }
 
@@ -405,12 +280,6 @@ impl FleetAggregate {
             ));
         }
         out
-    }
-}
-
-impl Default for FleetAggregate {
-    fn default() -> FleetAggregate {
-        FleetAggregate::new()
     }
 }
 
@@ -514,24 +383,47 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_bracket_the_data() {
-        let mut h = Histogram::new(0.0, 100.0, 1000);
+        let mut m = MetricAggregate::default();
         for i in 0..1000 {
-            h.record(i as f64 / 10.0);
+            m.record(i as f64 / 10.0);
         }
-        assert_eq!(h.count(), 1000);
-        assert!((h.quantile(0.5) - 50.0).abs() < 0.5);
-        assert!((h.quantile(0.99) - 99.0).abs() < 0.5);
-        assert!(h.quantile(0.0) <= h.quantile(1.0));
+        assert_eq!(m.sketch.count(), 1000);
+        assert!((m.sketch.quantile(0.5) - 49.9).abs() <= 49.9 / 1024.0);
+        assert!((m.sketch.quantile(0.99) - 98.9).abs() <= 98.9 / 1024.0);
+        assert!(m.sketch.quantile(0.0) <= m.sketch.quantile(1.0));
+        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
+            let v = m.sketch.quantile(q);
+            assert!(m.stats.min() <= v && v <= m.stats.max(), "q {q} -> {v}");
+        }
     }
 
     #[test]
-    fn histogram_saturates_out_of_range() {
-        let mut h = Histogram::new(0.0, 1.0, 10);
-        h.record(-5.0);
-        h.record(42.0);
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.bins()[0], 1);
-        assert_eq!(h.bins()[9], 1);
+    fn mostly_zero_fractions_report_a_zero_median() {
+        // Most triples never cross their limit: the median time over
+        // limit is exactly 0, and no quantile passes the max.
+        let mut m = MetricAggregate::default();
+        for i in 0..800 {
+            m.record(if i % 10 == 0 {
+                0.95 * i as f64 / 800.0
+            } else {
+                0.0
+            });
+        }
+        assert_eq!(m.sketch.quantile(0.5), 0.0);
+        assert!(m.sketch.quantile(0.99) <= m.stats.max());
+    }
+
+    #[test]
+    fn device_triples_count_every_fold_and_merge() {
+        let mut a = FleetAggregate::new();
+        a.record(&single_domain_outcome());
+        a.record(&multi_domain_outcome(1.8, 0.6));
+        let mut b = FleetAggregate::new();
+        b.record(&single_domain_outcome());
+        a.merge(&b);
+        assert_eq!(a.device_triples["nexus4"], 2);
+        assert_eq!(a.device_triples["flagship-octa"], 1);
+        assert_eq!(a.device_triples.values().sum::<u64>(), a.triples);
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //!   from one shared counter, with per-triple ChaCha8 seed derivation
 //!   and chunk-ordered merging of streaming aggregates
 //!   ([`aggregate`]), so a sweep's report is **bit-identical at any
-//!   thread count**. The aggregate is O(bins), not O(users), and the
-//!   merge buffer holds only chunks finished ahead of the oldest one
-//!   still running.
+//!   thread count**. The aggregate grows with the distinct values its
+//!   quantile sketches hold, not with users, and the merge buffer holds
+//!   only chunks finished ahead of the oldest one still running.
 //!
 //! The `fleet_sweep` binary fronts it all, and the `explain` binary
 //! replays one triple; both read the same sweep flags ([`cli`]):
@@ -52,7 +52,7 @@ pub mod explain;
 pub mod runner;
 pub mod scenario;
 
-pub use aggregate::{FleetAggregate, Histogram, MetricAggregate, OnlineStats, TripleOutcome};
+pub use aggregate::{FleetAggregate, MetricAggregate, OnlineStats, TripleOutcome};
 pub use explain::{explain_triple, Explanation};
 pub use runner::{
     run_sweep, target_percentile, FleetError, FleetReport, PercentileProbe, PercentileTarget,

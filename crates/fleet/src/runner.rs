@@ -351,14 +351,22 @@ impl FleetReport {
     ///
     /// Single-device nexus4 sweeps — the pre-device-axis shape — print
     /// exactly the historical format; anything else adds a `devices:`
-    /// line.
+    /// line naming each device with the triples it ran.
     pub fn summary(&self) -> String {
         let mut s = format!(
             "fleet sweep: {} users x {} scenarios, seed {}, governor {}\n",
             self.users, self.scenarios, self.seed, self.governor,
         );
         if self.devices.as_slice() != [DEFAULT_DEVICE] {
-            s.push_str(&format!("devices: {}\n", self.devices.join(", ")));
+            let counts: Vec<String> = self
+                .devices
+                .iter()
+                .map(|d| {
+                    let n = self.aggregate.device_triples.get(d).unwrap_or(&0);
+                    format!("{d} ({n})")
+                })
+                .collect();
+            s.push_str(&format!("devices: {}\n", counts.join(", ")));
         }
         s.push_str(&self.aggregate.table());
         if !self.worst.is_empty() {
@@ -465,8 +473,7 @@ pub(crate) fn train_pools(
     if !config.usta {
         return Ok(Vec::new());
     }
-    let _span = usta_telemetry::Sink::active()
-        .map(|registry| registry.span_with("fleet.train", 0.0, 60.0, 1000));
+    let _span = usta_telemetry::Sink::active().map(|registry| registry.span("fleet.train"));
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<_>>> = devices.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
@@ -840,8 +847,8 @@ impl FleetTelemetry {
             triples: registry.counter("fleet.triples"),
             chunks: registry.counter("fleet.chunks"),
             flight_dumps: registry.counter("fleet.flight_dumps"),
-            queue_wait: registry.histogram_with("fleet.queue_wait", 0.0, 0.1, 1000),
-            chunk_merge: registry.histogram_with("fleet.chunk_merge", 0.0, 0.01, 1000),
+            queue_wait: registry.histogram("fleet.queue_wait"),
+            chunk_merge: registry.histogram("fleet.chunk_merge"),
             queue_depth: registry.gauge("fleet.queue_depth"),
             inflight: registry.gauge("fleet.inflight_triples"),
             inflight_count: std::sync::atomic::AtomicI64::new(0),
@@ -864,13 +871,13 @@ impl FleetTelemetry {
     /// spends writing one merged chunk's `triples.csv` rows, step files
     /// and flight files.
     fn sink_write_span(&self) -> usta_telemetry::Span {
-        self.registry.span_with("fleet.sink_write", 0.0, 10.0, 1000)
+        self.registry.span("fleet.sink_write")
     }
 
     /// A `fleet.triple` span: wall-clock seconds per triple, and one
     /// trace event per triple on the worker's own timeline.
     fn triple_span(&self) -> usta_telemetry::Span {
-        self.registry.span_with("fleet.triple", 0.0, 10.0, 1000)
+        self.registry.span("fleet.triple")
     }
 
     /// A triple started simulating on some worker.
@@ -1526,7 +1533,10 @@ mod tests {
         assert_eq!(report.devices, vec!["nexus4", "budget-quad"]);
         assert_eq!(report.scenarios, 2 * ScenarioCatalog::smoke().len());
         assert_eq!(report.aggregate.triples as usize, config.total_triples());
-        assert!(report.summary().contains("devices: nexus4, budget-quad"));
+        let per_device = ScenarioCatalog::smoke().len() * config.users;
+        assert!(report.summary().contains(&format!(
+            "devices: nexus4 ({per_device}), budget-quad ({per_device})"
+        )));
     }
 
     #[test]
@@ -1944,9 +1954,26 @@ mod tests {
         let four = target_percentile(&config, 0.05, 3).unwrap();
         assert_eq!(one, four, "trajectory and chosen report must match");
         assert!(!one.trajectory.is_empty());
-        // Every probe's feasibility flag matches its p99 vs the budget.
+        // Every probe's feasibility flag matches its p99 vs the budget,
+        // and its p99 lies within that probe's observed range.
         for probe in &one.trajectory {
             assert_eq!(probe.feasible, probe.p99_time_over <= 0.05);
+            let over = run_sweep(&SweepConfig {
+                policy_limit_percentile: Some(probe.percentile),
+                ..config.clone()
+            })
+            .unwrap()
+            .aggregate
+            .time_over_limit;
+            assert_eq!(probe.p99_time_over, over.sketch.quantile(0.99));
+            assert!(
+                over.stats.min() <= probe.p99_time_over && probe.p99_time_over <= over.stats.max(),
+                "probe {}: p99 {} outside [{}, {}]",
+                probe.percentile,
+                probe.p99_time_over,
+                over.stats.min(),
+                over.stats.max()
+            );
         }
         if one.feasible {
             assert!(one.p99_time_over <= 0.05);

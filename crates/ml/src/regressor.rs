@@ -97,7 +97,7 @@ impl Learner {
     pub fn fit(&self, data: &Dataset, seed: u64) -> Result<Box<dyn Regressor>, MlError> {
         let _span = usta_telemetry::Sink::active().map(|registry| {
             registry.counter("ml.fits").increment();
-            registry.span_with("ml.fit", 0.0, 10.0, 1000)
+            registry.span("ml.fit")
         });
         Ok(match self {
             Learner::Linear(p) => Box::new(crate::linreg::LinearModel::fit(p, data)?),

@@ -286,13 +286,10 @@ fn lap(clock: &mut Option<StepClock>, phase: Phase) {
     }
 }
 
-/// The global registry's phase histograms (`[0, 10 µs)` in 10 ns
-/// bins), resolved once per process.
+/// The global registry's phase histograms, resolved once per process.
 fn phase_histograms() -> &'static [DurationHistogram; PHASES] {
     static HISTOGRAMS: OnceLock<[DurationHistogram; PHASES]> = OnceLock::new();
-    HISTOGRAMS.get_or_init(|| {
-        PHASE_NAMES.map(|name| usta_telemetry::global().histogram_with(name, 0.0, 1e-5, 1000))
-    })
+    HISTOGRAMS.get_or_init(|| PHASE_NAMES.map(|name| usta_telemetry::global().histogram(name)))
 }
 
 /// Everything a run produces.
@@ -632,10 +629,9 @@ pub fn run_workload_recorded(
         let histograms = phase_histograms();
         let phase_laps = phase_laps.unwrap_or_default();
         let scale = lap_scale(&phase_laps, loop_ns, total_steps);
-        for laps in &phase_laps {
-            for (histogram, &ns) in histograms.iter().zip(laps) {
-                histogram.record_nanos((ns as f64 * scale).round() as u64);
-            }
+        for (phase, histogram) in histograms.iter().enumerate() {
+            let scaled = phase_laps.iter().map(|laps| laps[phase] as f64 * scale);
+            histogram.record_all_nanos(scaled.map(|ns| ns.round() as u64));
         }
     }
 

@@ -2,9 +2,12 @@
 //!
 //! A zero-dependency observability layer for the sim and fleet stack:
 //!
-//! * [`Registry`] — named counters, gauges, and fixed-bin duration
-//!   histograms (the same saturating sketch shape `usta-fleet` uses
-//!   for its aggregation), all merge-order independent;
+//! * [`Registry`] — named counters, gauges, and duration histograms,
+//!   all merge-order independent;
+//! * [`Sketch`] — the one quantile sketch of the workspace: integer
+//!   bucket counts within 2^-10 relative of every value, exact
+//!   count/min/max, no range to choose (the duration histograms and
+//!   `usta-fleet`'s report both use it);
 //! * [`Span`] — a lightweight RAII timer that records into a
 //!   histogram and emits one trace event on drop;
 //! * [`trace`] — a per-thread trace-event ring buffer exporting
@@ -45,7 +48,7 @@
 //! // Hot path: resolve the sink and the handles once, time a sample of
 //! // the iterations locally, flush once.
 //! let registry = Registry::new(); // or Sink::active() for the global one
-//! let lap = registry.histogram_with("demo.lap", 0.0, 1e-5, 1000);
+//! let lap = registry.histogram("demo.lap");
 //! let mut laps = Vec::new();
 //! for i in 0..100u64 {
 //!     if i % 10 == 0 {
@@ -54,7 +57,7 @@
 //!         laps.push(start.elapsed());
 //!     }
 //! }
-//! laps.iter().for_each(|&d| lap.record(d));
+//! lap.record_all_nanos(laps.iter().map(|d| d.as_nanos() as u64));
 //! registry.counter("demo.steps").add(100);
 //! assert_eq!(registry.counters(), vec![("demo.steps", 100)]);
 //! assert_eq!(lap.snapshot().count, 10);
@@ -68,11 +71,13 @@
 pub mod flight;
 pub mod json;
 pub mod registry;
+pub mod sketch;
 pub mod span;
 pub mod trace;
 
 pub use flight::{DecisionEvent, FlightRecorder};
 pub use registry::{Counter, DurationHistogram, Gauge, HistogramSnapshot, Registry};
+pub use sketch::Sketch;
 pub use span::Span;
 pub use trace::TraceEvent;
 

@@ -1,10 +1,11 @@
 //! Named counters, gauges, and duration histograms.
 //!
 //! Handles ([`Counter`], [`Gauge`], [`DurationHistogram`]) are cheap
-//! `Arc` clones over atomic cells, so they can be resolved once and
-//! shared across worker threads without touching the registry again.
-//! All state is integers (gauges store `f64` bits), so concurrent
-//! updates and merges are exactly order-independent.
+//! `Arc` clones over shared cells (atomics; a locked [`Sketch`] for a
+//! histogram), so they can be resolved once and shared across worker
+//! threads without touching the registry again. All state is integers
+//! (gauges store `f64` bits), so concurrent updates and merges are
+//! exactly order-independent.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -12,6 +13,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::json::{write_f64, write_json_number, write_json_string, write_u64};
+use crate::sketch::Sketch;
 
 /// Relaxed everywhere: telemetry cells carry no synchronization duty.
 const ORDER: Ordering = Ordering::Relaxed;
@@ -61,60 +63,22 @@ impl Gauge {
     }
 }
 
-/// The shared state behind a [`DurationHistogram`]: fixed equal-width
-/// bins over `[lo_s, hi_s)` seconds with saturating end bins — the
-/// same sketch shape as `usta-fleet`'s aggregation histogram — plus
-/// exact count/sum/min/max in nanoseconds.
-#[derive(Debug)]
-struct HistCell {
-    lo_s: f64,
-    hi_s: f64,
-    bins: Box<[AtomicU64]>,
-    count: AtomicU64,
-    sum_ns: AtomicU64,
-    min_ns: AtomicU64,
-    max_ns: AtomicU64,
-}
-
-impl HistCell {
-    fn new(lo_s: f64, hi_s: f64, bins: usize) -> HistCell {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(
-            lo_s.is_finite() && hi_s.is_finite() && lo_s < hi_s,
-            "bad range"
-        );
-        HistCell {
-            lo_s,
-            hi_s,
-            bins: (0..bins).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum_ns: AtomicU64::new(0),
-            min_ns: AtomicU64::new(u64::MAX),
-            max_ns: AtomicU64::new(0),
-        }
-    }
-
-    /// Bin index for a duration, with saturating end bins (NaN cannot
-    /// occur: nanoseconds are integers).
-    fn bin(&self, ns: u64) -> usize {
-        let n = self.bins.len();
-        let frac = (ns as f64 * 1e-9 - self.lo_s) / (self.hi_s - self.lo_s);
-        if frac <= 0.0 {
-            0
-        } else {
-            ((frac * n as f64) as usize).min(n - 1)
-        }
-    }
-}
+/// The shared state behind a [`DurationHistogram`]: the sketch of the
+/// recorded nanoseconds and their exact sum.
+type HistState = Mutex<(Sketch, u64)>;
 
 /// A registered duration histogram (wall-clock territory: reported,
 /// never compared).
 #[derive(Debug, Clone)]
 pub struct DurationHistogram {
-    cell: Arc<HistCell>,
+    state: Arc<HistState>,
 }
 
 impl DurationHistogram {
+    fn lock(&self) -> std::sync::MutexGuard<'_, (Sketch, u64)> {
+        self.state.lock().expect("histogram not poisoned")
+    }
+
     /// Records one duration.
     pub fn record(&self, duration: Duration) {
         self.record_nanos(duration.as_nanos().min(u64::MAX as u128) as u64);
@@ -122,68 +86,45 @@ impl DurationHistogram {
 
     /// Records one duration given in nanoseconds.
     pub fn record_nanos(&self, ns: u64) {
-        let cell = &self.cell;
-        cell.bins[cell.bin(ns)].fetch_add(1, ORDER);
-        cell.count.fetch_add(1, ORDER);
-        cell.sum_ns.fetch_add(ns, ORDER);
-        cell.min_ns.fetch_min(ns, ORDER);
-        cell.max_ns.fetch_max(ns, ORDER);
+        self.record_all_nanos([ns]);
+    }
+
+    /// Records every duration in `ns` (nanoseconds) under one lock.
+    pub fn record_all_nanos(&self, ns: impl IntoIterator<Item = u64>) {
+        let mut state = self.lock();
+        let (sketch, sum_ns) = &mut *state;
+        for ns in ns {
+            sketch.record(ns as f64);
+            *sum_ns = sum_ns.wrapping_add(ns);
+        }
     }
 
     /// A point-in-time summary of the distribution.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let cell = &self.cell;
-        let count = cell.count.load(ORDER);
-        if count == 0 {
-            return HistogramSnapshot {
-                count,
-                total_s: 0.0,
-                mean_s: f64::NAN,
-                min_s: f64::NAN,
-                p50_s: f64::NAN,
-                p90_s: f64::NAN,
-                p99_s: f64::NAN,
-                max_s: f64::NAN,
-            };
-        }
-        let min_s = cell.min_ns.load(ORDER) as f64 * 1e-9;
-        let max_s = cell.max_ns.load(ORDER) as f64 * 1e-9;
-        let bins: Vec<u64> = cell.bins.iter().map(|b| b.load(ORDER)).collect();
-        let width = (cell.hi_s - cell.lo_s) / bins.len() as f64;
-        // The bin's upper edge, pulled inside the exact observed range
-        // (`max`/`min` rather than `clamp`, which panics on the
-        // inverted range a snapshot racing a first record can see).
-        let quantile = |q: f64| -> f64 {
-            let target = (q.clamp(0.0, 1.0) * count as f64).ceil().max(1.0) as u64;
-            let mut cum = 0u64;
-            let edge = bins
-                .iter()
-                .position(|&b| {
-                    cum += b;
-                    cum >= target
-                })
-                .map_or(cell.hi_s, |i| cell.lo_s + width * (i + 1) as f64);
-            edge.max(min_s).min(max_s)
-        };
-        let total_s = cell.sum_ns.load(ORDER) as f64 * 1e-9;
+        let state = self.lock();
+        let (sketch, sum_ns) = &*state;
+        let count = sketch.count();
+        let seconds = |ns: f64| ns * 1e-9;
+        let total_s = seconds(*sum_ns as f64);
+        let nan_if_empty = |v: f64| if count == 0 { f64::NAN } else { v };
         HistogramSnapshot {
             count,
             total_s,
             mean_s: total_s / count as f64,
-            min_s,
-            p50_s: quantile(0.50),
-            p90_s: quantile(0.90),
-            p99_s: quantile(0.99),
-            max_s,
+            min_s: nan_if_empty(seconds(sketch.min())),
+            p50_s: seconds(sketch.quantile(0.50)),
+            p90_s: seconds(sketch.quantile(0.90)),
+            p99_s: seconds(sketch.quantile(0.99)),
+            max_s: nan_if_empty(seconds(sketch.max())),
         }
     }
 }
 
 /// A point-in-time summary of one duration histogram (seconds).
-/// Quantiles read off the sketch at bin resolution (the upper edge of
-/// the bin holding the quantile), clamped to the exact `[min_s, max_s]`
-/// so no quantile ever leaves the observed range; min/max/total are
-/// exact. Every field but `count` and `total_s` is NaN when empty.
+/// Quantiles read off the sketch by nearest rank, within 2^-10 relative
+/// of the exact quantile and inside the exact `[min_s, max_s]`;
+/// min/max/total are exact. Every field but `count` and `total_s` is
+/// NaN when empty.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HistogramSnapshot {
     /// Observations recorded.
@@ -194,11 +135,11 @@ pub struct HistogramSnapshot {
     pub mean_s: f64,
     /// Exact minimum, seconds (NaN when empty).
     pub min_s: f64,
-    /// Median at bin resolution, within `[min_s, max_s]`.
+    /// Median, within `[min_s, max_s]`.
     pub p50_s: f64,
-    /// 90th percentile at bin resolution, within `[min_s, max_s]`.
+    /// 90th percentile, within `[min_s, max_s]`.
     pub p90_s: f64,
-    /// 99th percentile at bin resolution, within `[min_s, max_s]`.
+    /// 99th percentile, within `[min_s, max_s]`.
     pub p99_s: f64,
     /// Exact maximum, seconds (NaN when empty).
     pub max_s: f64,
@@ -210,13 +151,8 @@ pub struct HistogramSnapshot {
 pub struct Registry {
     counters: Mutex<BTreeMap<&'static str, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<&'static str, Arc<AtomicU64>>>,
-    histograms: Mutex<BTreeMap<&'static str, Arc<HistCell>>>,
+    histograms: Mutex<BTreeMap<&'static str, Arc<HistState>>>,
 }
-
-/// Default duration-histogram shape: `[0, 1 s)` in 1 ms bins.
-const DEFAULT_LO_S: f64 = 0.0;
-const DEFAULT_HI_S: f64 = 1.0;
-const DEFAULT_BINS: usize = 1000;
 
 impl Registry {
     /// An empty registry.
@@ -243,41 +179,18 @@ impl Registry {
         }
     }
 
-    /// The duration histogram named `name` with the default shape
-    /// (`[0, 1 s)` in 1 ms bins). An earlier registration's shape wins.
+    /// The duration histogram named `name`, created empty on first use.
     pub fn histogram(&self, name: &'static str) -> DurationHistogram {
-        self.histogram_with(name, DEFAULT_LO_S, DEFAULT_HI_S, DEFAULT_BINS)
-    }
-
-    /// The duration histogram named `name`, created with `bins`
-    /// equal-width bins over `[lo_s, hi_s)` seconds on first use. An
-    /// earlier registration's shape wins — pick one shape per name.
-    pub fn histogram_with(
-        &self,
-        name: &'static str,
-        lo_s: f64,
-        hi_s: f64,
-        bins: usize,
-    ) -> DurationHistogram {
         let mut map = self.histograms.lock().expect("histogram map not poisoned");
         DurationHistogram {
-            cell: Arc::clone(
-                map.entry(name)
-                    .or_insert_with(|| Arc::new(HistCell::new(lo_s, hi_s, bins))),
-            ),
+            state: Arc::clone(map.entry(name).or_default()),
         }
     }
 
-    /// An RAII span timing into the histogram named `name` (default
-    /// shape unless registered earlier) and emitting one trace event
-    /// on drop.
+    /// An RAII span timing into the histogram named `name` and emitting
+    /// one trace event on drop.
     pub fn span(&self, name: &'static str) -> crate::Span {
         crate::Span::enter(name, self.histogram(name))
-    }
-
-    /// Like [`Registry::span`] with an explicit histogram shape.
-    pub fn span_with(&self, name: &'static str, lo_s: f64, hi_s: f64, bins: usize) -> crate::Span {
-        crate::Span::enter(name, self.histogram_with(name, lo_s, hi_s, bins))
     }
 
     /// Every counter, sorted by name.
@@ -306,14 +219,9 @@ impl Registry {
             .lock()
             .expect("histogram map not poisoned")
             .iter()
-            .map(|(&name, cell)| {
-                (
-                    name,
-                    DurationHistogram {
-                        cell: Arc::clone(cell),
-                    }
-                    .snapshot(),
-                )
+            .map(|(&name, state)| {
+                let state = Arc::clone(state);
+                (name, DurationHistogram { state }.snapshot())
             })
             .collect()
     }
@@ -384,9 +292,10 @@ impl Registry {
     }
     /// The registry in Prometheus/OpenMetrics text exposition format:
     /// counters and gauges one sample each, histograms as cumulative
-    /// `_bucket{le="…"}` series (the fixed-width sketch bins coarsened
-    /// to at most [`PROM_MAX_BUCKETS`] edges plus `+Inf`) with exact
-    /// `_sum` and `_count`. Metric names flatten to the Prometheus
+    /// `_bucket{le="…"}` series (one edge per populated power of two of
+    /// nanoseconds, `2^k − 1` ns, straight from the sketch's keys, plus
+    /// `+Inf`) with
+    /// exact `_sum` and `_count`. Metric names flatten to the Prometheus
     /// charset under a `usta_` prefix (`fleet.queue_wait` →
     /// `usta_fleet_queue_wait`); histogram values are seconds, the
     /// conventional Prometheus duration unit.
@@ -403,42 +312,37 @@ impl Registry {
                 prom_number(value)
             ));
         }
-        let cells: Vec<(&'static str, Arc<HistCell>)> = self
+        let states: Vec<(&'static str, Arc<HistState>)> = self
             .histograms
             .lock()
             .expect("histogram map not poisoned")
             .iter()
-            .map(|(&name, cell)| (name, Arc::clone(cell)))
+            .map(|(&name, state)| (name, Arc::clone(state)))
             .collect();
-        for (name, cell) in cells {
+        for (name, state) in states {
+            let (binades, count, sum_ns) = {
+                let state = state.lock().expect("histogram not poisoned");
+                (state.0.cumulative_binades(), state.0.count(), state.1)
+            };
             let prom = prom_name(name);
             out.push_str(&format!("# TYPE {prom} histogram\n"));
-            let bins: Vec<u64> = cell.bins.iter().map(|b| b.load(ORDER)).collect();
-            let group = bins.len().div_ceil(PROM_MAX_BUCKETS);
-            let width = (cell.hi_s - cell.lo_s) / bins.len() as f64;
-            let mut cumulative = 0u64;
-            for (i, chunk) in bins.chunks(group).enumerate() {
-                cumulative += chunk.iter().sum::<u64>();
-                let upper = cell.lo_s + width * ((i * group + chunk.len()) as f64);
+            // Nanoseconds are integers: the most a binade holds is one
+            // below its exclusive edge (0 for the binade of zero).
+            for (edge_ns, cumulative) in binades {
                 out.push_str(&format!(
                     "{prom}_bucket{{le=\"{}\"}} {cumulative}\n",
-                    prom_number(upper)
+                    prom_number((edge_ns - 1.0).max(0.0) * 1e-9)
                 ));
             }
-            let count = cell.count.load(ORDER);
             out.push_str(&format!("{prom}_bucket{{le=\"+Inf\"}} {count}\n"));
             out.push_str(&format!(
                 "{prom}_sum {}\n{prom}_count {count}\n",
-                prom_number(cell.sum_ns.load(ORDER) as f64 * 1e-9)
+                prom_number(sum_ns as f64 * 1e-9)
             ));
         }
         out
     }
 }
-
-/// Most cumulative buckets [`Registry::render_prometheus`] emits per
-/// histogram (the 1000-bin sketches coarsen to 20 edges plus `+Inf`).
-pub const PROM_MAX_BUCKETS: usize = 20;
 
 /// A registry name flattened to the Prometheus metric-name charset
 /// under the workspace prefix.
@@ -495,36 +399,24 @@ mod tests {
     #[test]
     fn histogram_records_and_quantiles_bracket_the_data() {
         let r = Registry::new();
-        let h = r.histogram_with("step", 0.0, 1.0, 1000);
+        let h = r.histogram("step");
         for ms in 0..1000u64 {
             h.record_nanos(ms * 1_000_000);
         }
         let s = h.snapshot();
         assert_eq!(s.count, 1000);
-        assert!((s.p50_s - 0.5).abs() < 0.005, "p50 {}", s.p50_s);
-        assert!((s.p99_s - 0.99).abs() < 0.005, "p99 {}", s.p99_s);
+        assert!((s.p50_s - 0.499).abs() <= 0.499 / 1024.0, "p50 {}", s.p50_s);
+        assert!((s.p99_s - 0.989).abs() <= 0.989 / 1024.0, "p99 {}", s.p99_s);
         assert_eq!(s.min_s, 0.0);
         assert!((s.max_s - 0.999).abs() < 1e-12);
         assert!((s.mean_s - 0.4995).abs() < 1e-9);
     }
 
     #[test]
-    fn histogram_saturates_out_of_range() {
-        let r = Registry::new();
-        let h = r.histogram_with("h", 0.001, 0.002, 10);
-        h.record(Duration::from_nanos(1)); // below lo → first bin
-        h.record(Duration::from_secs(5)); // above hi → last bin
-        let s = h.snapshot();
-        assert_eq!(s.count, 2);
-        assert!(s.p99_s <= 0.002);
-    }
-
-    #[test]
     fn quantiles_never_leave_the_observed_range() {
-        // One 5 ns lap in 100 ns bins: the bin's upper edge (100 ns)
-        // lies above the only value ever recorded.
+        // One 5 ns lap: every quantile is that lap, exactly.
         let r = Registry::new();
-        let h = r.histogram_with("lap", 0.0, 1e-4, 1000);
+        let h = r.histogram("lap");
         h.record_nanos(5);
         let s = h.snapshot();
         assert!((s.min_s - 5e-9).abs() < 1e-18);
@@ -532,13 +424,35 @@ mod tests {
         for q in [s.p50_s, s.p90_s, s.p99_s] {
             assert_eq!(q, s.max_s, "quantile {q} outside [min, max]");
         }
-        // Saturated end bins clamp too: 5 s in a [0, 1 ms) sketch.
-        let h = r.histogram_with("slow", 0.0, 1e-3, 10);
-        h.record(Duration::from_secs(5));
-        h.record(Duration::from_secs(6));
+        // Durations from nanoseconds to hours share one histogram.
+        let h = r.histogram("wide");
+        h.record_all_nanos([1, 7_000, 5_000_000_000, 3_600_000_000_000]);
         let s = h.snapshot();
         assert!(s.min_s <= s.p50_s && s.p50_s <= s.p99_s && s.p99_s <= s.max_s);
-        assert_eq!(s.p50_s, s.min_s, "both seconds-long values saturate");
+        assert_eq!(s.p50_s, 7_000.0 * 1e-9, "7000 ns has 10 significant bits");
+    }
+
+    #[test]
+    fn triple_sized_durations_spread_their_quantiles() {
+        // 800 triples of 0.9-1.4 ms: a fixed 10 ms grid put them all in
+        // one bin, so p50 = p99 = max.
+        let r = Registry::new();
+        let h = r.histogram("fleet.triple");
+        h.record_all_nanos((0..800u64).map(|i| 900_000 + i * 625));
+        let s = h.snapshot();
+        assert!(s.p50_s < s.p99_s && s.p99_s <= s.max_s, "{s:?}");
+        assert!((s.p50_s - 1.149_375e-3).abs() <= 1.149_375e-3 / 1024.0);
+        assert!((s.p99_s - 1.394_375e-3).abs() <= 1.394_375e-3 / 1024.0);
+    }
+
+    #[test]
+    fn record_all_matches_one_record_per_lap() {
+        let r = Registry::new();
+        let laps = [3u64, 250, 250, 9_999, 1_000_001];
+        r.histogram("batch").record_all_nanos(laps);
+        let one = r.histogram("one");
+        laps.iter().for_each(|&ns| one.record_nanos(ns));
+        assert_eq!(r.histogram("batch").snapshot(), one.snapshot());
     }
 
     #[test]
@@ -556,8 +470,7 @@ mod tests {
         r.counter("b.second").add(2);
         r.counter("a.first").add(1);
         r.gauge("g").set(1.5);
-        r.histogram_with("h", 0.0, 1.0, 10)
-            .record(Duration::from_millis(250));
+        r.histogram("h").record(Duration::from_millis(250));
         let text = r.to_json();
         let value = crate::json::parse(&text).expect("valid JSON");
         let obj = value.as_object().expect("top-level object");
@@ -629,8 +542,8 @@ mod tests {
         r.gauge("g").set(1.5);
         r.gauge("nan").set(f64::NAN);
         r.gauge("tiny").set(-1e-300);
-        r.histogram_with("empty", 0.0, 1.0, 10);
-        let h = r.histogram_with("h", 0.0, 1.0, 10);
+        r.histogram("empty");
+        let h = r.histogram("h");
         h.record(Duration::from_nanos(123_456_789));
         h.record(Duration::from_millis(250));
         assert_eq!(r.to_json(), reference_json(&r));
@@ -650,7 +563,7 @@ mod tests {
         let r = Registry::new();
         r.counter("fleet.triples").add(7);
         r.gauge("fleet.queue_depth").set(3.0);
-        let h = r.histogram_with("fleet.queue_wait", 0.0, 0.1, 1000);
+        let h = r.histogram("fleet.queue_wait");
         h.record(Duration::from_millis(5));
         h.record(Duration::from_millis(95));
         let text = r.render_prometheus();
@@ -671,7 +584,7 @@ mod tests {
     #[test]
     fn prometheus_buckets_are_cumulative_and_bounded() {
         let r = Registry::new();
-        let h = r.histogram_with("h", 0.0, 1.0, 1000);
+        let h = r.histogram("h");
         for ms in 0..1000u64 {
             h.record_nanos(ms * 1_000_000);
         }
@@ -687,13 +600,28 @@ mod tests {
                 Some((le.parse().ok()?, count.parse().ok()?))
             })
             .collect();
-        assert_eq!(buckets.len(), PROM_MAX_BUCKETS, "1000 bins coarsen to 20");
+        // Zero, then 1 ms .. 999 ms: the octaves 2^19 .. 2^29 ns.
+        assert_eq!(buckets.len(), 12, "one edge per populated power of two");
+        assert_eq!(buckets[0].1, 1, "the zero lap");
         for pair in buckets.windows(2) {
             assert!(pair[0].0 < pair[1].0, "edges ascend");
             assert!(pair[0].1 <= pair[1].1, "counts are cumulative");
         }
-        assert_eq!(buckets.last().unwrap().1, 1000, "last edge holds all");
-        assert!((buckets.last().unwrap().0 - 1.0).abs() < 1e-12);
+        let as_ns = |le: f64| (le * 1e9).round() as u64;
+        for &(le, _) in &buckets[1..] {
+            assert!((as_ns(le) + 1).is_power_of_two(), "{le} s");
+        }
+        let last = ((1u64 << 30) - 1) as f64 * 1e-9;
+        assert_eq!(
+            *buckets.last().unwrap(),
+            (last, 1000),
+            "last edge holds all"
+        );
+        // Each edge counts exactly the laps at or below it.
+        for &(le, count) in &buckets {
+            let at_or_below = (0..1000u64).filter(|ms| ms * 1_000_000 <= as_ns(le));
+            assert_eq!(count, at_or_below.count() as u64, "le {le}");
+        }
     }
 
     #[test]
