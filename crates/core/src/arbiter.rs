@@ -389,10 +389,10 @@ mod reference;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use usta_soc::nexus4;
+    use crate::nexus4_opp;
 
     fn system_domains() -> Vec<FreqDomain> {
-        let big = nexus4::opp_table();
+        let big = nexus4_opp();
         let little =
             usta_soc::OppTable::new(big.iter().take(6).copied().collect()).expect("valid prefix");
         let gpu = usta_soc::OppTable::new(
@@ -557,7 +557,7 @@ mod tests {
             name: "cpu",
             kind: DomainKind::CpuCluster,
             cores: 4,
-            opp: nexus4::opp_table(),
+            opp: nexus4_opp(),
             full_load_w: 3.6,
         }];
         for cap in [

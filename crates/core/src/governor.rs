@@ -356,12 +356,12 @@ impl CpuGovernor for UstaGovernor {
 mod tests {
     use super::*;
     use crate::arbiter;
+    use crate::nexus4_opp;
     use crate::predictor::PredictionTarget;
     use crate::training::{LoggedSample, TrainingLog};
     use usta_governors::{DomainSample, FreqDomain, OnDemand};
     use usta_ml::reptree::RepTreeParams;
     use usta_ml::Learner;
-    use usta_soc::nexus4;
 
     /// A log where skin temperature equals battery temperature — gives a
     /// predictor whose output we can steer precisely in tests.
@@ -396,7 +396,7 @@ mod tests {
             name: "cpu",
             kind: usta_soc::DomainKind::CpuCluster,
             cores: 4,
-            opp: nexus4::opp_table(),
+            opp: nexus4_opp(),
             full_load_w: 3.6,
         }]
     }
@@ -404,7 +404,7 @@ mod tests {
     /// A big.LITTLE pair: the nexus4 table as the big cluster, its
     /// lower half as the LITTLE one, with a 4:1 power split.
     fn two_domains() -> Vec<FreqDomain> {
-        let big = nexus4::opp_table();
+        let big = nexus4_opp();
         let little =
             usta_soc::OppTable::new(big.iter().take(6).copied().collect()).expect("valid prefix");
         vec![
@@ -478,7 +478,7 @@ mod tests {
 
     #[test]
     fn hot_prediction_caps_the_baseline() {
-        let top = nexus4::opp_table().max_index();
+        let top = nexus4_opp().max_index();
         let mut g = usta();
         g.tick(&features(36.8), 0.1); // within 0.5 °C of 37 → minimum
         assert_eq!(g.cap(), FrequencyCap::MinimumFrequency);
@@ -491,7 +491,7 @@ mod tests {
 
     #[test]
     fn cool_prediction_leaves_baseline_alone() {
-        let top = nexus4::opp_table().max_index();
+        let top = nexus4_opp().max_index();
         let mut g = usta();
         g.tick(&features(28.0), 0.1);
         assert_eq!(g.cap(), FrequencyCap::Unrestricted);
@@ -500,7 +500,7 @@ mod tests {
 
     #[test]
     fn one_and_two_level_bands_cap_accordingly() {
-        let top = nexus4::opp_table().max_index();
+        let top = nexus4_opp().max_index();
         let mut g = usta();
         g.tick(&features(35.5), 0.1); // margin 1.5 → one level below max
         assert_eq!(g.cap(), FrequencyCap::OneLevelBelowMax);
@@ -614,7 +614,7 @@ mod tests {
 
     #[test]
     fn capped_decisions_count_only_tightened_calls() {
-        let top = nexus4::opp_table().max_index();
+        let top = nexus4_opp().max_index();
         let mut g = usta();
         g.tick(&features(28.0), 0.1); // unrestricted
         decide_single(&mut g, 0, top);
@@ -704,7 +704,7 @@ mod tests {
 
     #[test]
     fn decision_record_surfaces_band_caps_and_tightening() {
-        let top = nexus4::opp_table().max_index();
+        let top = nexus4_opp().max_index();
         let mut g = usta();
         assert!(g.last_decision_record().is_none(), "no decision yet");
         g.tick(&features(28.0), 0.1); // unrestricted
@@ -763,7 +763,7 @@ mod tests {
         g.score_prediction(first, Celsius(first.value() + 0.5));
         assert_eq!(g.residuals().count(), 1);
         assert!((g.residuals().last() + 0.5).abs() < 1e-12);
-        let top = nexus4::opp_table().max_index();
+        let top = nexus4_opp().max_index();
         decide_single(&mut g, 0, top);
         let record = g.last_decision_record().expect("decision ran");
         assert_eq!(record.residual_c, Some(g.residuals().last()));

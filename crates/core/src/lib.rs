@@ -60,3 +60,11 @@ pub use policy::{FrequencyCap, UstaPolicy};
 pub use predictor::{PredictionTarget, TemperaturePredictor};
 pub use training::{LoggedSample, TrainingLog};
 pub use user::{UserPopulation, UserProfile};
+
+/// The catalog Nexus 4's twelve-level OPP table, shared by the unit
+/// tests.
+#[cfg(test)]
+pub(crate) fn nexus4_opp() -> usta_soc::OppTable {
+    let spec = usta_device::by_id("nexus4").expect("built-in");
+    usta_soc::spec::opp_table(spec, 0).expect("valid spec")
+}

@@ -266,7 +266,7 @@ impl UstaPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use usta_soc::nexus4;
+    use crate::nexus4_opp;
 
     #[test]
     fn bands_match_the_paper_exactly() {
@@ -324,7 +324,7 @@ mod tests {
 
     #[test]
     fn caps_map_to_levels_on_the_nexus4_table() {
-        let opp = nexus4::opp_table();
+        let opp = nexus4_opp();
         assert_eq!(FrequencyCap::Unrestricted.max_allowed_level(&opp), 11);
         assert_eq!(FrequencyCap::OneLevelBelowMax.max_allowed_level(&opp), 10);
         assert_eq!(FrequencyCap::TwoLevelsBelowMax.max_allowed_level(&opp), 9);
@@ -332,7 +332,7 @@ mod tests {
     }
 
     fn test_domains(big_w: f64, little_w: f64) -> Vec<FreqDomain> {
-        let big = nexus4::opp_table();
+        let big = nexus4_opp();
         let little =
             usta_soc::OppTable::new(big.iter().take(6).copied().collect()).expect("valid prefix");
         vec![
@@ -357,7 +357,7 @@ mod tests {
 
     #[test]
     fn single_domain_cap_vector_matches_the_scalar_path() {
-        let opp = nexus4::opp_table();
+        let opp = nexus4_opp();
         let domains = vec![FreqDomain {
             id: 0,
             name: "cpu",
@@ -451,7 +451,7 @@ mod tests {
     }
 
     fn three_domains(weights: [f64; 3]) -> Vec<FreqDomain> {
-        let big = nexus4::opp_table();
+        let big = nexus4_opp();
         let little =
             usta_soc::OppTable::new(big.iter().take(6).copied().collect()).expect("valid prefix");
         let names = ["prime", "big", "little"];
@@ -506,7 +506,7 @@ mod tests {
     #[test]
     fn cap_tightens_monotonically_as_prediction_rises() {
         let p = UstaPolicy::new(Celsius(37.0));
-        let opp = nexus4::opp_table();
+        let opp = nexus4_opp();
         let mut prev = usize::MAX;
         for i in 0..200 {
             let t = Celsius(30.0 + i as f64 * 0.05);

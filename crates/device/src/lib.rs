@@ -6,8 +6,8 @@
 //! can run a user-specific skin-temperature governor — and commercial
 //! platforms differ widely in power and thermal behaviour (Bhat et al.,
 //! *Power and Thermal Analysis of Commercial Mobile Platforms*). This
-//! crate turns the reproduction's hardwired Nexus-4 constants into
-//! data: a [`DeviceSpec`] bundles everything the simulator needs to
+//! crate keeps every device, the Nexus 4 included, as data: a
+//! [`DeviceSpec`] bundles everything the simulator needs to
 //! instantiate a device —
 //!
 //! * one [`ClusterSpec`] per frequency domain — its core count, OPP
@@ -37,7 +37,7 @@
 //!
 //! | id | domains | die nodes | class |
 //! |---|---|---|---|
-//! | `nexus4` | 1 (`cpu`, 4 cores) | `cpu` | the paper's quad-core handset, bit-for-bit the seed's calibrated constants |
+//! | `nexus4` | 1 (`cpu`, 4 cores) | `cpu` | the paper's quad-core handset (§3.B), calibrated to its measured skin-temperature behaviour |
 //! | `flagship-octa` | 2 (`big`+`little`, 4+4 cores) | `die_big`, `die_little` | a big.LITTLE octa-core flagship with per-cluster frequency domains |
 //! | `prime-flagship` | 3 (`prime`+`big`+`little`, 1+3+4 cores) | `die_prime`, `die_big`, `die_little` | a three-domain flagship with a 2.84 GHz prime core |
 //! | `tablet-10in` | 1 (`cpu`, 6 cores) | `cpu` | a tablet with several times the phone's thermal mass |

@@ -255,7 +255,6 @@ pub(crate) fn builtin_spec(id: &str) -> DeviceSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use usta_thermal::PhoneThermalParams;
 
     fn builtin(id: &str) -> &'static DeviceSpec {
         Registry::builtin()
@@ -368,14 +367,6 @@ mod tests {
         for spec in Registry::builtin().specs() {
             assert_eq!(spec.validate(), Ok(()), "{} must validate", spec.id);
         }
-    }
-
-    #[test]
-    fn nexus4_thermal_is_the_calibrated_default() {
-        assert_eq!(
-            builtin("nexus4").thermal.topology(),
-            PhoneThermalParams::default().topology()
-        );
     }
 
     #[test]

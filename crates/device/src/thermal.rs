@@ -1,12 +1,11 @@
 //! The thermal side of a device spec: a declarative, validated RC
 //! topology with **one die node per CPU cluster**.
 //!
-//! The historical spec carried `usta_thermal::PhoneThermalParams` — a
-//! fixed seven-node network whose single `cpu` node absorbed every
-//! cluster's power, so a big.LITTLE part's clusters were thermally
-//! indistinguishable. [`ThermalSpec`] replaces it with named nodes,
-//! by-name conductance edges, and explicit role designations (die
-//! nodes big-first, skin, screen, exterior back nodes). Validation at
+//! [`ThermalSpec`] declares named nodes, by-name conductance edges,
+//! and explicit role designations (die nodes big-first, skin, screen,
+//! exterior back nodes), so a big.LITTLE part's clusters heat separate
+//! nodes. Every device's spec, the paper's seven-node Nexus 4
+//! included, is read from its catalog file. Validation at
 //! registry construction guarantees positive capacitances and
 //! conductances, resolvable names, one die node per declared cluster,
 //! and a connected graph (every node has a path to ambient);
@@ -341,8 +340,7 @@ impl ThermalSpec {
 }
 
 /// Node names become network names, trace columns, and report rows, so
-/// they share the id alphabet plus `_` (the historical node names
-/// `back_mid`/`back_upper` predate the catalog).
+/// they share the id alphabet plus `_` (as in `back_mid`).
 fn valid_node_name(name: &str) -> bool {
     !name.is_empty()
         && name
@@ -354,17 +352,6 @@ fn valid_node_name(name: &str) -> bool {
 mod tests {
     use super::*;
     use crate::registry::builtin_spec;
-    use usta_thermal::PhoneThermalParams;
-
-    #[test]
-    fn nexus4_thermal_spec_reconstructs_the_calibrated_default_exactly() {
-        // The migration contract: the declarative spec lowers to the
-        // very topology the seed's hardwired params produce.
-        assert_eq!(
-            builtin_spec("nexus4").thermal.topology(),
-            PhoneThermalParams::default().topology()
-        );
-    }
 
     #[test]
     fn validation_catches_unknown_names() {

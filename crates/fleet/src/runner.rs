@@ -247,6 +247,15 @@ pub enum FleetError {
         /// What the field must be.
         expected: &'static str,
     },
+    /// The policy-limit percentile is NaN or outside [0, 100]: the
+    /// nearest-rank rule would read NaN as the strictest limit and
+    /// quietly clamp anything else.
+    InvalidPolicyPercentile {
+        /// The offending [`SweepConfig`] field.
+        field: &'static str,
+        /// What the field must be.
+        expected: &'static str,
+    },
     /// The per-triple trace sink could not be created or written.
     TraceSink(String),
 }
@@ -280,6 +289,9 @@ impl std::fmt::Display for FleetError {
             }
             FleetError::InvalidTriageThreshold { field, expected } => {
                 write!(f, "triage threshold {field} must be {expected}")
+            }
+            FleetError::InvalidPolicyPercentile { field, expected } => {
+                write!(f, "{field} must be {expected}")
             }
             FleetError::TraceSink(message) => write!(f, "trace sink: {message}"),
         }
@@ -506,7 +518,8 @@ pub(crate) fn train_pools(
 /// triple targets its own user's comfort limit. The percentile uses
 /// the deterministic nearest-rank rule over the sorted limits
 /// (`round(p/100 × (n−1))`), so the value is a pure function of the
-/// config at any thread count.
+/// config at any thread count; [`sweep_inputs`] has already checked
+/// that `p` lies in `[0, 100]`.
 pub(crate) fn policy_limit(config: &SweepConfig, population: &UserPopulation) -> Option<Celsius> {
     let p = config.policy_limit_percentile?;
     let mut limits: Vec<f64> = population
@@ -515,7 +528,6 @@ pub(crate) fn policy_limit(config: &SweepConfig, population: &UserPopulation) ->
         .map(|u| u.skin_limit.value())
         .collect();
     limits.sort_by(f64::total_cmp);
-    let p = p.clamp(0.0, 100.0);
     let rank = ((p / 100.0) * (limits.len() - 1) as f64).round() as usize;
     Some(Celsius(limits[rank]))
 }
@@ -759,6 +771,14 @@ pub(crate) fn sweep_inputs(config: &SweepConfig) -> Result<SweepInputs, FleetErr
             field: "triage_peak_margin_c",
             expected: "finite",
         });
+    }
+    if let Some(p) = config.policy_limit_percentile {
+        if !(0.0..=100.0).contains(&p) {
+            return Err(FleetError::InvalidPolicyPercentile {
+                field: "policy_limit_percentile",
+                expected: "a percentile in [0, 100]",
+            });
+        }
     }
     let devices = config.resolved_devices()?;
     if devices.is_empty() {
@@ -1497,6 +1517,33 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_policy_percentile_is_rejected() {
+        // NaN would otherwise round to rank 0 (the strictest limit) and
+        // 150 would quietly become 100.
+        for bad in [f64::NAN, -0.5, 100.5, 150.0, f64::INFINITY] {
+            let config = SweepConfig {
+                policy_limit_percentile: Some(bad),
+                ..tiny_config()
+            };
+            assert_eq!(
+                sweep_inputs(&config).err(),
+                Some(FleetError::InvalidPolicyPercentile {
+                    field: "policy_limit_percentile",
+                    expected: "a percentile in [0, 100]",
+                }),
+                "{bad}"
+            );
+        }
+        for good in [None, Some(0.0), Some(42.5), Some(100.0)] {
+            let config = SweepConfig {
+                policy_limit_percentile: good,
+                ..tiny_config()
+            };
+            assert!(sweep_inputs(&config).is_ok(), "{good:?}");
+        }
+    }
+
+    #[test]
     fn empty_sweep_is_rejected() {
         let config = SweepConfig {
             users: 0,
@@ -1923,7 +1970,7 @@ mod tests {
             user.skin_limit,
             "without a percentile the user's own limit applies"
         );
-        for (p, rank) in [(0.0, 0), (50.0, 5), (100.0, 10), (1000.0, 10)] {
+        for (p, rank) in [(0.0, 0), (50.0, 5), (100.0, 10)] {
             config.policy_limit_percentile = Some(p);
             assert_eq!(
                 policy_limit(&config),

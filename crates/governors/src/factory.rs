@@ -105,7 +105,7 @@ pub fn try_by_name(name: &str) -> Result<Box<dyn CpuGovernor>, UnknownGovernorEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use usta_soc::nexus4;
+    use crate::governor::test_support::nexus4_domain;
 
     #[test]
     fn every_listed_name_constructs_and_round_trips() {
@@ -143,14 +143,7 @@ mod tests {
 
     #[test]
     fn constructed_governors_decide_on_every_domain() {
-        let domains = vec![crate::FreqDomain {
-            id: 0,
-            name: "cpu",
-            kind: usta_soc::DomainKind::CpuCluster,
-            cores: 4,
-            opp: nexus4::opp_table(),
-            full_load_w: 3.6,
-        }];
+        let domains = vec![nexus4_domain()];
         let samples = [crate::DomainSample {
             avg_utilization: 1.0,
             max_utilization: 1.0,

@@ -204,7 +204,12 @@ pub trait CpuGovernor: std::fmt::Debug {
 #[cfg(test)]
 pub(crate) mod test_support {
     use super::*;
-    use usta_soc::nexus4;
+
+    /// The catalog Nexus 4's twelve-level OPP table.
+    pub fn nexus4_opp() -> usta_soc::OppTable {
+        let spec = usta_device::by_id("nexus4").expect("built-in");
+        usta_soc::spec::opp_table(spec, 0).expect("valid spec")
+    }
 
     /// One nexus4-table domain — the single-domain test fixture shared
     /// by every governor's unit tests.
@@ -214,7 +219,7 @@ pub(crate) mod test_support {
             name: "cpu",
             kind: DomainKind::CpuCluster,
             cores: 4,
-            opp: nexus4::opp_table(),
+            opp: nexus4_opp(),
             full_load_w: 3.6,
         }
     }
@@ -222,7 +227,7 @@ pub(crate) mod test_support {
     /// A two-domain big.LITTLE-style fixture: the nexus4 table as the
     /// big cluster and its lower half as the LITTLE cluster.
     pub fn two_domains() -> Vec<FreqDomain> {
-        let big = nexus4::opp_table();
+        let big = nexus4_opp();
         let little = usta_soc::OppTable::new(big.iter().take(6).copied().collect())
             .expect("prefix of a valid table is valid");
         vec![

@@ -18,11 +18,11 @@
 //!
 //! ```
 //! use usta_governors::{CpuGovernor, DomainSample, FreqDomain, GovernorInput, OnDemand};
-//! use usta_soc::nexus4;
 //!
+//! let nexus4 = usta_device::by_id("nexus4").expect("built-in");
 //! let domains = vec![FreqDomain {
 //!     id: 0, name: "cpu", kind: usta_soc::DomainKind::CpuCluster, cores: 4,
-//!     opp: nexus4::opp_table(), full_load_w: 3.6,
+//!     opp: usta_soc::spec::opp_table(nexus4, 0).expect("valid spec"), full_load_w: 3.6,
 //! }];
 //! let top = domains[0].max_index();
 //! let mut gov = OnDemand::default();

@@ -2,34 +2,14 @@
 //! simulated session experiences so the population-level Figure 5
 //! outcome (preference structure, ~4.0 vs ~4.3 means) emerges.
 
-use usta_core::comfort::ComfortStats;
 use usta_core::predictor::PredictionTarget;
 use usta_core::rating::{Preference, RatingModel, SessionExperience};
 use usta_core::user::{UserPopulation, UserProfile};
 use usta_sim::experiments::common::{
     collect_global_training_log, run_baseline, run_usta, train_predictor,
 };
-use usta_thermal::Celsius;
+use usta_sim::experiments::fig5::experience;
 use usta_workloads::Benchmark;
-
-fn experience(result: &usta_sim::RunResult, limit: Celsius) -> SessionExperience {
-    let stats = ComfortStats::from_trace(&result.skin_trace, result.log_period_s, limit);
-    let mean_excess = if stats.time_over_s > 0.0 {
-        let (sum, n) = result
-            .skin_trace
-            .iter()
-            .filter(|(_, t)| *t > limit)
-            .fold((0.0, 0usize), |(s, n), (_, t)| (s + (*t - limit), n + 1));
-        sum / n as f64
-    } else {
-        0.0
-    };
-    SessionExperience {
-        fraction_over_limit: stats.fraction_over,
-        mean_excess_k: mean_excess,
-        unserved_fraction: result.unserved_fraction,
-    }
-}
 
 fn main() {
     let seed = 17u64;
@@ -94,8 +74,8 @@ fn main() {
                             Preference::NoDifference => none_set.push(u.label),
                         }
                     }
-                    let bmean = bsum / 10.0;
-                    let umean = usum / 10.0;
+                    let bmean = bsum / sessions.len() as f64;
+                    let umean = usum / sessions.len() as f64;
                     // Loss: preference mismatch + mean deviation.
                     let want_usta = "bfhj";
                     let want_base = "cg";

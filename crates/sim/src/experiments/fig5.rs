@@ -101,7 +101,7 @@ impl Fig5Result {
 }
 
 /// Converts a run into the session experience the participant felt.
-fn experience(result: &RunResult, limit: Celsius) -> SessionExperience {
+pub fn experience(result: &RunResult, limit: Celsius) -> SessionExperience {
     let stats = ComfortStats::from_trace(&result.skin_trace, result.log_period_s, limit);
     let mean_excess = if stats.time_over_s > 0.0 {
         // Mean kelvins above the limit, over the exceeded samples.

@@ -35,26 +35,14 @@ pub struct BatteryParams {
     pub charge_loss_fraction: f64,
 }
 
-impl Default for BatteryParams {
-    fn default() -> BatteryParams {
-        // Nexus 4: 2100 mAh, 3.8 V pack.
-        BatteryParams {
-            capacity_mah: 2100.0,
-            nominal_v: 3.8,
-            internal_ohm: 0.12,
-            max_charge_a: 1.2,
-            charge_loss_fraction: 0.28,
-        }
-    }
-}
-
 /// A battery pack with a state of charge and a heat output.
 ///
 /// ```
-/// use usta_soc::{Battery, BatteryParams, ChargeState};
+/// use usta_soc::ChargeState;
 ///
 /// # fn main() -> Result<(), usta_soc::SocError> {
-/// let mut b = Battery::new(BatteryParams::default(), 0.5)?;
+/// let spec = usta_device::by_id("nexus4").expect("built-in");
+/// let mut b = usta_soc::spec::battery(spec, 0.5)?;
 /// b.set_charge_state(ChargeState::Charging);
 /// let heat = b.step(4.0, 60.0); // device draws 4 W for a minute
 /// assert!(heat > 0.0);
@@ -187,7 +175,7 @@ mod tests {
     use super::*;
 
     fn battery(soc: f64) -> Battery {
-        Battery::new(BatteryParams::default(), soc).unwrap()
+        crate::spec::battery(usta_device::by_id("nexus4").unwrap(), soc).unwrap()
     }
 
     #[test]
@@ -254,15 +242,16 @@ mod tests {
 
     #[test]
     fn constructor_validates() {
-        assert!(Battery::new(BatteryParams::default(), 1.5).is_err());
+        let good = battery(0.5).params().clone();
+        assert!(Battery::new(good.clone(), 1.5).is_err());
         let bad = BatteryParams {
             capacity_mah: 0.0,
-            ..Default::default()
+            ..good.clone()
         };
         assert!(Battery::new(bad, 0.5).is_err());
         let bad = BatteryParams {
             charge_loss_fraction: 1.5,
-            ..Default::default()
+            ..good
         };
         assert!(Battery::new(bad, 0.5).is_err());
     }

@@ -57,20 +57,14 @@ pub struct CpuParams {
     pub cores: usize,
 }
 
-impl Default for CpuParams {
-    fn default() -> CpuParams {
-        // The paper's Nexus 4 has a quad-core Krait.
-        CpuParams { cores: 4 }
-    }
-}
-
 /// A multi-core CPU with one shared frequency domain.
 ///
 /// ```
-/// use usta_soc::{CoreDemand, Cpu, CpuParams, nexus4};
+/// use usta_soc::CoreDemand;
 ///
 /// # fn main() -> Result<(), usta_soc::SocError> {
-/// let mut cpu = Cpu::new(CpuParams::default(), nexus4::opp_table())?;
+/// let spec = usta_device::by_id("nexus4").expect("built-in");
+/// let mut cpu = usta_soc::spec::cpu(spec, 0)?; // four cores, twelve OPPs
 /// cpu.set_level(cpu.opp_table().max_index());
 /// // A demand of 756 MHz per core at 1.512 GHz is 50 % busy:
 /// cpu.apply_demand(&CoreDemand::uniform(4, 756_000.0));
@@ -207,15 +201,15 @@ impl Cpu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nexus4;
 
     fn cpu() -> Cpu {
-        Cpu::new(CpuParams::default(), nexus4::opp_table()).unwrap()
+        crate::spec::cpu(usta_device::by_id("nexus4").unwrap(), 0).unwrap()
     }
 
     #[test]
     fn zero_cores_rejected() {
-        assert!(Cpu::new(CpuParams { cores: 0 }, nexus4::opp_table()).is_err());
+        let opp = cpu().opp_table().clone();
+        assert!(Cpu::new(CpuParams { cores: 0 }, opp).is_err());
     }
 
     #[test]

@@ -11,24 +11,12 @@ pub struct DisplayParams {
     pub full_brightness_w: f64,
 }
 
-impl Default for DisplayParams {
-    fn default() -> DisplayParams {
-        // IPS panel of the Nexus 4 class: ~0.35 W panel + up to ~0.85 W
-        // of backlight.
-        DisplayParams {
-            base_w: 0.35,
-            full_brightness_w: 0.85,
-        }
-    }
-}
-
 /// The display: on/off and a brightness slider.
 ///
 /// ```
-/// use usta_soc::{Display, DisplayParams};
-///
 /// # fn main() -> Result<(), usta_soc::SocError> {
-/// let mut d = Display::new(DisplayParams::default())?;
+/// let spec = usta_device::by_id("nexus4").expect("built-in");
+/// let mut d = usta_soc::spec::display(spec)?;
 /// assert_eq!(d.power(), 0.0); // starts off
 /// d.set_on(true);
 /// d.set_brightness(0.6);
@@ -104,16 +92,24 @@ impl Display {
 mod tests {
     use super::*;
 
+    fn panel() -> Display {
+        Display::new(DisplayParams {
+            base_w: 0.35,
+            full_brightness_w: 0.85,
+        })
+        .unwrap()
+    }
+
     #[test]
     fn off_display_draws_nothing() {
-        let d = Display::new(DisplayParams::default()).unwrap();
+        let d = panel();
         assert_eq!(d.power(), 0.0);
         assert!(!d.is_on());
     }
 
     #[test]
     fn brightness_scales_power() {
-        let mut d = Display::new(DisplayParams::default()).unwrap();
+        let mut d = panel();
         d.set_on(true);
         d.set_brightness(0.0);
         let dim = d.power();
@@ -125,7 +121,7 @@ mod tests {
 
     #[test]
     fn brightness_is_clamped() {
-        let mut d = Display::new(DisplayParams::default()).unwrap();
+        let mut d = panel();
         d.set_brightness(4.0);
         assert_eq!(d.brightness(), 1.0);
         d.set_brightness(-1.0);

@@ -2,8 +2,9 @@
 //!
 //! Linux cpufreq exposes a discrete set of frequency/voltage operating
 //! points; governors pick one, and USTA clamps the *maximum allowed*
-//! index. The paper's Nexus 4 exposes twelve levels between 384 MHz and
-//! 1.512 GHz (§3.B); [`crate::nexus4::opp_table`] reproduces them.
+//! index. Each catalog cluster declares its table, and
+//! [`crate::spec::opp_table`] builds it; the paper's Nexus 4 exposes
+//! twelve levels between 384 MHz and 1.512 GHz (§3.B).
 
 use std::sync::Arc;
 

@@ -4,8 +4,8 @@
 //! DATE 2015). It models the parts of a Nexus-4-class smartphone that
 //! produce heat and that the paper's predictor observes:
 //!
-//! * [`freq`] — the cpufreq operating-point (OPP) table: twelve levels
-//!   from 384 MHz to 1.512 GHz, exactly as on the paper's device;
+//! * [`freq`] — the cpufreq operating-point (OPP) table (the paper's
+//!   device has twelve levels from 384 MHz to 1.512 GHz);
 //! * [`power`] — CMOS dynamic power (`C_eff·V²·f·util`) plus
 //!   temperature-dependent leakage for the CPU, and a load-proportional
 //!   GPU model;
@@ -23,14 +23,11 @@
 //!   hot loop without heap allocation;
 //! * [`spec`] — constructors building each of the above from a
 //!   data-driven [`usta_device::DeviceSpec`] (any catalog device, one
-//!   model per cluster);
-//! * [`nexus4`] — the calibrated preset tying it all together, now a
-//!   thin wrapper over the registry's `nexus4` spec.
+//!   model per cluster). The paper's Nexus 4 is the catalog's `nexus4`.
 //!
 //! ```
-//! use usta_soc::nexus4;
-//!
-//! let opp = nexus4::opp_table();
+//! let nexus4 = usta_device::by_id("nexus4").expect("built-in");
+//! let opp = usta_soc::spec::opp_table(nexus4, 0).expect("valid spec");
 //! assert_eq!(opp.len(), 12);
 //! assert_eq!(opp.min().khz, 384_000);
 //! assert_eq!(opp.max().khz, 1_512_000);
@@ -46,7 +43,6 @@ pub mod display;
 pub mod domain;
 pub mod error;
 pub mod freq;
-pub mod nexus4;
 pub mod power;
 pub mod sensors;
 pub mod spec;

@@ -196,6 +196,7 @@ pub fn battery(spec: &DeviceSpec, state_of_charge: f64) -> Result<Battery, SocEr
 mod tests {
     use super::*;
     use usta_device::{by_id, Registry};
+    use usta_thermal::Celsius;
 
     #[test]
     fn every_builtin_spec_builds_every_model_per_cluster() {
@@ -228,19 +229,56 @@ mod tests {
         }
     }
 
+    fn nexus4() -> &'static DeviceSpec {
+        by_id("nexus4").expect("built-in")
+    }
+
     #[test]
-    fn nexus4_spec_reproduces_the_preset_models() {
-        let spec = by_id("nexus4").expect("built-in");
-        assert_eq!(opp_table(spec, 0).unwrap(), crate::nexus4::opp_table());
-        assert_eq!(
-            cpu_power_model(spec, 0).unwrap(),
-            crate::nexus4::cpu_power_model()
+    fn twelve_levels_matching_the_paper() {
+        let t = opp_table(nexus4(), 0).unwrap();
+        assert_eq!(t.len(), 12);
+        assert_eq!(t.min().khz, 384_000);
+        assert_eq!(t.max().khz, 1_512_000);
+        assert_eq!(nexus4().cores(), 4, "quad-core APQ8064");
+    }
+
+    #[test]
+    fn voltages_ramp_up_with_frequency() {
+        let t = opp_table(nexus4(), 0).unwrap();
+        let mut prev = 0.0;
+        for l in t.iter() {
+            assert!(l.volts > prev);
+            prev = l.volts;
+        }
+        assert!((t.min().volts - 0.95).abs() < 1e-9);
+        assert!((t.max().volts - 1.25).abs() < 1e-9);
+    }
+
+    #[test]
+    fn full_tilt_cpu_power_is_apq8064_scale() {
+        let m = cpu_power_model(nexus4(), 0).unwrap();
+        let top = opp_table(nexus4(), 0).unwrap().max();
+        let p = m.cluster_power(top, &[1.0; 4], Celsius(50.0));
+        assert!(
+            p > 3.0 && p < 5.0,
+            "cluster power {p} W out of APQ8064 band"
         );
-        assert_eq!(
-            battery(spec, 0.8).unwrap(),
-            crate::nexus4::battery(0.8).unwrap()
-        );
-        assert_eq!(display(spec).unwrap(), crate::nexus4::display().unwrap());
+    }
+
+    #[test]
+    fn idle_cpu_power_is_small() {
+        let m = cpu_power_model(nexus4(), 0).unwrap();
+        let bottom = opp_table(nexus4(), 0).unwrap().min();
+        let p = m.cluster_power(bottom, &[0.0; 4], Celsius(30.0));
+        assert!(p < 0.5, "idle power {p} W too high");
+    }
+
+    #[test]
+    fn presets_build() {
+        assert!(cpu(nexus4(), 0).is_ok());
+        assert!(battery(nexus4(), 0.8).is_ok());
+        assert!(display(nexus4()).is_ok());
+        assert!(gpu_power_model(nexus4()).unwrap().max_power() > 1.0);
     }
 
     #[test]

@@ -1,8 +1,14 @@
 //! Property-based tests for the SoC models' invariants.
 
 use proptest::prelude::*;
-use usta_soc::{nexus4, Battery, BatteryParams, ChargeState, CoreDemand, Cpu, CpuParams};
+use usta_device::DeviceSpec;
+use usta_soc::spec::{battery, cpu, cpu_power_model, opp_table};
+use usta_soc::{ChargeState, CoreDemand};
 use usta_thermal::Celsius;
+
+fn nexus4() -> &'static DeviceSpec {
+    usta_device::by_id("nexus4").expect("built-in")
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -12,8 +18,8 @@ proptest! {
     #[test]
     fn cpu_power_monotone(level_a in 0usize..12, level_b in 0usize..12, u in 0.0f64..1.0) {
         let (lo, hi) = if level_a <= level_b { (level_a, level_b) } else { (level_b, level_a) };
-        let opp = nexus4::opp_table();
-        let model = nexus4::cpu_power_model();
+        let opp = opp_table(nexus4(), 0).unwrap();
+        let model = cpu_power_model(nexus4(), 0).unwrap();
         prop_assert!(
             model.dynamic_power(opp.level(hi), u) >= model.dynamic_power(opp.level(lo), u)
         );
@@ -25,8 +31,8 @@ proptest! {
     /// Leakage is positive and monotone in die temperature.
     #[test]
     fn leakage_monotone_in_temperature(t in -20.0f64..110.0, dt in 0.0f64..40.0) {
-        let opp = nexus4::opp_table();
-        let model = nexus4::cpu_power_model();
+        let opp = opp_table(nexus4(), 0).unwrap();
+        let model = cpu_power_model(nexus4(), 0).unwrap();
         let cold = model.leakage_power(opp.max(), Celsius(t));
         let warm = model.leakage_power(opp.max(), Celsius(t + dt));
         prop_assert!(cold > 0.0);
@@ -40,7 +46,7 @@ proptest! {
         threads in proptest::collection::vec(0.0f64..3_000_000.0, 0..9),
         level in 0usize..12,
     ) {
-        let mut cpu = Cpu::new(CpuParams::default(), nexus4::opp_table()).expect("builds");
+        let mut cpu = cpu(nexus4(), 0).expect("builds");
         cpu.set_level(level);
         cpu.apply_demand(&CoreDemand::per_core(threads));
         for &u in cpu.utilizations() {
@@ -57,7 +63,7 @@ proptest! {
         per_core in proptest::collection::vec(0.0f64..3_000_000.0, 4),
         level in 0usize..12,
     ) {
-        let mut cpu = Cpu::new(CpuParams::default(), nexus4::opp_table()).expect("builds");
+        let mut cpu = cpu(nexus4(), 0).expect("builds");
         cpu.set_level(level);
         cpu.apply_demand(&CoreDemand::per_core(per_core.clone()));
         let freq = cpu.frequency().khz as f64;
@@ -78,7 +84,7 @@ proptest! {
         loads in proptest::collection::vec(0.0f64..8.0, 1..60),
         charging in proptest::bool::ANY,
     ) {
-        let mut b = Battery::new(BatteryParams::default(), soc0).expect("valid soc");
+        let mut b = battery(nexus4(), soc0).expect("valid soc");
         if charging {
             b.set_charge_state(ChargeState::Charging);
         }
@@ -93,7 +99,7 @@ proptest! {
     /// a level whose frequency covers the request (or the max level).
     #[test]
     fn opp_lookup_covers_demand(khz in 1u32..2_000_000) {
-        let opp = nexus4::opp_table();
+        let opp = opp_table(nexus4(), 0).unwrap();
         let idx = opp.level_for_khz(khz);
         prop_assert!(idx < opp.len());
         if opp.level(idx).khz < khz {

@@ -39,10 +39,11 @@
 //! # }
 //! ```
 //!
-//! The [`topology`] module steps a whole device ([`DeviceThermalModel`]);
-//! the [`phone`] module provides the calibrated smartphone parameters
-//! ([`PhoneThermalParams`]) whose back-cover ("skin") and screen nodes
-//! play the role of the paper's external thermistors.
+//! The [`topology`] module steps a whole device ([`DeviceThermalModel`])
+//! over a [`ThermalTopology`]: plain data whose skin (back-cover) and
+//! screen roles play the paper's external thermistors. Device
+//! topologies, the Nexus 4's included, are declared in the catalog and
+//! built by `usta-device`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,13 +53,13 @@ pub mod analysis;
 pub mod error;
 pub mod materials;
 pub mod network;
-pub mod phone;
 pub mod topology;
 pub mod units;
 mod zoh;
 
 pub use error::ThermalError;
 pub use network::{NodeId, ThermalNetwork, ThermalNetworkBuilder};
-pub use phone::{HandContact, PhoneNode, PhoneThermalParams};
-pub use topology::{DeviceThermalModel, HeatLoad, NodeRoles, ThermalNode, ThermalTopology};
+pub use topology::{
+    DeviceThermalModel, HandContact, HeatLoad, NodeRoles, ThermalNode, ThermalTopology,
+};
 pub use units::Celsius;

@@ -1,8 +1,8 @@
 //! Material properties for building physically-plausible phone models.
 //!
-//! Heat capacities for the lumped nodes of [`crate::phone`] are derived
-//! from component masses and specific heats; the constants here document
-//! where the numbers come from.
+//! Heat capacities for the lumped nodes of the catalog's device
+//! topologies are derived from component masses and specific heats; the
+//! constants here document where the numbers come from.
 
 /// Specific heat capacity of a material, J/(g·K).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -11,14 +11,12 @@
 //!
 //! [`DeviceThermalModel`] is the runtime: it builds a
 //! [`ThermalNetwork`] from the topology and steps it under a
-//! [`HeatLoad`] whose CPU term is a per-die vector. The paper's
-//! seven-node Nexus 4 is the single-die special case
-//! ([`PhoneThermalParams::topology`](crate::PhoneThermalParams::topology));
-//! the golden-bit tests in `usta-sim` pin its trajectories.
+//! [`HeatLoad`] whose CPU term is a per-die vector. Topologies are
+//! declared as data in `usta-device` (the catalog files); the paper's
+//! seven-node Nexus 4 is the single-die special case.
 
 use crate::error::ThermalError;
 use crate::network::{NodeId, ThermalNetwork, ThermalNetworkBuilder};
-use crate::phone::HandContact;
 use crate::units::Celsius;
 
 /// One node of a topology: a named heat capacity.
@@ -79,6 +77,24 @@ impl NodeRoles {
             .chain(self.gpu)
             .chain(self.back.iter().copied())
     }
+}
+
+/// How a hand holds the device.
+///
+/// A hand is close to a fixed-temperature reservoir (blood perfusion pins
+/// the palm near 33.5 °C) that simultaneously *blocks* part of the skin
+/// node's convective surface. The two effects nearly cancel at typical
+/// operating temperatures — which is exactly the paper's §3.A finding
+/// that touch barely changes exterior temperatures.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HandContact {
+    /// Palm temperature (°C). Human palms sit near 33–34 °C.
+    pub palm_temperature: Celsius,
+    /// Conductance of the palm–cover contact, W/K.
+    pub contact_conductance: f64,
+    /// Fraction of the skin node's ambient conductance blocked by the
+    /// palm.
+    pub blocked_fraction: f64,
 }
 
 /// A device's thermal network as plain data: nodes, edges, ambient
@@ -215,10 +231,36 @@ impl HeatLoad {
 /// [`ThermalTopology`], stepped under a [`HeatLoad`].
 ///
 /// ```
-/// use usta_thermal::{DeviceThermalModel, HeatLoad, PhoneThermalParams};
+/// use usta_thermal::{
+///     Celsius, DeviceThermalModel, HandContact, HeatLoad, NodeRoles, ThermalNode, ThermalTopology,
+/// };
 ///
 /// # fn main() -> Result<(), usta_thermal::ThermalError> {
-/// let mut model = DeviceThermalModel::new(PhoneThermalParams::default().topology())?;
+/// // A three-node slab: die → cover (the skin) and die → screen.
+/// let node = |name: &str, capacitance| ThermalNode { name: name.to_owned(), capacitance };
+/// let topology = ThermalTopology {
+///     nodes: vec![node("die", 1.2), node("cover", 20.0), node("screen", 18.0)],
+///     couplings: vec![(0, 1, 0.5), (0, 2, 0.4)],
+///     ambient_links: vec![(1, 0.1), (2, 0.12)],
+///     ambient: Celsius(24.0),
+///     initial: Celsius(26.0),
+///     hand: HandContact {
+///         palm_temperature: Celsius(33.5),
+///         contact_conductance: 0.025,
+///         blocked_fraction: 0.12,
+///     },
+///     roles: NodeRoles {
+///         dies: vec![0],
+///         package: 0,
+///         gpu: None,
+///         board: 0,
+///         battery: 1,
+///         screen: 2,
+///         skin: 1,
+///         back: vec![1],
+///     },
+/// };
+/// let mut model = DeviceThermalModel::new(topology)?;
 /// model.set_heat(HeatLoad::single(3.0, 1.0, 1.0, 0.0, 0.0));
 /// model.step(300.0); // five hot minutes
 /// assert!(model.skin_temperature() > model.ambient());
@@ -450,7 +492,6 @@ impl DeviceThermalModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phone::{PhoneNode, PhoneThermalParams};
 
     fn two_die_topology() -> ThermalTopology {
         // A minimal big.LITTLE slab: two dies on one package, one
@@ -482,7 +523,11 @@ mod tests {
             ambient_links: vec![(3, 0.1), (4, 0.12)],
             ambient: Celsius(24.0),
             initial: Celsius(26.0),
-            hand: HandContact::default(),
+            hand: HandContact {
+                palm_temperature: Celsius(33.5),
+                contact_conductance: 0.025,
+                blocked_fraction: 0.12,
+            },
             roles: NodeRoles {
                 dies: vec![0, 1],
                 package: 2,
@@ -494,34 +539,6 @@ mod tests {
                 back: vec![3],
             },
         }
-    }
-
-    #[test]
-    fn phone_params_topology_matches_the_hardwired_wiring() {
-        let params = PhoneThermalParams::default();
-        let t = params.topology();
-        assert_eq!(t.nodes.len(), 7);
-        for node in PhoneNode::ALL {
-            assert_eq!(t.node_name(node.index()), node.name());
-            assert_eq!(
-                t.nodes[node.index()].capacitance,
-                params.capacitance[node.index()]
-            );
-        }
-        assert_eq!(t.couplings.len(), params.couplings.len());
-        assert_eq!(t.roles.dies, vec![PhoneNode::Cpu.index()]);
-        assert_eq!(t.roles.skin, PhoneNode::BackMid.index());
-        assert_eq!(t.roles.screen, PhoneNode::Screen.index());
-        assert_eq!(
-            t.roles.back,
-            vec![PhoneNode::BackMid.index(), PhoneNode::BackUpper.index()]
-        );
-        assert_eq!(t.total_capacitance(), params.total_capacitance());
-        assert_eq!(
-            t.total_ambient_conductance(),
-            params.total_ambient_conductance()
-        );
-        assert_eq!(t.die_node_names(), vec!["cpu"]);
     }
 
     #[test]

@@ -7,21 +7,25 @@
 //! cargo run --release -p usta-sim --example custom_phone
 //! ```
 
-use usta_thermal::{DeviceThermalModel, HeatLoad, PhoneNode, PhoneThermalParams};
+use usta_thermal::{DeviceThermalModel, HeatLoad};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // The calibrated phone.
-    let mut phone = DeviceThermalModel::new(PhoneThermalParams::default().topology())?;
+    // The calibrated phone, straight from the catalog.
+    let topology = usta_device::by_id("nexus4")
+        .ok_or("nexus4 is built in")?
+        .thermal
+        .topology();
+    let mut phone = DeviceThermalModel::new(topology.clone())?;
 
     // A tablet: ~3x the thermal mass, ~2.2x the radiating surface.
-    let mut tablet_params = PhoneThermalParams::default();
-    for c in tablet_params.capacitance.iter_mut() {
-        *c *= 3.0;
+    let mut tablet_topology = topology.clone();
+    for node in &mut tablet_topology.nodes {
+        node.capacitance *= 3.0;
     }
-    for (_, g) in tablet_params.ambient_links.iter_mut() {
+    for (_, g) in &mut tablet_topology.ambient_links {
         *g *= 2.2;
     }
-    let mut tablet = DeviceThermalModel::new(tablet_params.topology())?;
+    let mut tablet = DeviceThermalModel::new(tablet_topology)?;
 
     // Same sustained gaming load on both.
     let load = HeatLoad::single(2.5, 1.4, 1.0, 0.3, 0.4);
@@ -43,7 +47,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let phone_ss = phone.steady_state()?[PhoneNode::BackMid.index()];
+    let back_mid = topology
+        .node_index("back_mid")
+        .ok_or("nexus4 has a back_mid node")?;
+    let phone_ss = phone.steady_state()?[back_mid];
     println!(
         "\nphone steady-state skin would be {:.1}; the tablet's extra mass and \
          surface keep it {:.1} K cooler after half an hour.",

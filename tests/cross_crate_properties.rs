@@ -7,8 +7,14 @@ use usta_governors::{
     Conservative, CpuGovernor, DomainSample, FreqDomain, GovernorInput, OnDemand, Performance,
     Powersave,
 };
-use usta_soc::nexus4;
+use usta_soc::OppTable;
 use usta_thermal::Celsius;
+
+/// The catalog Nexus 4's twelve-level OPP table.
+fn nexus4_opp() -> OppTable {
+    let spec = usta_device::by_id("nexus4").expect("built-in");
+    usta_soc::spec::opp_table(spec, 0).expect("valid spec")
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -25,7 +31,7 @@ proptest! {
             name: "cpu",
             kind: usta_soc::DomainKind::CpuCluster,
             cores: 4,
-            opp: nexus4::opp_table(),
+            opp: nexus4_opp(),
             full_load_w: 3.6,
         }];
         let samples = [DomainSample {
@@ -57,7 +63,7 @@ proptest! {
     /// loosens the cap, for any limit.
     #[test]
     fn usta_policy_is_monotone(limit in 30.0f64..45.0, t0 in 20.0f64..50.0, dt in 0.0f64..10.0) {
-        let opp = nexus4::opp_table();
+        let opp = nexus4_opp();
         let policy = UstaPolicy::new(Celsius(limit));
         let cooler = policy.decide(Celsius(t0)).max_allowed_level(&opp);
         let hotter = policy.decide(Celsius(t0 + dt)).max_allowed_level(&opp);
@@ -82,7 +88,7 @@ proptest! {
             name: "cpu",
             kind: usta_soc::DomainKind::CpuCluster,
             cores: 4,
-            opp: nexus4::opp_table(),
+            opp: nexus4_opp(),
             full_load_w: 3.6,
         }];
         let opp = &domains[0].opp;
@@ -111,20 +117,24 @@ proptest! {
         );
     }
 
-    /// Hotter heat input never cools any phone node (steady-state
-    /// monotonicity through the full phone model).
+    /// Hotter heat input never cools any device node (steady-state
+    /// monotonicity through every built-in device's thermal graph,
+    /// multi-die and GPU-node ones included).
     #[test]
     fn phone_steady_state_monotone_in_cpu_power(base in 0.0f64..3.0, extra in 0.01f64..2.0) {
-        use usta_thermal::{DeviceThermalModel, HeatLoad, PhoneThermalParams};
-        let topology = PhoneThermalParams::default().topology();
-        let mut cool = DeviceThermalModel::new(topology.clone()).expect("builds");
-        let mut hot = DeviceThermalModel::new(topology).expect("builds");
-        cool.set_heat(HeatLoad::single(base, 0.0, 0.0, 0.0, 0.0));
-        hot.set_heat(HeatLoad::single(base + extra, 0.0, 0.0, 0.0, 0.0));
-        let cool_ss = cool.steady_state().expect("solvable");
-        let hot_ss = hot.steady_state().expect("solvable");
-        for (c, h) in cool_ss.iter().zip(&hot_ss) {
-            prop_assert!(h.value() >= c.value() - 1e-9);
+        use usta_thermal::{DeviceThermalModel, HeatLoad};
+        for spec in usta_device::Registry::builtin().specs() {
+            let topology = spec.thermal.topology();
+            let dies = topology.dies();
+            let mut cool = DeviceThermalModel::new(topology.clone()).expect("builds");
+            let mut hot = DeviceThermalModel::new(topology).expect("builds");
+            cool.set_heat(HeatLoad { die_w: vec![base; dies], ..HeatLoad::default() });
+            hot.set_heat(HeatLoad { die_w: vec![base + extra; dies], ..HeatLoad::default() });
+            let cool_ss = cool.steady_state().expect("solvable");
+            let hot_ss = hot.steady_state().expect("solvable");
+            for (c, h) in cool_ss.iter().zip(&hot_ss) {
+                prop_assert!(h.value() >= c.value() - 1e-9, "{}", spec.id);
+            }
         }
     }
 

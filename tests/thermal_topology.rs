@@ -9,12 +9,17 @@
 //! 3. **Hotspots are real:** flagship-octa's big die runs hotter than
 //!    its LITTLE die under a big-heavy load, and prime-flagship's
 //!    single-threaded burst lands on (and heats) the prime die.
+//! 4. **The paper's handset behaves like one:** on the catalog Nexus 4
+//!    the skin rises over minutes, touch barely matters while the phone
+//!    is busy, a palm warms an idle cover, the display heats the screen
+//!    and charging heats the back.
 
 use proptest::prelude::*;
 use usta_governors::by_name;
 use usta_sim::runner::DvfsLoop;
 use usta_sim::{Device, DeviceConfig};
 use usta_soc::PerDomain;
+use usta_thermal::{Celsius, DeviceThermalModel, HeatLoad, ThermalTopology};
 use usta_workloads::DeviceDemand;
 
 fn device(id: &str, seed: u64) -> Device {
@@ -217,20 +222,176 @@ fn prime_flagship_single_thread_burst_heats_the_prime_die() {
     assert!(prime > d.die_temperature(2), "prime die is the hotspot");
 }
 
-/// The nexus4 working topology is exactly the historical calibrated
-/// network, and its single-die observations keep the paper's 4-feature
-/// shape.
+/// The nexus4 device runs its catalog topology unchanged — the paper's
+/// seven nodes with one `cpu` die and `back_mid` as the skin — and its
+/// single-die observations keep the paper's 4-feature shape.
 #[test]
 fn nexus4_topology_and_features_are_the_single_die_special_case() {
     let d = device("nexus4", 1);
-    assert_eq!(
-        *d.thermal_model().topology(),
-        usta_thermal::PhoneThermalParams::default().topology()
-    );
+    let topology = d.thermal_model().topology();
+    assert_eq!(*topology, nexus4_topology());
+    assert_eq!(topology.nodes.len(), 7);
+    assert_eq!(topology.node_name(topology.roles.skin), "back_mid");
     assert_eq!(d.die_node_names(), vec!["cpu"]);
     assert_eq!(d.node_temperature("cpu"), Some(d.die_temperature(0)));
     assert_eq!(d.node_temperature("no_such_node"), None);
     let obs = d.observe();
     assert_eq!(obs.features().hottest_die, None);
     assert_eq!(obs.features().to_vec().len(), 4);
+}
+
+/// The catalog Nexus 4's thermal topology.
+fn nexus4_topology() -> ThermalTopology {
+    usta_device::by_id("nexus4")
+        .expect("built-in")
+        .thermal
+        .topology()
+}
+
+/// The catalog Nexus 4's thermal model, on its own.
+fn nexus4_phone() -> DeviceThermalModel {
+    DeviceThermalModel::new(nexus4_topology()).expect("catalog topology builds")
+}
+
+fn heavy() -> HeatLoad {
+    HeatLoad::single(3.4, 1.3, 1.0, 0.35, 0.25)
+}
+
+fn node(p: &DeviceThermalModel, name: &str) -> Celsius {
+    p.node_temperature_by_name(name).expect("nexus4 node")
+}
+
+#[test]
+fn default_params_build() {
+    let p = nexus4_phone();
+    assert_eq!(p.skin_temperature(), Celsius(28.0));
+    assert!((p.ambient() - Celsius(24.0)).abs() < 1e-12);
+}
+
+#[test]
+fn heavy_load_reaches_hot_skin_in_minutes_not_hours() {
+    let mut p = nexus4_phone();
+    p.set_heat(heavy());
+    p.step(12.0 * 60.0);
+    let skin = p.skin_temperature();
+    assert!(
+        skin > Celsius(38.0) && skin < Celsius(47.0),
+        "12-minute heavy-load skin temperature {skin} outside plausible band"
+    );
+}
+
+#[test]
+fn die_is_hottest_then_interior_then_surfaces() {
+    let mut p = nexus4_phone();
+    p.set_heat(heavy());
+    p.step(900.0);
+    let die = p.die_temperature(0);
+    let pkg = node(&p, "package");
+    let skin = p.skin_temperature();
+    assert!(die > pkg, "die {die} should exceed package {pkg}");
+    assert!(pkg > skin, "package {pkg} should exceed skin {skin}");
+    assert!(skin > p.ambient());
+}
+
+#[test]
+fn idle_phone_cools_toward_ambient() {
+    let mut p = nexus4_phone();
+    p.set_heat(HeatLoad::single(0.0, 0.0, 0.0, 0.0, 0.0));
+    p.step(3600.0 * 4.0);
+    assert!((p.skin_temperature() - p.ambient()).abs() < 0.05);
+}
+
+#[test]
+fn steady_state_matches_long_run() {
+    let mut p = nexus4_phone();
+    p.set_heat(heavy());
+    let ss = p.steady_state().unwrap();
+    p.step(3600.0 * 6.0);
+    for (i, expected) in ss.iter().enumerate() {
+        let got = p.node_temperature(i);
+        assert!(
+            (got - *expected).abs() < 0.05,
+            "{}: long-run {got} vs steady-state {expected}",
+            p.topology().node_name(i)
+        );
+    }
+}
+
+#[test]
+fn rise_time_constant_is_minutes() {
+    // The defining property of the skin-temperature problem: the skin
+    // responds on a minutes scale, much slower than the die.
+    let mut p = nexus4_phone();
+    p.set_heat(heavy());
+    let ss = p.steady_state().unwrap()[p.topology().roles.skin];
+    let start = p.skin_temperature();
+    let target = start.value() + 0.63 * (ss - start);
+    let mut t = 0.0;
+    while p.skin_temperature().value() < target && t < 3600.0 {
+        p.step(5.0);
+        t += 5.0;
+    }
+    assert!(
+        (120.0..1800.0).contains(&t),
+        "skin 63% rise time {t} s should be minutes-scale"
+    );
+}
+
+#[test]
+fn touch_changes_exterior_temperature_only_slightly() {
+    // Reproduces the paper's §3.A observation: holding the phone
+    // while it is actively used barely moves the skin temperature.
+    let mut held = nexus4_phone();
+    let mut free = nexus4_phone();
+    held.set_hand_contact(true);
+    for p in [&mut held, &mut free] {
+        p.set_heat(heavy());
+        p.step(600.0);
+    }
+    let delta = (held.skin_temperature() - free.skin_temperature()).abs();
+    assert!(
+        delta < 0.8,
+        "touch shifted skin temperature by {delta} K — should be minor"
+    );
+}
+
+#[test]
+fn hand_warms_a_cold_idle_phone() {
+    // Off and not touched vs off and held: the hand warms the cover
+    // toward palm temperature (the paper's turned-off experiments).
+    let mut held = nexus4_phone();
+    held.reset_to(Celsius(24.0));
+    held.set_hand_contact(true);
+    held.step(1200.0);
+    assert!(
+        held.skin_temperature() > Celsius(24.3),
+        "palm should warm an idle cover, got {}",
+        held.skin_temperature()
+    );
+}
+
+#[test]
+fn display_power_heats_screen_more_than_skin() {
+    let mut p = nexus4_phone();
+    p.set_heat(HeatLoad::single(0.0, 0.0, 1.2, 0.0, 0.0));
+    p.step(1200.0);
+    assert!(p.screen_temperature() > p.skin_temperature());
+}
+
+#[test]
+fn battery_charging_heats_the_back() {
+    let mut p = nexus4_phone();
+    p.set_heat(HeatLoad::single(0.0, 0.0, 0.0, 1.0, 0.0));
+    p.step(1800.0);
+    assert!(p.skin_temperature() > p.screen_temperature());
+}
+
+#[test]
+fn reset_clears_state() {
+    let mut p = nexus4_phone();
+    p.set_heat(heavy());
+    p.step(600.0);
+    p.reset_to(Celsius(26.0));
+    assert_eq!(p.skin_temperature(), Celsius(26.0));
+    assert_eq!(p.elapsed(), 0.0);
 }
