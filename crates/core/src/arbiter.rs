@@ -398,20 +398,15 @@ mod tests {
         let gpu = usta_soc::OppTable::new(
             [257_000u32, 414_000, 596_000, 710_000]
                 .iter()
-                .map(|&khz| usta_soc::FrequencyLevel {
+                .map(|&khz| usta_soc::OppPoint {
                     khz,
                     volts: 0.7 + khz as f64 / 2_000_000.0,
                 })
                 .collect(),
         )
         .expect("valid GPU table");
-        let display = usta_soc::OppTable::new(
-            [100u32, 400, 700, 1000]
-                .iter()
-                .map(|&p| usta_soc::FrequencyLevel { khz: p, volts: 1.0 })
-                .collect(),
-        )
-        .expect("valid ladder");
+        let display =
+            usta_soc::spec::brightness_opp_table(&[100, 400, 700, 1000]).expect("valid ladder");
         vec![
             FreqDomain {
                 id: 0,

@@ -593,13 +593,8 @@ mod tests {
     /// One CPU cluster plus a display — the smallest domain set that
     /// engages the arbiter.
     fn cpu_plus_display() -> Vec<FreqDomain> {
-        let display = usta_soc::OppTable::new(
-            [100u32, 400, 700, 1000]
-                .iter()
-                .map(|&p| usta_soc::FrequencyLevel { khz: p, volts: 1.0 })
-                .collect(),
-        )
-        .expect("valid ladder");
+        let display =
+            usta_soc::spec::brightness_opp_table(&[100, 400, 700, 1000]).expect("valid ladder");
         let mut domains = single_domain();
         domains.push(FreqDomain {
             id: 1,

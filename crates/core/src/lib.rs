@@ -66,5 +66,5 @@ pub use user::{UserPopulation, UserProfile};
 #[cfg(test)]
 pub(crate) fn nexus4_opp() -> usta_soc::OppTable {
     let spec = usta_device::by_id("nexus4").expect("built-in");
-    usta_soc::spec::opp_table(spec, 0).expect("valid spec")
+    usta_soc::OppTable::new(spec.clusters[0].opp.clone()).expect("valid spec")
 }

@@ -59,11 +59,11 @@
 //! ```
 //!
 //! Dependency direction: this crate sits between `usta-thermal` (whose
-//! topology types its `ThermalSpec` lowers into) and `usta-soc` (which
-//! builds its `OppTable`/`CpuPowerModel`/`Battery`/`Display` instances
-//! *from* a spec — see `usta_soc::spec`). `usta-catalog` sits above
-//! it and adds catalog directories: loading every file of one and
-//! installing its devices over the built-ins.
+//! topology types its `ThermalSpec` lowers into) and `usta-soc` (whose
+//! `OppTable`/`CpuPowerModel`/`Battery`/`Display` models hold this
+//! crate's spec sections as their static description). `usta-catalog`
+//! sits above it and adds catalog directories: loading every file of
+//! one and installing its devices over the built-ins.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,9 +5,9 @@
 //! one per frequency domain (cpufreq policy): single-policy parts like
 //! the paper's Nexus 4 declare one cluster, big.LITTLE parts declare
 //! two, in **big-first order** (the spill scheduler places threads on
-//! the fastest cluster first). `usta-soc` turns each cluster into live
-//! models (`usta_soc::spec`), and `usta-sim` builds whole multi-domain
-//! devices from a spec; the thermal side is a declarative
+//! the fastest cluster first). `usta-soc`'s models hold these sections
+//! as their static description, and `usta-sim` builds whole
+//! multi-domain devices from a spec; the thermal side is a declarative
 //! [`ThermalSpec`] with **one die node per cluster**, lowered into a
 //! `usta_thermal::ThermalTopology` at device construction.
 
@@ -26,7 +26,8 @@ pub const MAX_CPU_CLUSTERS: usize = 4;
 /// re-exports this so the whole control plane shares one bound.
 pub const MAX_FREQ_DOMAINS: usize = MAX_CPU_CLUSTERS + 2;
 
-/// One CPU operating point.
+/// One operating point: a frequency and the voltage the PLL/PMIC pair
+/// runs it at.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OppPoint {
     /// Core clock, kHz (cpufreq convention; 1 512 000 kHz = 1512 MHz).
@@ -39,6 +40,12 @@ impl OppPoint {
     /// Frequency in MHz.
     pub fn mhz(&self) -> f64 {
         self.khz as f64 / 1e3
+    }
+
+    /// Frequency in Hz.
+    #[inline]
+    pub fn hz(&self) -> f64 {
+        self.khz as f64 * 1e3
     }
 }
 
@@ -271,10 +278,11 @@ impl DeviceSpec {
     ///
     /// Checks, in order: the id alphabet, the cluster list (1 to
     /// [`MAX_CPU_CLUSTERS`] clusters, valid unique names, big-first
-    /// ordering, per-cluster core counts and OPP monotonicity —
-    /// frequency strictly increasing, voltage non-decreasing, dynamic
-    /// power strictly increasing), power-model coefficient ranges, and
-    /// the thermal spec (see [`ThermalSpec::validate`]: node names,
+    /// ordering, per-cluster core counts, CPU power coefficients and
+    /// OPP monotonicity — frequency strictly increasing, voltage
+    /// non-decreasing, dynamic power strictly increasing), the GPU,
+    /// display and battery parameter ranges and the brightness ladder,
+    /// and the thermal spec (see [`ThermalSpec::validate`]: node names,
     /// positive capacitances and conductances, one die node per
     /// cluster, resolvable designations, connected graph).
     ///
@@ -315,8 +323,10 @@ impl DeviceSpec {
                     value: 0.0,
                 });
             }
-            validate_cluster_opp(cluster)?;
+            // Coefficients first: the OPP curve check derives dynamic
+            // power from them.
             validate_cluster_power(cluster)?;
+            validate_cluster_opp(cluster)?;
         }
         Ok(())
     }
@@ -581,6 +591,90 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_power_model_parameters_are_rejected() {
+        type Mutation = fn(&mut DeviceSpec, f64);
+        let fields: [(&str, Mutation, &[f64]); 11] = [
+            (
+                "battery.capacity_mah",
+                |s, v| s.battery.capacity_mah = v,
+                &[0.0, -1.0, f64::NAN],
+            ),
+            (
+                "battery.nominal_v",
+                |s, v| s.battery.nominal_v = v,
+                &[0.0, -3.8, f64::NAN],
+            ),
+            (
+                "battery.max_charge_a",
+                |s, v| s.battery.max_charge_a = v,
+                &[0.0, -1.0, f64::NAN],
+            ),
+            (
+                "battery.internal_ohm",
+                |s, v| s.battery.internal_ohm = v,
+                &[-0.01, f64::NAN],
+            ),
+            (
+                "battery.charge_loss_fraction",
+                |s, v| s.battery.charge_loss_fraction = v,
+                &[-0.1, 1.5, f64::NAN],
+            ),
+            (
+                "display.base_w",
+                |s, v| s.display.base_w = v,
+                &[-0.1, f64::NAN],
+            ),
+            (
+                "display.full_brightness_w",
+                |s, v| s.display.full_brightness_w = v,
+                &[-0.1, f64::INFINITY],
+            ),
+            (
+                "cpu_power.ceff_farads",
+                |s, v| s.clusters[0].cpu_power.ceff_farads = v,
+                &[0.0, -1e-10, f64::NAN],
+            ),
+            (
+                "cpu_power.leak_coeff_a",
+                |s, v| s.clusters[0].cpu_power.leak_coeff_a = v,
+                &[-0.1, f64::NAN],
+            ),
+            (
+                "cpu_power.leak_temp_per_k",
+                |s, v| s.clusters[0].cpu_power.leak_temp_per_k = v,
+                &[-0.02, f64::NAN],
+            ),
+            (
+                "cpu_power.idle_uncore_w",
+                |s, v| s.clusters[0].cpu_power.idle_uncore_w = v,
+                &[-0.1, f64::NAN],
+            ),
+        ];
+        for (want, mutate, values) in fields {
+            for &v in values {
+                let mut s = builtin_spec("nexus4");
+                mutate(&mut s, v);
+                match s.validate() {
+                    Err(DeviceError::InvalidParameter { name, .. }) => {
+                        assert_eq!(name, want, "{want} = {v}")
+                    }
+                    other => panic!("{want} = {v} gave {other:?}"),
+                }
+            }
+        }
+        let mut s = builtin_spec("nexus4");
+        s.gpu_power.max_w = 0.0;
+        s.gpu_power.idle_w = 0.0;
+        assert!(matches!(
+            s.validate(),
+            Err(DeviceError::InvalidParameter {
+                name: "gpu_power.max_w",
+                ..
+            })
+        ));
+    }
+
+    #[test]
     fn gpu_idle_above_max_rejected() {
         let mut s = builtin_spec("nexus4");
         s.gpu_power.idle_w = s.gpu_power.max_w + 1.0;
@@ -596,6 +690,7 @@ mod tests {
         assert_eq!(s.min_khz(), 384_000);
         assert_eq!(s.max_khz(), 1_512_000);
         assert!((s.clusters[0].opp[0].mhz() - 384.0).abs() < 1e-9);
+        assert!((s.clusters[0].opp[11].hz() - 1.512e9).abs() < 1e-3);
         assert!(s.thermal_mass_j_per_k() > 100.0);
         // Dynamic power rises strictly across the whole table.
         let c = &s.clusters[0];

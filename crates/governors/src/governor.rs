@@ -208,7 +208,7 @@ pub(crate) mod test_support {
     /// The catalog Nexus 4's twelve-level OPP table.
     pub fn nexus4_opp() -> usta_soc::OppTable {
         let spec = usta_device::by_id("nexus4").expect("built-in");
-        usta_soc::spec::opp_table(spec, 0).expect("valid spec")
+        usta_soc::OppTable::new(spec.clusters[0].opp.clone()).expect("valid spec")
     }
 
     /// One nexus4-table domain — the single-domain test fixture shared

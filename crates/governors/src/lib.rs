@@ -22,7 +22,8 @@
 //! let nexus4 = usta_device::by_id("nexus4").expect("built-in");
 //! let domains = vec![FreqDomain {
 //!     id: 0, name: "cpu", kind: usta_soc::DomainKind::CpuCluster, cores: 4,
-//!     opp: usta_soc::spec::opp_table(nexus4, 0).expect("valid spec"), full_load_w: 3.6,
+//!     opp: usta_soc::OppTable::new(nexus4.clusters[0].opp.clone()).expect("valid spec"),
+//!     full_load_w: 3.6,
 //! }];
 //! let top = domains[0].max_index();
 //! let mut gov = OnDemand::default();

@@ -14,16 +14,16 @@ use usta_workloads::Benchmark;
 fn main() {
     let seed = 17u64;
     let log = collect_global_training_log(seed);
+    let predictor = train_predictor(&log, PredictionTarget::Skin, seed);
     let population = UserPopulation::paper();
     let sessions: Vec<(UserProfile, SessionExperience, SessionExperience)> = population
         .iter()
         .map(|user| {
             let base = run_baseline(Benchmark::Skype, seed ^ (user.label as u64) << 2);
-            let predictor = train_predictor(&log, PredictionTarget::Skin, seed);
             let usta = run_usta(
                 Benchmark::Skype,
                 user.skin_limit,
-                predictor,
+                predictor.clone(),
                 seed ^ (user.label as u64) << 4,
             );
             (

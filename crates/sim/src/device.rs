@@ -329,10 +329,11 @@ impl Device {
     ///
     /// # Errors
     ///
-    /// Propagates construction errors from the SoC or thermal models
-    /// and from sensor-parameter validation, and rejects a working-copy
+    /// Returns the spec's [`DeviceSpec::validate`] error (the one range
+    /// check of every device parameter), rejects a working-copy
     /// topology whose die-node count diverged from the spec's cluster
-    /// count.
+    /// count and a battery state of charge outside [0, 1], and
+    /// propagates thermal-model construction errors.
     pub fn new(config: DeviceConfig) -> Result<Device, Box<dyn std::error::Error>> {
         config.spec.validate()?;
         if config.thermal.dies() != config.spec.domains() {
@@ -343,29 +344,38 @@ impl Device {
         }
         let mut thermal = DeviceThermalModel::new(config.thermal)?;
         thermal.set_hand_contact(config.hand_held);
-        let sensors = [
+        let [cpu, battery, skin, screen] = [
             SensorParams::kernel_zone(),
             SensorParams::kernel_zone(),
             SensorParams::thermistor(),
             SensorParams::thermistor(),
-        ];
-        for params in &sensors {
-            params.validate()?;
-        }
-        let [cpu, battery, skin, screen] = sensors.map(ThermalSensor::new);
+        ]
+        .map(ThermalSensor::new);
+        let spec = &config.spec;
         let mut device = Device {
-            clusters: usta_soc::spec::cpus(&config.spec)?,
-            cluster_power: usta_soc::spec::cpu_power_models(&config.spec)?,
-            gpu_power: usta_soc::spec::gpu_power_model(&config.spec)?,
-            gpu_dom: usta_soc::spec::gpu_opp_table(&config.spec)
-                .transpose()?
-                .map(SystemDomain::new),
-            display: usta_soc::spec::display(&config.spec)?,
-            display_dom: usta_soc::spec::brightness_opp_table(&config.spec)
-                .transpose()?
-                .map(SystemDomain::new),
+            clusters: spec
+                .clusters
+                .iter()
+                .map(usta_soc::spec::cpu)
+                .collect::<Result<_, _>>()?,
+            cluster_power: spec
+                .clusters
+                .iter()
+                .map(|c| CpuPowerModel::new(c.cpu_power))
+                .collect(),
+            gpu_power: GpuPowerModel::new(spec.gpu_power),
+            gpu_dom: spec
+                .gpu
+                .as_ref()
+                .map(|gpu| OppTable::new(gpu.opp.clone()).map(SystemDomain::new))
+                .transpose()?,
+            display: Display::new(spec.display),
+            display_dom: spec
+                .brightness_ladder
+                .map(|ladder| usta_soc::spec::brightness_opp_table(ladder).map(SystemDomain::new))
+                .transpose()?,
             effective_brightness: 0.0,
-            battery: usta_soc::spec::battery(&config.spec, config.battery_soc)?,
+            battery: Battery::new(spec.battery, config.battery_soc)?,
             spec: config.spec,
             thermal,
             sensor_key: config.sensor_seed,
@@ -780,6 +790,54 @@ mod tests {
             brightness: 1.0,
             board_w: 0.3,
             charging: false,
+        }
+    }
+
+    #[test]
+    fn hand_built_invalid_spec_is_rejected_at_construction() {
+        let nexus4 = usta_device::by_id("nexus4").expect("built-in");
+        let mut empty_opp = nexus4.clone();
+        empty_opp.clusters[0].opp.clear();
+        let mut no_cores = nexus4.clone();
+        no_cores.clusters[0].cores = 0;
+        let mut flat_battery = nexus4.clone();
+        flat_battery.battery.capacity_mah = 0.0;
+        for bad in [empty_opp, no_cores, flat_battery] {
+            let want = bad.validate().expect_err("hand-built spec is invalid");
+            let err = Device::new(DeviceConfig::for_device(bad)).expect_err("rejected");
+            assert_eq!(
+                err.downcast_ref::<usta_device::DeviceError>(),
+                Some(&want),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn out_of_range_battery_soc_is_rejected() {
+        for bad in [-0.1, 1.5, f64::NAN] {
+            let config = DeviceConfig {
+                battery_soc: bad,
+                ..DeviceConfig::default()
+            };
+            let err = Device::new(config).expect_err("rejected");
+            assert!(
+                matches!(
+                    err.downcast_ref::<usta_soc::SocError>(),
+                    Some(usta_soc::SocError::InvalidParameter {
+                        name: "state_of_charge",
+                        ..
+                    })
+                ),
+                "{bad}: {err}"
+            );
+        }
+        for good in [0.0, 1.0] {
+            let config = DeviceConfig {
+                battery_soc: good,
+                ..DeviceConfig::default()
+            };
+            assert!(Device::new(config).is_ok(), "{good}");
         }
     }
 

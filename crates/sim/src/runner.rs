@@ -347,11 +347,6 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    /// The skin trace as required by `usta_core::comfort`.
-    pub fn skin_samples(&self) -> &[(f64, Celsius)] {
-        &self.skin_trace
-    }
-
     /// Number of frequency domains the run was traced over.
     pub fn domains(&self) -> usize {
         self.domain_names.len()

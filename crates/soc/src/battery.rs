@@ -7,6 +7,7 @@
 //! is why charging warms the *skin* location specifically.
 
 use crate::error::SocError;
+use usta_device::BatterySpec;
 
 /// Whether a charger is attached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -20,29 +21,14 @@ pub enum ChargeState {
     Full,
 }
 
-/// Static battery description.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatteryParams {
-    /// Pack capacity, mAh.
-    pub capacity_mah: f64,
-    /// Nominal pack voltage, V.
-    pub nominal_v: f64,
-    /// Internal resistance, Ω.
-    pub internal_ohm: f64,
-    /// Maximum charge current, A.
-    pub max_charge_a: f64,
-    /// Fraction of charging power lost as heat in the pack/PMIC.
-    pub charge_loss_fraction: f64,
-}
-
 /// A battery pack with a state of charge and a heat output.
 ///
 /// ```
-/// use usta_soc::ChargeState;
+/// use usta_soc::{Battery, ChargeState};
 ///
 /// # fn main() -> Result<(), usta_soc::SocError> {
 /// let spec = usta_device::by_id("nexus4").expect("built-in");
-/// let mut b = usta_soc::spec::battery(spec, 0.5)?;
+/// let mut b = Battery::new(spec.battery, 0.5)?;
 /// b.set_charge_state(ChargeState::Charging);
 /// let heat = b.step(4.0, 60.0); // device draws 4 W for a minute
 /// assert!(heat > 0.0);
@@ -52,42 +38,22 @@ pub struct BatteryParams {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Battery {
-    params: BatteryParams,
+    spec: BatterySpec,
     soc: f64,
     state: ChargeState,
-    last_heat_w: f64,
 }
 
 impl Battery {
-    /// Builds a pack at the given state of charge (0–1).
+    /// Builds a pack at the given state of charge (0–1). The pack's own
+    /// parameters come from the spec, whose ranges
+    /// [`DeviceSpec::validate`](usta_device::DeviceSpec::validate)
+    /// checks.
     ///
     /// # Errors
     ///
-    /// Returns [`SocError::InvalidParameter`] for out-of-range parameters
-    /// or state of charge.
-    pub fn new(params: BatteryParams, state_of_charge: f64) -> Result<Battery, SocError> {
-        let check_pos = |name: &'static str, v: f64| {
-            if !v.is_finite() || v <= 0.0 {
-                Err(SocError::InvalidParameter { name, value: v })
-            } else {
-                Ok(())
-            }
-        };
-        check_pos("capacity_mah", params.capacity_mah)?;
-        check_pos("nominal_v", params.nominal_v)?;
-        check_pos("max_charge_a", params.max_charge_a)?;
-        if !params.internal_ohm.is_finite() || params.internal_ohm < 0.0 {
-            return Err(SocError::InvalidParameter {
-                name: "internal_ohm",
-                value: params.internal_ohm,
-            });
-        }
-        if !(0.0..=1.0).contains(&params.charge_loss_fraction) {
-            return Err(SocError::InvalidParameter {
-                name: "charge_loss_fraction",
-                value: params.charge_loss_fraction,
-            });
-        }
+    /// Returns [`SocError::InvalidParameter`] for a state of charge
+    /// outside [0, 1] or NaN.
+    pub fn new(spec: BatterySpec, state_of_charge: f64) -> Result<Battery, SocError> {
         if !(0.0..=1.0).contains(&state_of_charge) {
             return Err(SocError::InvalidParameter {
                 name: "state_of_charge",
@@ -95,10 +61,9 @@ impl Battery {
             });
         }
         Ok(Battery {
-            params,
+            spec,
             soc: state_of_charge,
             state: ChargeState::Discharging,
-            last_heat_w: 0.0,
         })
     }
 
@@ -117,11 +82,6 @@ impl Battery {
         self.soc
     }
 
-    /// Heat generated during the last step, W.
-    pub fn last_heat(&self) -> f64 {
-        self.last_heat_w
-    }
-
     /// Advances the pack by `dt` seconds while the device draws
     /// `load_w` watts, returning the pack's heat output in watts.
     ///
@@ -130,14 +90,14 @@ impl Battery {
     /// (constant-current → constant-voltage in one knee).
     pub fn step(&mut self, load_w: f64, dt: f64) -> f64 {
         let load_w = load_w.max(0.0);
-        let v = self.params.nominal_v;
-        let capacity_as = self.params.capacity_mah * 3.6; // mAh → A·s
+        let v = self.spec.nominal_v;
+        let capacity_as = self.spec.capacity_mah * 3.6; // mAh → A·s
         let mut heat = 0.0;
 
         match self.state {
             ChargeState::Discharging => {
                 let current = load_w / v;
-                heat += current * current * self.params.internal_ohm;
+                heat += current * current * self.spec.internal_ohm;
                 self.soc -= current * dt / capacity_as;
             }
             ChargeState::Charging | ChargeState::Full => {
@@ -149,10 +109,10 @@ impl Battery {
                 } else {
                     1.0
                 };
-                let charge_a = self.params.max_charge_a * taper;
+                let charge_a = self.spec.max_charge_a * taper;
                 let charge_w = charge_a * v;
-                heat += charge_w * self.params.charge_loss_fraction;
-                heat += charge_a * charge_a * self.params.internal_ohm;
+                heat += charge_w * self.spec.charge_loss_fraction;
+                heat += charge_a * charge_a * self.spec.internal_ohm;
                 self.soc += charge_a * dt / capacity_as;
             }
         }
@@ -160,13 +120,7 @@ impl Battery {
         if self.soc >= 1.0 && self.state == ChargeState::Charging {
             self.state = ChargeState::Full;
         }
-        self.last_heat_w = heat;
         heat
-    }
-
-    /// Parameters of the pack.
-    pub fn params(&self) -> &BatteryParams {
-        &self.params
     }
 }
 
@@ -175,7 +129,7 @@ mod tests {
     use super::*;
 
     fn battery(soc: f64) -> Battery {
-        crate::spec::battery(usta_device::by_id("nexus4").unwrap(), soc).unwrap()
+        Battery::new(usta_device::by_id("nexus4").unwrap().battery, soc).unwrap()
     }
 
     #[test]
@@ -242,17 +196,21 @@ mod tests {
 
     #[test]
     fn constructor_validates() {
-        let good = battery(0.5).params().clone();
-        assert!(Battery::new(good.clone(), 1.5).is_err());
-        let bad = BatteryParams {
-            capacity_mah: 0.0,
-            ..good.clone()
-        };
-        assert!(Battery::new(bad, 0.5).is_err());
-        let bad = BatteryParams {
-            charge_loss_fraction: 1.5,
-            ..good
-        };
-        assert!(Battery::new(bad, 0.5).is_err());
+        let spec = usta_device::by_id("nexus4").unwrap().battery;
+        for bad in [1.5, -0.1, f64::NAN, f64::INFINITY] {
+            assert!(
+                matches!(
+                    Battery::new(spec, bad),
+                    Err(SocError::InvalidParameter {
+                        name: "state_of_charge",
+                        ..
+                    })
+                ),
+                "{bad}"
+            );
+        }
+        for good in [0.0, 0.5, 1.0] {
+            assert!(Battery::new(spec, good).is_ok(), "{good}");
+        }
     }
 }

@@ -9,8 +9,7 @@
 //! queueing them), which matches the soft-real-time workloads the paper
 //! evaluates.
 
-use crate::error::SocError;
-use crate::freq::{FrequencyLevel, OppTable};
+use crate::freq::{OppPoint, OppTable};
 
 /// Per-core compute demand over a sampling window, in kHz of equivalent
 /// busy cycles.
@@ -50,13 +49,6 @@ impl CoreDemand {
     }
 }
 
-/// Static CPU description.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CpuParams {
-    /// Number of cores sharing one frequency domain.
-    pub cores: usize,
-}
-
 /// A multi-core CPU with one shared frequency domain.
 ///
 /// ```
@@ -64,7 +56,7 @@ pub struct CpuParams {
 ///
 /// # fn main() -> Result<(), usta_soc::SocError> {
 /// let spec = usta_device::by_id("nexus4").expect("built-in");
-/// let mut cpu = usta_soc::spec::cpu(spec, 0)?; // four cores, twelve OPPs
+/// let mut cpu = usta_soc::spec::cpu(&spec.clusters[0])?; // four cores, twelve OPPs
 /// cpu.set_level(cpu.opp_table().max_index());
 /// // A demand of 756 MHz per core at 1.512 GHz is 50 % busy:
 /// cpu.apply_demand(&CoreDemand::uniform(4, 756_000.0));
@@ -81,24 +73,17 @@ pub struct Cpu {
 }
 
 impl Cpu {
-    /// Builds a CPU at the lowest operating point, fully idle.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SocError::InvalidParameter`] when `params.cores` is 0.
-    pub fn new(params: CpuParams, opp: OppTable) -> Result<Cpu, SocError> {
-        if params.cores == 0 {
-            return Err(SocError::InvalidParameter {
-                name: "cores",
-                value: 0.0,
-            });
-        }
-        Ok(Cpu {
+    /// Builds a CPU of `cores` cores at the lowest operating point,
+    /// fully idle. The core count comes from a cluster spec, which
+    /// [`DeviceSpec::validate`](usta_device::DeviceSpec::validate)
+    /// requires to be positive.
+    pub fn new(cores: usize, opp: OppTable) -> Cpu {
+        Cpu {
             opp,
             level: 0,
-            utilizations: vec![0.0; params.cores],
+            utilizations: vec![0.0; cores],
             unserved_khz: 0.0,
-        })
+        }
     }
 
     /// The OPP table this CPU runs on.
@@ -117,7 +102,7 @@ impl Cpu {
     }
 
     /// Current operating point.
-    pub fn frequency(&self) -> FrequencyLevel {
+    pub fn frequency(&self) -> OppPoint {
         self.opp.level(self.level)
     }
 
@@ -203,13 +188,16 @@ mod tests {
     use super::*;
 
     fn cpu() -> Cpu {
-        crate::spec::cpu(usta_device::by_id("nexus4").unwrap(), 0).unwrap()
+        crate::spec::cpu(&usta_device::by_id("nexus4").unwrap().clusters[0]).unwrap()
     }
 
     #[test]
     fn zero_cores_rejected() {
-        let opp = cpu().opp_table().clone();
-        assert!(Cpu::new(CpuParams { cores: 0 }, opp).is_err());
+        // `Cpu::new` trusts its core count; the spec validator that
+        // `Device::new` runs first is what keeps a zero out.
+        let mut spec = usta_device::by_id("nexus4").unwrap().clone();
+        spec.clusters[0].cores = 0;
+        assert!(spec.validate().is_err());
     }
 
     #[test]

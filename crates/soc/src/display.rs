@@ -1,61 +1,35 @@
 //! Display panel power model.
 
-use crate::error::SocError;
-
-/// Static display description.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DisplayParams {
-    /// Panel + driver power at zero backlight, W.
-    pub base_w: f64,
-    /// Additional power at full brightness, W.
-    pub full_brightness_w: f64,
-}
+use usta_device::DisplaySpec;
 
 /// The display: on/off and a brightness slider.
 ///
 /// ```
-/// # fn main() -> Result<(), usta_soc::SocError> {
 /// let spec = usta_device::by_id("nexus4").expect("built-in");
-/// let mut d = usta_soc::spec::display(spec)?;
+/// let mut d = usta_soc::Display::new(spec.display);
 /// assert_eq!(d.power(), 0.0); // starts off
 /// d.set_on(true);
 /// d.set_brightness(0.6);
 /// assert!(d.power() > 0.8);
-/// # Ok(())
-/// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Display {
-    params: DisplayParams,
+    spec: DisplaySpec,
     on: bool,
     brightness: f64,
 }
 
 impl Display {
-    /// Builds a display, initially off at 50 % brightness.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SocError::InvalidParameter`] for negative or non-finite
-    /// powers.
-    pub fn new(params: DisplayParams) -> Result<Display, SocError> {
-        if !params.base_w.is_finite() || params.base_w < 0.0 {
-            return Err(SocError::InvalidParameter {
-                name: "base_w",
-                value: params.base_w,
-            });
-        }
-        if !params.full_brightness_w.is_finite() || params.full_brightness_w < 0.0 {
-            return Err(SocError::InvalidParameter {
-                name: "full_brightness_w",
-                value: params.full_brightness_w,
-            });
-        }
-        Ok(Display {
-            params,
+    /// Builds a display, initially off at 50 % brightness, from the
+    /// spec's panel powers, whose ranges
+    /// [`DeviceSpec::validate`](usta_device::DeviceSpec::validate)
+    /// checks.
+    pub fn new(spec: DisplaySpec) -> Display {
+        Display {
+            spec,
             on: false,
             brightness: 0.5,
-        })
+        }
     }
 
     /// Turns the panel on or off.
@@ -81,7 +55,7 @@ impl Display {
     /// Instantaneous panel power, W.
     pub fn power(&self) -> f64 {
         if self.on {
-            self.params.base_w + self.params.full_brightness_w * self.brightness
+            self.spec.base_w + self.spec.full_brightness_w * self.brightness
         } else {
             0.0
         }
@@ -93,11 +67,10 @@ mod tests {
     use super::*;
 
     fn panel() -> Display {
-        Display::new(DisplayParams {
+        Display::new(DisplaySpec {
             base_w: 0.35,
             full_brightness_w: 0.85,
         })
-        .unwrap()
     }
 
     #[test]
@@ -130,10 +103,14 @@ mod tests {
 
     #[test]
     fn rejects_negative_power() {
-        let bad = DisplayParams {
-            base_w: -0.1,
-            full_brightness_w: 0.8,
-        };
-        assert!(Display::new(bad).is_err());
+        // `Display::new` trusts its spec; the spec validator that
+        // `Device::new` runs first is what keeps a negative power out.
+        let nexus4 = usta_device::by_id("nexus4").unwrap();
+        let mut spec = nexus4.clone();
+        spec.display.base_w = -0.1;
+        assert!(spec.validate().is_err());
+        let mut spec = nexus4.clone();
+        spec.display.full_brightness_w = -0.1;
+        assert!(spec.validate().is_err());
     }
 }

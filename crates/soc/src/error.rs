@@ -1,4 +1,4 @@
-//! Error type for SoC model construction and use.
+//! Error type for SoC model construction.
 
 use std::error::Error;
 use std::fmt;
@@ -19,14 +19,10 @@ pub enum SocError {
         /// Index of the offending level.
         index: usize,
     },
-    /// A level index beyond the table length was used.
-    LevelOutOfRange {
-        /// The requested level.
-        level: usize,
-        /// Number of levels in the table.
-        len: usize,
-    },
-    /// A model parameter was non-finite or out of its physical range.
+    /// A model input that no device spec carries (a sensor parameter or
+    /// the battery's initial state of charge) was non-finite or out of
+    /// its physical range. Device parameters are range-checked once, by
+    /// [`DeviceSpec::validate`](usta_device::DeviceSpec::validate).
     InvalidParameter {
         /// Which parameter.
         name: &'static str,
@@ -45,9 +41,6 @@ impl fmt::Display for SocError {
             SocError::InvalidOppLevel { index } => {
                 write!(f, "OPP level {index} has non-positive frequency or voltage")
             }
-            SocError::LevelOutOfRange { level, len } => {
-                write!(f, "level {level} out of range for {len}-level OPP table")
-            }
             SocError::InvalidParameter { name, value } => {
                 write!(f, "parameter `{name}` has invalid value {value}")
             }
@@ -63,9 +56,14 @@ mod tests {
 
     #[test]
     fn messages_are_informative() {
-        let e = SocError::LevelOutOfRange { level: 13, len: 12 };
-        assert!(e.to_string().contains("13"));
-        assert!(e.to_string().contains("12"));
+        let e = SocError::UnsortedOppTable { index: 7 };
+        assert!(e.to_string().contains("index 7"));
+        let e = SocError::InvalidParameter {
+            name: "state_of_charge",
+            value: 1.5,
+        };
+        assert!(e.to_string().contains("state_of_charge"));
+        assert!(e.to_string().contains("1.5"));
     }
 
     #[test]

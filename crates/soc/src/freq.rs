@@ -2,54 +2,27 @@
 //!
 //! Linux cpufreq exposes a discrete set of frequency/voltage operating
 //! points; governors pick one, and USTA clamps the *maximum allowed*
-//! index. Each catalog cluster declares its table, and
-//! [`crate::spec::opp_table`] builds it; the paper's Nexus 4 exposes
-//! twelve levels between 384 MHz and 1.512 GHz (§3.B).
+//! index. Each catalog cluster declares its table as
+//! [`OppPoint`]s, and [`OppTable::new`] builds the lookup from them;
+//! the paper's Nexus 4 exposes twelve levels between 384 MHz and
+//! 1.512 GHz (§3.B).
 
 use std::sync::Arc;
 
+pub use usta_device::OppPoint;
+
 use crate::error::SocError;
-
-/// One operating point: a frequency and the voltage the PLL/PMIC pair
-/// runs it at.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FrequencyLevel {
-    /// Core clock in kHz (cpufreq convention).
-    pub khz: u32,
-    /// Supply voltage in volts.
-    pub volts: f64,
-}
-
-impl FrequencyLevel {
-    /// Frequency in MHz.
-    #[inline]
-    pub fn mhz(&self) -> f64 {
-        self.khz as f64 / 1e3
-    }
-
-    /// Frequency in GHz.
-    #[inline]
-    pub fn ghz(&self) -> f64 {
-        self.khz as f64 / 1e6
-    }
-
-    /// Frequency in Hz.
-    #[inline]
-    pub fn hz(&self) -> f64 {
-        self.khz as f64 * 1e3
-    }
-}
 
 /// An ordered table of operating points (lowest frequency first).
 ///
 /// ```
-/// use usta_soc::{FrequencyLevel, OppTable};
+/// use usta_soc::{OppPoint, OppTable};
 ///
 /// # fn main() -> Result<(), usta_soc::SocError> {
 /// let table = OppTable::new(vec![
-///     FrequencyLevel { khz: 300_000, volts: 0.9 },
-///     FrequencyLevel { khz: 600_000, volts: 1.0 },
-///     FrequencyLevel { khz: 900_000, volts: 1.1 },
+///     OppPoint { khz: 300_000, volts: 0.9 },
+///     OppPoint { khz: 600_000, volts: 1.0 },
+///     OppPoint { khz: 900_000, volts: 1.1 },
 /// ])?;
 /// assert_eq!(table.len(), 3);
 /// assert_eq!(table.max().khz, 900_000);
@@ -64,7 +37,7 @@ impl FrequencyLevel {
 /// equal without reading its levels.
 #[derive(Debug, Clone)]
 pub struct OppTable {
-    levels: Arc<[FrequencyLevel]>,
+    levels: Arc<[OppPoint]>,
 }
 
 impl PartialEq for OppTable {
@@ -86,7 +59,7 @@ impl OppTable {
     /// [`SocError::UnsortedOppTable`] if frequencies are not strictly
     /// increasing, and [`SocError::InvalidOppLevel`] for non-positive
     /// frequencies or voltages.
-    pub fn new(levels: Vec<FrequencyLevel>) -> Result<OppTable, SocError> {
+    pub fn new(levels: Vec<OppPoint>) -> Result<OppTable, SocError> {
         if levels.is_empty() {
             return Err(SocError::EmptyOppTable);
         }
@@ -119,22 +92,22 @@ impl OppTable {
     ///
     /// Panics if `index >= len()`; use [`get`](Self::get) for a checked
     /// lookup.
-    pub fn level(&self, index: usize) -> FrequencyLevel {
+    pub fn level(&self, index: usize) -> OppPoint {
         self.levels[index]
     }
 
     /// Checked lookup.
-    pub fn get(&self, index: usize) -> Option<FrequencyLevel> {
+    pub fn get(&self, index: usize) -> Option<OppPoint> {
         self.levels.get(index).copied()
     }
 
     /// The lowest operating point.
-    pub fn min(&self) -> FrequencyLevel {
+    pub fn min(&self) -> OppPoint {
         self.levels[0]
     }
 
     /// The highest operating point.
-    pub fn max(&self) -> FrequencyLevel {
+    pub fn max(&self) -> OppPoint {
         *self.levels.last().expect("table is non-empty")
     }
 
@@ -144,7 +117,7 @@ impl OppTable {
     }
 
     /// Iterates over the levels, lowest first.
-    pub fn iter(&self) -> impl Iterator<Item = &FrequencyLevel> {
+    pub fn iter(&self) -> impl Iterator<Item = &OppPoint> {
         self.levels.iter()
     }
 
@@ -178,8 +151,8 @@ impl OppTable {
 }
 
 impl<'a> IntoIterator for &'a OppTable {
-    type Item = &'a FrequencyLevel;
-    type IntoIter = std::slice::Iter<'a, FrequencyLevel>;
+    type Item = &'a OppPoint;
+    type IntoIter = std::slice::Iter<'a, OppPoint>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.levels.iter()
@@ -192,15 +165,15 @@ mod tests {
 
     fn table() -> OppTable {
         OppTable::new(vec![
-            FrequencyLevel {
+            OppPoint {
                 khz: 300_000,
                 volts: 0.9,
             },
-            FrequencyLevel {
+            OppPoint {
                 khz: 600_000,
                 volts: 1.0,
             },
-            FrequencyLevel {
+            OppPoint {
                 khz: 900_000,
                 volts: 1.1,
             },
@@ -219,22 +192,22 @@ mod tests {
     #[test]
     fn rejects_unsorted_and_duplicate() {
         let r = OppTable::new(vec![
-            FrequencyLevel {
+            OppPoint {
                 khz: 600_000,
                 volts: 1.0,
             },
-            FrequencyLevel {
+            OppPoint {
                 khz: 300_000,
                 volts: 0.9,
             },
         ]);
         assert!(matches!(r, Err(SocError::UnsortedOppTable { index: 1 })));
         let r = OppTable::new(vec![
-            FrequencyLevel {
+            OppPoint {
                 khz: 600_000,
                 volts: 1.0,
             },
-            FrequencyLevel {
+            OppPoint {
                 khz: 600_000,
                 volts: 1.0,
             },
@@ -244,9 +217,9 @@ mod tests {
 
     #[test]
     fn rejects_bad_levels() {
-        let r = OppTable::new(vec![FrequencyLevel { khz: 0, volts: 1.0 }]);
+        let r = OppTable::new(vec![OppPoint { khz: 0, volts: 1.0 }]);
         assert!(matches!(r, Err(SocError::InvalidOppLevel { index: 0 })));
-        let r = OppTable::new(vec![FrequencyLevel {
+        let r = OppTable::new(vec![OppPoint {
             khz: 100,
             volts: -1.0,
         }]);
@@ -273,12 +246,11 @@ mod tests {
 
     #[test]
     fn unit_conversions() {
-        let l = FrequencyLevel {
+        let l = OppPoint {
             khz: 1_512_000,
             volts: 1.25,
         };
         assert!((l.mhz() - 1512.0).abs() < 1e-9);
-        assert!((l.ghz() - 1.512).abs() < 1e-9);
         assert!((l.hz() - 1.512e9).abs() < 1e-3);
     }
 

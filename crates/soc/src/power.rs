@@ -5,145 +5,95 @@
 //! what couples the thermal state back into power (and keeps sustained
 //! workloads from being a pure feed-forward problem).
 
-use crate::error::SocError;
-use crate::freq::FrequencyLevel;
+use crate::freq::OppPoint;
+use usta_device::{CpuPowerSpec, GpuPowerSpec};
 use usta_thermal::Celsius;
 
 /// Per-core CPU power model.
 ///
 /// ```
-/// use usta_soc::{CpuPowerModel, FrequencyLevel};
+/// use usta_device::CpuPowerSpec;
+/// use usta_soc::{CpuPowerModel, OppPoint};
 /// use usta_thermal::Celsius;
 ///
-/// # fn main() -> Result<(), usta_soc::SocError> {
-/// let model = CpuPowerModel::new(3.8e-10, 0.056, 0.02, 0.12)?;
-/// let top = FrequencyLevel { khz: 1_512_000, volts: 1.25 };
+/// let model = CpuPowerModel::new(CpuPowerSpec {
+///     ceff_farads: 3.8e-10,
+///     leak_coeff_a: 0.056,
+///     leak_temp_per_k: 0.02,
+///     idle_uncore_w: 0.12,
+/// });
+/// let top = OppPoint { khz: 1_512_000, volts: 1.25 };
 /// // A fully busy core at the top OPP burns most of a watt:
 /// let p = model.dynamic_power(top, 1.0);
 /// assert!(p > 0.7 && p < 1.1);
 /// // Leakage grows with temperature:
 /// assert!(model.leakage_power(top, Celsius(60.0)) > model.leakage_power(top, Celsius(30.0)));
-/// # Ok(())
-/// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CpuPowerModel {
-    ceff_farads: f64,
-    leak_coeff_a: f64,
-    leak_temp_per_k: f64,
-    idle_uncore_w: f64,
+    spec: CpuPowerSpec,
 }
 
 impl CpuPowerModel {
-    /// Builds a model.
-    ///
-    /// * `ceff_farads` — effective switched capacitance per core (F);
-    /// * `leak_coeff_a` — leakage current coefficient (A) at 25 °C;
-    /// * `leak_temp_per_k` — fractional leakage growth per kelvin;
-    /// * `idle_uncore_w` — constant uncore/interconnect power while the
-    ///   cluster is online (W).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SocError::InvalidParameter`] for non-finite or negative
-    /// values (zero is allowed everywhere but `ceff_farads`).
-    pub fn new(
-        ceff_farads: f64,
-        leak_coeff_a: f64,
-        leak_temp_per_k: f64,
-        idle_uncore_w: f64,
-    ) -> Result<CpuPowerModel, SocError> {
-        let check = |name: &'static str, v: f64, strictly_positive: bool| {
-            if !v.is_finite() || v < 0.0 || (strictly_positive && v == 0.0) {
-                Err(SocError::InvalidParameter { name, value: v })
-            } else {
-                Ok(())
-            }
-        };
-        check("ceff_farads", ceff_farads, true)?;
-        check("leak_coeff_a", leak_coeff_a, false)?;
-        check("leak_temp_per_k", leak_temp_per_k, false)?;
-        check("idle_uncore_w", idle_uncore_w, false)?;
-        Ok(CpuPowerModel {
-            ceff_farads,
-            leak_coeff_a,
-            leak_temp_per_k,
-            idle_uncore_w,
-        })
+    /// Builds a model from one cluster's coefficients, whose ranges
+    /// [`DeviceSpec::validate`](usta_device::DeviceSpec::validate)
+    /// checks.
+    pub fn new(spec: CpuPowerSpec) -> CpuPowerModel {
+        CpuPowerModel { spec }
     }
 
     /// Switching power of one core at `level` with the given utilization
     /// (0–1), in watts.
-    pub fn dynamic_power(&self, level: FrequencyLevel, utilization: f64) -> f64 {
+    pub fn dynamic_power(&self, level: OppPoint, utilization: f64) -> f64 {
         let u = utilization.clamp(0.0, 1.0);
-        self.ceff_farads * level.volts * level.volts * level.hz() * u
+        self.spec.ceff_farads * level.volts * level.volts * level.hz() * u
     }
 
     /// Leakage power of one core at `level` and die temperature, in
     /// watts. Linearized exponential: grows `leak_temp_per_k` per kelvin
     /// above 25 °C and shrinks below (floored at 10 % of nominal).
-    pub fn leakage_power(&self, level: FrequencyLevel, die: Celsius) -> f64 {
-        let scale = (1.0 + self.leak_temp_per_k * (die - Celsius(25.0))).max(0.1);
-        self.leak_coeff_a * level.volts * scale
-    }
-
-    /// Constant uncore power while the cluster is powered, in watts.
-    pub fn idle_uncore_power(&self) -> f64 {
-        self.idle_uncore_w
+    pub fn leakage_power(&self, level: OppPoint, die: Celsius) -> f64 {
+        let scale = (1.0 + self.spec.leak_temp_per_k * (die - Celsius(25.0))).max(0.1);
+        self.spec.leak_coeff_a * level.volts * scale
     }
 
     /// Total power of a cluster of cores with the given per-core
     /// utilizations, all at the same `level` (one voltage/frequency
     /// domain, as on the APQ8064), in watts.
-    pub fn cluster_power(&self, level: FrequencyLevel, utilizations: &[f64], die: Celsius) -> f64 {
+    pub fn cluster_power(&self, level: OppPoint, utilizations: &[f64], die: Celsius) -> f64 {
         let dynamic: f64 = utilizations
             .iter()
             .map(|&u| self.dynamic_power(level, u))
             .sum();
         let leakage = self.leakage_power(level, die) * utilizations.len() as f64;
-        dynamic + leakage + self.idle_uncore_w
+        dynamic + leakage + self.spec.idle_uncore_w
     }
 }
 
 /// GPU power model: load-proportional with an idle floor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpuPowerModel {
-    max_w: f64,
-    idle_w: f64,
+    spec: GpuPowerSpec,
 }
 
 impl GpuPowerModel {
-    /// Builds a GPU model with the given full-load and idle power (W).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SocError::InvalidParameter`] when values are non-finite,
-    /// negative, or `idle_w > max_w`.
-    pub fn new(max_w: f64, idle_w: f64) -> Result<GpuPowerModel, SocError> {
-        if !max_w.is_finite() || max_w <= 0.0 {
-            return Err(SocError::InvalidParameter {
-                name: "max_w",
-                value: max_w,
-            });
-        }
-        if !idle_w.is_finite() || idle_w < 0.0 || idle_w > max_w {
-            return Err(SocError::InvalidParameter {
-                name: "idle_w",
-                value: idle_w,
-            });
-        }
-        Ok(GpuPowerModel { max_w, idle_w })
+    /// Builds a GPU model from the spec's full-load and idle power,
+    /// whose ranges
+    /// [`DeviceSpec::validate`](usta_device::DeviceSpec::validate)
+    /// checks.
+    pub fn new(spec: GpuPowerSpec) -> GpuPowerModel {
+        GpuPowerModel { spec }
     }
 
     /// Power at the given load (0–1), in watts.
     pub fn power(&self, load: f64) -> f64 {
         let l = load.clamp(0.0, 1.0);
-        self.idle_w + (self.max_w - self.idle_w) * l
+        self.spec.idle_w + (self.spec.max_w - self.spec.idle_w) * l
     }
 
     /// Full-load power, in watts.
     pub fn max_power(&self) -> f64 {
-        self.max_w
+        self.spec.max_w
     }
 }
 
@@ -152,18 +102,23 @@ mod tests {
     use super::*;
 
     fn model() -> CpuPowerModel {
-        CpuPowerModel::new(3.8e-10, 0.056, 0.02, 0.12).unwrap()
+        CpuPowerModel::new(CpuPowerSpec {
+            ceff_farads: 3.8e-10,
+            leak_coeff_a: 0.056,
+            leak_temp_per_k: 0.02,
+            idle_uncore_w: 0.12,
+        })
     }
 
-    fn top() -> FrequencyLevel {
-        FrequencyLevel {
+    fn top() -> OppPoint {
+        OppPoint {
             khz: 1_512_000,
             volts: 1.25,
         }
     }
 
-    fn bottom() -> FrequencyLevel {
-        FrequencyLevel {
+    fn bottom() -> OppPoint {
+        OppPoint {
             khz: 384_000,
             volts: 0.95,
         }
@@ -215,15 +170,11 @@ mod tests {
     }
 
     #[test]
-    fn constructor_rejects_bad_parameters() {
-        assert!(CpuPowerModel::new(0.0, 0.1, 0.02, 0.1).is_err());
-        assert!(CpuPowerModel::new(f64::NAN, 0.1, 0.02, 0.1).is_err());
-        assert!(CpuPowerModel::new(1e-10, -0.1, 0.02, 0.1).is_err());
-    }
-
-    #[test]
     fn gpu_power_interpolates_between_idle_and_max() {
-        let g = GpuPowerModel::new(1.6, 0.1).unwrap();
+        let g = GpuPowerModel::new(GpuPowerSpec {
+            max_w: 1.6,
+            idle_w: 0.1,
+        });
         assert_eq!(g.power(0.0), 0.1);
         assert_eq!(g.power(1.0), 1.6);
         assert!((g.power(0.5) - 0.85).abs() < 1e-12);
@@ -231,9 +182,37 @@ mod tests {
         assert_eq!(g.max_power(), 1.6);
     }
 
+    /// The Nexus 4 spec with one mutation applied, run through the spec
+    /// validator. The power models trust their specs; this validator,
+    /// which `Device::new` runs first, is what keeps bad values out.
+    fn validate_nexus4_with(mutate: impl FnOnce(&mut usta_device::DeviceSpec)) -> bool {
+        let mut spec = usta_device::by_id("nexus4").unwrap().clone();
+        mutate(&mut spec);
+        spec.validate().is_ok()
+    }
+
+    #[test]
+    fn constructor_rejects_bad_parameters() {
+        assert!(!validate_nexus4_with(|s| s.clusters[0]
+            .cpu_power
+            .ceff_farads = 0.0));
+        assert!(!validate_nexus4_with(|s| s.clusters[0]
+            .cpu_power
+            .ceff_farads = f64::NAN));
+        assert!(!validate_nexus4_with(|s| s.clusters[0]
+            .cpu_power
+            .leak_coeff_a = -0.1));
+    }
+
     #[test]
     fn gpu_rejects_inconsistent_parameters() {
-        assert!(GpuPowerModel::new(1.0, 2.0).is_err());
-        assert!(GpuPowerModel::new(-1.0, 0.0).is_err());
+        assert!(!validate_nexus4_with(|s| {
+            s.gpu_power.max_w = 1.0;
+            s.gpu_power.idle_w = 2.0;
+        }));
+        assert!(!validate_nexus4_with(|s| {
+            s.gpu_power.max_w = -1.0;
+            s.gpu_power.idle_w = 0.0;
+        }));
     }
 }

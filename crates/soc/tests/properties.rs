@@ -2,12 +2,20 @@
 
 use proptest::prelude::*;
 use usta_device::DeviceSpec;
-use usta_soc::spec::{battery, cpu, cpu_power_model, opp_table};
-use usta_soc::{ChargeState, CoreDemand};
+use usta_soc::spec::cpu;
+use usta_soc::{Battery, ChargeState, CoreDemand, CpuPowerModel, OppTable};
 use usta_thermal::Celsius;
 
 fn nexus4() -> &'static DeviceSpec {
     usta_device::by_id("nexus4").expect("built-in")
+}
+
+fn opp_table() -> OppTable {
+    OppTable::new(nexus4().clusters[0].opp.clone()).expect("valid spec")
+}
+
+fn cpu_power_model() -> CpuPowerModel {
+    CpuPowerModel::new(nexus4().clusters[0].cpu_power)
 }
 
 proptest! {
@@ -18,8 +26,8 @@ proptest! {
     #[test]
     fn cpu_power_monotone(level_a in 0usize..12, level_b in 0usize..12, u in 0.0f64..1.0) {
         let (lo, hi) = if level_a <= level_b { (level_a, level_b) } else { (level_b, level_a) };
-        let opp = opp_table(nexus4(), 0).unwrap();
-        let model = cpu_power_model(nexus4(), 0).unwrap();
+        let opp = opp_table();
+        let model = cpu_power_model();
         prop_assert!(
             model.dynamic_power(opp.level(hi), u) >= model.dynamic_power(opp.level(lo), u)
         );
@@ -31,8 +39,8 @@ proptest! {
     /// Leakage is positive and monotone in die temperature.
     #[test]
     fn leakage_monotone_in_temperature(t in -20.0f64..110.0, dt in 0.0f64..40.0) {
-        let opp = opp_table(nexus4(), 0).unwrap();
-        let model = cpu_power_model(nexus4(), 0).unwrap();
+        let opp = opp_table();
+        let model = cpu_power_model();
         let cold = model.leakage_power(opp.max(), Celsius(t));
         let warm = model.leakage_power(opp.max(), Celsius(t + dt));
         prop_assert!(cold > 0.0);
@@ -46,7 +54,7 @@ proptest! {
         threads in proptest::collection::vec(0.0f64..3_000_000.0, 0..9),
         level in 0usize..12,
     ) {
-        let mut cpu = cpu(nexus4(), 0).expect("builds");
+        let mut cpu = cpu(&nexus4().clusters[0]).expect("builds");
         cpu.set_level(level);
         cpu.apply_demand(&CoreDemand::per_core(threads));
         for &u in cpu.utilizations() {
@@ -63,7 +71,7 @@ proptest! {
         per_core in proptest::collection::vec(0.0f64..3_000_000.0, 4),
         level in 0usize..12,
     ) {
-        let mut cpu = cpu(nexus4(), 0).expect("builds");
+        let mut cpu = cpu(&nexus4().clusters[0]).expect("builds");
         cpu.set_level(level);
         cpu.apply_demand(&CoreDemand::per_core(per_core.clone()));
         let freq = cpu.frequency().khz as f64;
@@ -84,7 +92,7 @@ proptest! {
         loads in proptest::collection::vec(0.0f64..8.0, 1..60),
         charging in proptest::bool::ANY,
     ) {
-        let mut b = battery(nexus4(), soc0).expect("valid soc");
+        let mut b = Battery::new(nexus4().battery, soc0).expect("valid soc");
         if charging {
             b.set_charge_state(ChargeState::Charging);
         }
@@ -99,7 +107,7 @@ proptest! {
     /// a level whose frequency covers the request (or the max level).
     #[test]
     fn opp_lookup_covers_demand(khz in 1u32..2_000_000) {
-        let opp = opp_table(nexus4(), 0).unwrap();
+        let opp = opp_table();
         let idx = opp.level_for_khz(khz);
         prop_assert!(idx < opp.len());
         if opp.level(idx).khz < khz {

@@ -345,11 +345,6 @@ impl DeviceThermalModel {
         self.hand_on = held;
     }
 
-    /// Whether a hand currently holds the device.
-    pub fn hand_contact(&self) -> bool {
-        self.hand_on
-    }
-
     /// Routes the current heat load to its role nodes as power
     /// injections (skin/hand power excluded).
     fn apply_powers(net: &mut ThermalNetwork, ids: &[NodeId], roles: &NodeRoles, heat: &HeatLoad) {

@@ -13,7 +13,7 @@ use usta_thermal::Celsius;
 /// The catalog Nexus 4's twelve-level OPP table.
 fn nexus4_opp() -> OppTable {
     let spec = usta_device::by_id("nexus4").expect("built-in");
-    usta_soc::spec::opp_table(spec, 0).expect("valid spec")
+    OppTable::new(spec.clusters[0].opp.clone()).expect("valid spec")
 }
 
 proptest! {

@@ -38,7 +38,7 @@ use usta_governors::{
 use usta_ml::Regressor;
 use usta_sim::runner::DvfsLoop;
 use usta_sim::{run_workload, Device, DeviceConfig, Governor, RunConfig};
-use usta_soc::{FrequencyLevel, OppTable};
+use usta_soc::{OppPoint, OppTable};
 use usta_thermal::Celsius;
 use usta_workloads::{Benchmark, ConstantLoad, Workload};
 
@@ -437,7 +437,7 @@ fn opp_tables_compare_by_levels_whether_shared_or_not() {
     assert_eq!(first, second);
     // Different ladders, and one volt apart on the same frequencies.
     assert_ne!(first[0].opp, first[1].opp);
-    let mut levels: Vec<FrequencyLevel> = first[0].opp.iter().copied().collect();
+    let mut levels: Vec<OppPoint> = first[0].opp.iter().copied().collect();
     levels.last_mut().expect("non-empty").volts += 0.01;
     let nudged = OppTable::new(levels).expect("still valid");
     assert_ne!(nudged, first[0].opp);
